@@ -439,7 +439,7 @@ def _verify_cache(path: str, seed: int, size_cap: int) -> int:
     failures = 0
     try:
         cache = ResultCache(path)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except ValueError as exc:
         print(f"FAIL - cache file {path}: unreadable record ({exc})")
         return 1
     audited = {"certified"}  # seed-dependent certification detail, not a result integer

@@ -3,11 +3,21 @@
 A contraction operator acts on Sym^A (x) Sym^B by multiplying the first
 factor with monomials and differentiating the second; its matrix between
 monomial bases has exact integer entries (falling factorials, stored as
-Python ints since they outgrow 64 bits for large B).  Ranks are computed
-over the rationals: modulo two independent random primes above 2^30, with
-an exact fraction-free elimination double-check below a size threshold.
-Modular rank can only undershoot the true rank, so two-prime agreement is
-certification at desk scale; the primes are logged for audit.
+Python ints since they outgrow 64 bits for large B).
+
+Ranks are computed over the rationals, one weight block at a time.  When
+every term of the operator has the same shift alpha - beta, the operator
+preserves the weight u + v of a basis pair x^u (x) y^v, so the matrix is
+block diagonal by weight.  The transpositions of coordinates that map the
+operator's own term set to itself permute those blocks without changing
+their ranks, so build_matrix records one representative block per orbit
+with the orbit's size, and exact_rank eliminates each representative once.
+Operators that do not preserve weight fall back to the connected components
+of the sparsity pattern.  Each block is eliminated once: exactly by
+fraction-free (Bareiss) elimination when both matrix dimensions are at or
+below exact_limit, and otherwise modulo two independent random primes above
+2^30, which certify the rank when they agree (modular rank can only
+undershoot); the primes are logged for audit.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -20,7 +30,8 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
@@ -36,10 +47,10 @@ logger = logging.getLogger(__name__)
 Monomial = tuple[int, ...]
 
 DEFAULT_SIZE_CAP = 200_000
-# Exact Bareiss elimination runs alongside the modular ranks whenever both
-# matrix dimensions are at or below this; above it, two-prime agreement is
-# reported (with the primes logged).  Graded operators split into small
-# weight blocks, so the exact pass is cheap at this scale.
+# Exact Bareiss elimination is the rank route whenever both matrix dimensions
+# are at or below this; above it, two-prime agreement is reported (with the
+# primes logged).  Graded operators split into small weight blocks, so the
+# exact pass is cheap at this scale.
 DEFAULT_EXACT_LIMIT = 2000
 
 _PRIME_LOW = 2**30 + 1
@@ -188,11 +199,18 @@ class SparseIntMatrix:
     """Column-major sparse matrix with exact integer entries.
 
     shape is (rows, cols) = (dim_target, dim_source); column j holds the
-    image of the j-th source basis pair.
+    image of the j-th source basis pair.  blocks, when set, lists one
+    (rows, cols, multiplicity) per orbit of weight blocks: the representative
+    block's sorted row and column indices and the number of blocks in its
+    orbit, all of the same rank.  Blocks share no rows, and the orbits cover
+    every nonempty column; None means the block structure is unknown.
     """
 
     shape: tuple[int, int]
     columns: tuple[tuple[tuple[int, int], ...], ...]
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def nnz(self) -> int:
@@ -214,7 +232,9 @@ def build_matrix(
 
     B in [0, k) is allowed and yields a matrix with zero rows (the target
     space is zero); that case carries real content for small multiples in
-    series scans.  Bases follow the graded-lex contract.
+    series scans.  Bases follow the graded-lex contract.  When op preserves
+    weight, the matrix also carries its orbit representative weight blocks
+    (see SparseIntMatrix.blocks).
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -223,32 +243,127 @@ def build_matrix(
     dim_target = sym_dim(n, A + k) * sym_dim(n, B - k)
     if dim_source > size_cap or dim_target > size_cap:
         raise SizeCapError(dim_source, dim_target, size_cap)
+    source_u, source_v = monomial_basis(n, A), monomial_basis(n, B)
     target_u = {u: i for i, u in enumerate(monomial_basis(n, A + k))}
     target_v = {v: i for i, v in enumerate(monomial_basis(n, B - k))}
     width = len(target_v)
-    columns: list[tuple[tuple[int, int], ...]] = []
-    for u in monomial_basis(n, A):
-        for v in monomial_basis(n, B):
-            image: dict[int, int] = {}
-            for coeff, alpha, beta in op.terms:
-                hit = apply_term(coeff, alpha, beta, u, v)
-                if hit is None:
-                    continue
-                scale, u2, v2 = hit
-                row = target_u[u2] * width + target_v[v2]
-                image[row] = image.get(row, 0) + scale
-            columns.append(
-                tuple((r, val) for r, val in sorted(image.items()) if val != 0)
-            )
-    return SparseIntMatrix((dim_target, dim_source), tuple(columns))
+    zero = (0,) * (n + 1)
+    # Index tables.  Graded-lex order is descending lex order, which adding u
+    # preserves, so for every source u the rows of u + alpha come in the
+    # order of alpha.  Hence one table per source u (the row offset of
+    # u + alpha for each distinct alpha) and one per source v (its surviving
+    # hits as (alpha slot, index of v - beta, scale), merged and in row order
+    # for every u) give each column by integer adds alone.
+    alphas = sorted({alpha for _, alpha, _ in op.terms}, reverse=True)
+    slot = {alpha: a for a, alpha in enumerate(alphas)}
+    offsets = [
+        tuple(target_u[tuple(x + y for x, y in zip(u, alpha))] * width for alpha in alphas)
+        for u in source_u
+    ]
+    hits_by_v: list[tuple[tuple[int, int, int], ...]] = []
+    for v in source_v:
+        image: dict[tuple[int, int], int] = {}
+        for coeff, alpha, beta in op.terms:
+            hit = apply_term(coeff, alpha, beta, zero, v)
+            if hit is not None:
+                key = (slot[alpha], target_v[hit[2]])
+                image[key] = image.get(key, 0) + hit[0]
+        hits_by_v.append(
+            tuple((a, vrow, val) for (a, vrow), val in sorted(image.items()) if val != 0)
+        )
+    columns = tuple(
+        tuple([(offset[a] + vrow, val) for a, vrow, val in hits])
+        for offset in offsets
+        for hits in hits_by_v
+    )
+    return SparseIntMatrix(
+        (dim_target, dim_source),
+        columns,
+        _weight_blocks(op, source_u, source_v, columns),
+    )
+
+
+def _interchangeable_classes(op: ContractionOperator) -> list[list[int]]:
+    """Classes of coordinates whose transpositions map op's term set to itself.
+
+    Such transpositions generate the full symmetric group on each class,
+    since (i k) = (i j)(j k)(i j); so one member stands in for its class.
+    """
+    terms = set(op.terms)
+
+    def swapped(e: Monomial, i: int, j: int) -> Monomial:
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        return tuple(e)
+
+    classes: list[list[int]] = []
+    for j in range(op.n + 1):
+        for cls in classes:
+            i = cls[0]
+            if all(
+                (coeff, swapped(alpha, i, j), swapped(beta, i, j)) in terms
+                for coeff, alpha, beta in op.terms
+            ):
+                cls.append(j)
+                break
+        else:
+            classes.append([j])
+    return classes
+
+
+def _weight_blocks(
+    op: ContractionOperator,
+    source_u: tuple[Monomial, ...],
+    source_v: tuple[Monomial, ...],
+    columns: tuple[tuple[tuple[int, int], ...], ...],
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None:
+    """Orbit representative weight blocks of op's matrix, or None.
+
+    Every term maps weight w = u + v to w + alpha - beta, so with a single
+    shift the columns of one weight share no rows with any other weight.  A
+    permutation of the coordinates that fixes the term set maps the block
+    of weight w to that of the permuted w by a permutation of rows and
+    columns.  The representative of an orbit has w non-increasing within
+    each class of interchangeable coordinates; the multiplicity counts the
+    distinct rearrangements of w within the classes.
+    """
+    if len({tuple(a - b for a, b in zip(alpha, beta)) for _, alpha, beta in op.terms}) > 1:
+        return None
+    classes = _interchangeable_classes(op)
+    # Weights are coded in mixed radix so that a column's weight is one add.
+    base = sum(source_u[0]) + sum(source_v[0]) + 1
+    radix = [base**c for c in range(op.n + 1)]
+    u_code = [sum(e * r for e, r in zip(u, radix)) for u in source_u]
+    v_code = [sum(e * r for e, r in zip(v, radix)) for v in source_v]
+    keys = [cu + cv for cu in u_code for cv in v_code]
+    representatives: dict[int, Monomial] = {}
+    for key in set(keys):
+        w = tuple(key // r % base for r in radix)
+        if all(w[a] >= w[b] for cls in classes for a, b in zip(cls, cls[1:])):
+            representatives[key] = w
+    groups: dict[int, list[int]] = {}
+    for col, key in enumerate(keys):
+        if key in representatives and columns[col]:
+            groups.setdefault(key, []).append(col)
+    blocks = []
+    for key, cols in groups.items():
+        w = representatives[key]
+        multiplicity = 1
+        for cls in classes:
+            counts = Counter(w[c] for c in cls).values()
+            multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
+        rows = sorted({r for c in cols for r, _ in columns[c]})
+        blocks.append((tuple(rows), tuple(cols), multiplicity))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
 class RankResult:
     """Exact rank data for one contraction matrix.
 
-    certified means the modular ranks agreed (and matched the exact
-    elimination when it ran); the primes are retained for audit.
+    certified is True on the exact route, and on the modular route when two
+    primes agreed on the maximum rank seen.  primes are the primes drawn for
+    the call, used by the modular route and retained for audit.
     """
 
     dim_source: int
@@ -363,7 +478,7 @@ def _rank_mod_p(
         piv = r + int(nonzero[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+        inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = (a[r, c:] * inv) % p
         factors = a[r + 1 :, c]
         hot = np.nonzero(factors)[0]
@@ -415,64 +530,71 @@ def exact_rank(
 ) -> RankResult:
     """Rank of the matrix over the rationals, with kernel/cokernel dimensions.
 
-    Computes the rank modulo two independent random primes > 2^30 (drawn
-    from the seeded generator) and, when both matrix dimensions are at most
-    exact_limit, also by exact fraction-free elimination, which is then
-    authoritative.  certified is True when the routes agree; a disagreement
-    between primes (which can only undershoot) triggers fresh primes until
-    two agree at the maximum.
+    The matrix is split into blocks that share no rows: the orbit
+    representative weight blocks build_matrix recorded in matrix.blocks,
+    each counted with its orbit's multiplicity, or else the connected
+    components of the sparsity pattern.  The rank is the sum of
+    multiplicity x block rank, and each block is eliminated once.  When
+    both matrix dimensions are at most exact_limit the route is exact
+    fraction-free (Bareiss) elimination, and certified is True.  Above it
+    the rank is taken modulo two independent random primes > 2^30;
+    certified is True when they agree, and a disagreement (modular rank can
+    only undershoot) triggers fresh primes until two agree at the maximum.
+    primes lists the primes drawn for this call from the seeded generator;
+    they are used by the modular route, and two are drawn on every call so
+    that the generator's stream does not depend on the route.
     """
     if rng is None:
         rng = random.Random(seed)
     dim_target, dim_source = matrix.shape
+    blocks = matrix.blocks
+    if blocks is None:
+        blocks = [(rows, cols, 1) for rows, cols in _connected_components(matrix)]
     components = [
-        (_component_entries(matrix, rows, cols), len(rows), len(cols))
-        for rows, cols in _connected_components(matrix)
+        (_component_entries(matrix, rows, cols), len(rows), len(cols), multiplicity)
+        for rows, cols, multiplicity in blocks
     ]
+
+    def rank_mod(p: int) -> int:
+        return sum(
+            multiplicity * _rank_mod_p(entries, nr, nc, p)
+            for entries, nr, nc, multiplicity in components
+        )
+
     p1 = _random_prime(rng)
     p2 = _random_prime(rng)
     while p2 == p1:
         p2 = _random_prime(rng)
     primes = [p1, p2]
-    modular = [
-        sum(_rank_mod_p(entries, nr, nc, p) for entries, nr, nc in components)
-        for p in primes
-    ]
     use_exact = max(matrix.shape) <= exact_limit
     if use_exact:
-        rank = sum(_rank_bareiss(entries, nr, nc) for entries, nr, nc in components)
-        certified = True
-        if any(r != rank for r in modular):
-            logger.warning(
-                "modular rank undershot the exact rank %d (primes %s)", rank, primes
-            )
-    elif modular[0] == modular[1]:
-        rank = modular[0]
+        rank = sum(
+            multiplicity * _rank_bareiss(entries, nr, nc)
+            for entries, nr, nc, multiplicity in components
+        )
         certified = True
     else:
-        # Vanishingly unlikely; modular rank <= true rank, so keep drawing
-        # until the running maximum is seen twice.
-        seen = sorted(modular)
-        for _ in range(6):
+        seen = sorted(rank_mod(p) for p in primes)
+        # Vanishingly unlikely to loop; modular rank <= true rank, so keep
+        # drawing until the running maximum is seen twice.
+        attempts = 0
+        while seen[-1] != seen[-2] and attempts < 6:
+            attempts += 1
             p = _random_prime(rng)
             if p in primes:
                 continue
             primes.append(p)
-            seen.append(
-                sum(_rank_mod_p(entries, nr, nc, p) for entries, nr, nc in components)
-            )
+            seen.append(rank_mod(p))
             seen.sort()
-            if seen[-1] == seen[-2]:
-                break
         rank = seen[-1]
         certified = seen[-1] == seen[-2]
     logger.debug(
-        "rank %d of %dx%d matrix via primes %s%s",
+        "rank %d of %dx%d matrix by %s (primes %s)",
         rank,
         dim_target,
         dim_source,
+        "exact elimination" if use_exact else "modular elimination",
         primes,
-        " + exact elimination" if use_exact else "",
     )
     return RankResult(
         dim_source=dim_source,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -175,6 +176,68 @@ class TestCache:
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
         assert code == 1
         assert "FAIL - cache key predict:n=2,k=1,A=9,B=3" in out
+
+    def test_torn_final_record_is_skipped_and_cut(self, capsys, caplog, tmp_path):
+        # a writer killed mid-record leaves a partial final line
+        cache = tmp_path / "cache.jsonl"
+        argv = ["bott", "--n", "2", "--d", "-4", "--cache", str(cache), "--format", "json"]
+        _, cold, _ = run(capsys, *argv)
+        with open(cache, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "bo')
+        code, warm, _ = run(capsys, *argv)
+        assert (code, warm) == (0, cold)
+        assert f"{cache}:2" in caplog.text
+        code, _, _ = run(capsys, "product", "--n", "2", "--a1", "2", "--a2", "-4",
+                         "--cache", str(cache))
+        assert code == 0
+        lines = cache.read_text().splitlines()
+        assert [json.loads(line)["key"] for line in lines] == [
+            "bott:n=2,d=-4", "product:n=2,a1=2,a2=-4"]
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 0 and "all checks passed" in out
+
+    def test_unterminated_final_record_gets_its_newline(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "bott", "--n", "2", "--d", "-4", "--cache", str(cache))
+        cache.write_text(cache.read_text().rstrip("\n"))
+        run(capsys, "bott", "--n", "2", "--d", "-3", "--cache", str(cache))
+        keys = [json.loads(line)["key"] for line in cache.read_text().splitlines()]
+        assert keys == ["bott:n=2,d=-4", "bott:n=2,d=-3"]
+
+    def test_corrupt_middle_record_names_line(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "bott", "--n", "2", "--d", "-4", "--cache", str(cache))
+        cache.write_text('{"key": "bo\n' + cache.read_text())
+        code, _, err = run(capsys, "bott", "--n", "2", "--d", "-4", "--cache", str(cache))
+        assert code == 2
+        assert f"{cache}:1" in err
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 1
+        assert f"FAIL - cache file {cache}" in out and f"{cache}:1" in out
+
+    def test_put_is_one_write_on_an_append_descriptor(self, monkeypatch, tmp_path):
+        from asympure import cache as cache_module
+
+        opened, writes = [], []
+        real_open, real_write = cache_module.os.open, cache_module.os.write
+
+        def spy_open(path, flags, *rest):
+            fd = real_open(path, flags, *rest)
+            opened.append((fd, flags))
+            return fd
+
+        def spy_write(fd, data):
+            writes.append((fd, bytes(data)))
+            return real_write(fd, data)
+
+        monkeypatch.setattr(cache_module.os, "open", spy_open)
+        monkeypatch.setattr(cache_module.os, "write", spy_write)
+        cache = cache_module.ResultCache(tmp_path / "cache.jsonl")
+        cache.put("bott:n=2,d=-4", {"values": ["0", "0", "3"]})
+        assert len(opened) == 1 and opened[0][1] & os.O_APPEND
+        assert [fd for fd, _ in writes] == [opened[0][0]]
+        assert writes[0][1] == (tmp_path / "cache.jsonl").read_bytes()
+        assert writes[0][1].endswith(b"\n") and writes[0][1].count(b"\n") == 1
 
 
 class TestVerify:

@@ -259,3 +259,78 @@ class TestOracleSeries:
     def test_operator_mismatch_rejected(self):
         with pytest.raises(ValueError):
             oracle_series(special_fiber_operator(2, 1), 2, 2, 1, 1, [3])
+
+
+def weight_changing_operator() -> ContractionOperator:
+    # x0 (x) d1 + x1 (x) d0: the two terms shift weight in opposite directions
+    return ContractionOperator(2, 1, ((1, E0, E1), (1, E1, E0)))
+
+
+REFERENCE_OPERATORS = {
+    "special_k1": special_fiber_operator(2, 1),
+    "special_k2": special_fiber_operator(2, 2),
+    "corner_one_term": corner_operator(1),
+    "corner_two_terms": corner_operator(2),
+    # diagonal terms x^a (x) d^a, |a| = 2: the support is symmetric under every
+    # transposition but the coefficients under none, and the ranks tell
+    "unequal_coefficients": ContractionOperator(2, 2, tuple(
+        (coeff, alpha, alpha)
+        for coeff, alpha in zip((3, -1, 3, -1, -2, 2), monomial_basis(2, 2))
+    )),
+    "no_weight": weight_changing_operator(),
+}
+
+
+def nonempty_weight_classes(op: ContractionOperator, A: int, B: int) -> int:
+    matrix = build_matrix(op, A, B)
+    pairs = [(u, v) for u in monomial_basis(op.n, A) for v in monomial_basis(op.n, B)]
+    return len({
+        tuple(a + b for a, b in zip(u, v))
+        for (u, v), col in zip(pairs, matrix.columns)
+        if col
+    })
+
+
+class TestReferenceRanks:
+    """Block ranks against sympy's dense rank and the union-find components."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_OPERATORS))
+    def test_rank_matches_dense_reference(self, name):
+        sympy = pytest.importorskip("sympy")
+        op = REFERENCE_OPERATORS[name]
+        for A in range(4):
+            for B in range(6 - A):
+                matrix = build_matrix(op, A, B)
+                want = sympy.Matrix(matrix.to_dense()).rank() if matrix.shape[0] else 0
+                components = SparseIntMatrix(matrix.shape, matrix.columns)
+                assert components.blocks is None
+                for route in (matrix, components):
+                    assert exact_rank(route).rank == want, (A, B)
+                    assert exact_rank(route, exact_limit=0).rank == want, (A, B)
+
+    @pytest.mark.parametrize("name", ["special_k1", "special_k2", "corner_one_term",
+                                      "corner_two_terms", "unequal_coefficients"])
+    def test_multiplicities_count_weight_classes(self, name):
+        op = REFERENCE_OPERATORS[name]
+        for A in range(4):
+            for B in range(5):
+                blocks = build_matrix(op, A, B).blocks
+                assert blocks is not None
+                assert sum(mult for _, _, mult in blocks) == nonempty_weight_classes(op, A, B)
+
+    def test_orbit_representatives_are_fewer_than_classes(self):
+        # full S_3 symmetry on the special operator, S_2 on the corners
+        for name, ratio in (("special_k1", 3), ("corner_one_term", 1.5)):
+            op = REFERENCE_OPERATORS[name]
+            blocks = build_matrix(op, 4, 4).blocks
+            assert len(blocks) * ratio < nonempty_weight_classes(op, 4, 4)
+
+    def test_weight_changing_operator_has_no_blocks(self):
+        op = weight_changing_operator()
+        for A, B in ((0, 1), (2, 2), (3, 1)):
+            assert build_matrix(op, A, B).blocks is None
+
+    def test_blocks_do_not_change_equality(self):
+        matrix = build_matrix(special_fiber_operator(2, 1), 2, 2)
+        assert matrix.blocks is not None
+        assert matrix == SparseIntMatrix(matrix.shape, matrix.columns)

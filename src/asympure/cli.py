@@ -4,9 +4,14 @@ JSON is the canonical machine format; every integer in a result payload is
 serialized as a decimal string so arbitrary-precision values survive
 53-bit consumers, and rationals are serialized as "p/q".  Output is
 deterministic: identical flags (including --seed) produce byte-identical
-JSON.  An optional JSON-lines cache stores result payloads keyed by a
-canonical parameter string; `verify` re-derives every cached record and
-fails loudly on any mismatch.
+JSON.
+
+Five commands (bott, product, predict, oracle, asymptotics) can keep their
+results in a JSON-lines cache.  Each is defined once, in CACHED: the fields
+of its key name:field=value,..., how to compute its payload, and how to
+draw its table from the payload.  One handler serves all five, and
+`verify --cache` parses every stored key back into its fields and re-runs
+the same computation, failing loudly on any mismatch.
 
 Exit codes: 0 success, 1 verification or purity mismatch, 2 usage error,
 3 size cap exceeded.
@@ -18,9 +23,9 @@ import argparse
 import csv
 import json
 import logging
-import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .asymptotics import asymptotic_special_fiber, classify, purity_report
 from .cache import ResultCache
@@ -91,19 +96,6 @@ def _emit(args, command: str, params: dict, result: dict, table_lines: list[str]
             print(line)
 
 
-def _with_cache(args, key: str, compute):
-    """Return the (stringified) result payload, via the cache when enabled."""
-    cache = ResultCache(args.cache) if getattr(args, "cache", None) else None
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = _stringify(compute())
-    if cache is not None:
-        cache.put(key, result)
-    return result
-
-
 def _parse_span(text: str) -> range:
     """'2..8' -> range(2, 9) (inclusive ends); '3' -> range(3, 4)."""
     if ".." in text:
@@ -136,16 +128,79 @@ def _rank_payload(result) -> dict:
     }
 
 
-def _analysis_payload(analysis) -> dict:
+def _vector_table(values) -> list[str]:
+    lines = [f"h^{q} = {v}" for q, v in enumerate(values) if v != "0"]
+    return lines or ["all cohomology vanishes"]
+
+
+# ---------------------------------------------------------------------------
+# cached commands.  The layer functions are looked up by their names in this
+# module when called, so rebinding a name here reaches both the handler and
+# `verify --cache`.
+
+
+def _bott(p, seed, size_cap) -> dict:
+    return _cohomology_payload(bott_cohomology(p["n"], p["d"]))
+
+
+def _bott_table(p, result) -> list[str]:
+    return [f"O({p['d']}) on P^{p['n']}:"] + _vector_table(result["values"])
+
+
+def _product(p, seed, size_cap) -> dict:
+    divisor = DivisorClass(p["a1"], p["a2"])
+    payload = _cohomology_payload(kunneth_cohomology(p["n"], divisor))
+    payload["euler"] = euler_characteristic(p["n"], divisor)
+    return payload
+
+
+def _product_table(p, result) -> list[str]:
+    header = f"O({p['a1']}, {p['a2']}) on P^{p['n']} x P^{p['n']}:"
+    return [header] + _vector_table(result["values"]) + [f"euler = {result['euler']}"]
+
+
+def _predict(p, seed, size_cap) -> dict:
+    analysis = predict_map_analysis(p["n"], p["k"], p["A"], p["B"])
+    dim_source, dim_target = source_target_dims(p["n"], p["k"], p["A"], p["B"])
     return {
         "kernel_dim": analysis.kernel_dim,
         "cokernel_dim": analysis.cokernel_dim,
         "kernel_labels": [[c.lambda1, c.lambda2] for c in analysis.kernel_labels],
         "cokernel_labels": [[c.lambda1, c.lambda2] for c in analysis.cokernel_labels],
+        "dim_source": dim_source,
+        "dim_target": dim_target,
     }
 
 
-def _asymptotic_payload(n: int, label, vector) -> dict:
+def _predict_table(p, result) -> list[str]:
+    def labels_text(labels):
+        return ", ".join(f"({l1}, {l2})" for l1, l2 in labels) or "none"
+
+    return [
+        f"kernel_dim = {result['kernel_dim']}",
+        f"cokernel_dim = {result['cokernel_dim']}",
+        f"kernel_labels = {labels_text(result['kernel_labels'])}",
+        f"cokernel_labels = {labels_text(result['cokernel_labels'])}",
+    ]
+
+
+def _oracle(p, seed, size_cap) -> dict:
+    if p["op"] == "special":
+        op = special_fiber_operator(p["n"], p["k"])
+    else:
+        op = ContractionOperator.from_canonical_key(p["op"])
+    matrix = build_matrix(op, p["A"], p["B"], size_cap=size_cap)
+    return _rank_payload(exact_rank(matrix, seed=seed))
+
+
+def _oracle_table(p, result) -> list[str]:
+    return [f"{field} = {result[field]}" for field in
+            ("dim_source", "dim_target", "rank", "kernel_dim", "cokernel_dim", "certified")]
+
+
+def _asymptotics(p, seed, size_cap) -> dict:
+    label = classify(p["n"], DivisorClass(p["a1"], -p["a2"]))
+    vector = asymptotic_special_fiber(p["n"], p["k"], p["a1"], p["a2"])
     return {
         "dim": vector.dim,
         "case": label.kind,
@@ -155,46 +210,84 @@ def _asymptotic_payload(n: int, label, vector) -> dict:
     }
 
 
-def _vector_table(vec) -> list[str]:
-    lines = [f"h^{q} = {v}" for q, v in enumerate(vec.values) if v]
-    return lines or ["all cohomology vanishes"]
+def _asymptotics_table(p, result) -> list[str]:
+    table = [f"case = {result['case']}"]
+    table += [
+        f"h_hat^{i} = {v}" for i, v in enumerate(result["values"]) if v != "0"
+    ] or ["all asymptotic cohomology vanishes"]
+    table.append(f"verdict = {result['verdict']}")
+    return table
+
+
+class Cached(NamedTuple):
+    """A cached command, as both the handler and `verify --cache` run it.
+
+    fields are the cache-key fields in key order; compute(params, seed,
+    size_cap) returns the payload and table(params, payload) its table lines.
+    """
+
+    fields: tuple[str, ...]
+    compute: Callable[[dict, int, int], dict]
+    table: Callable[[dict, dict], list[str]]
+
+
+CACHED = {
+    "bott": Cached(("n", "d"), _bott, _bott_table),
+    "product": Cached(("n", "a1", "a2"), _product, _product_table),
+    "predict": Cached(("n", "k", "A", "B"), _predict, _predict_table),
+    "oracle": Cached(("n", "k", "A", "B", "op"), _oracle, _oracle_table),
+    "asymptotics": Cached(("n", "k", "a1", "a2"), _asymptotics, _asymptotics_table),
+}
+
+
+def _parse_key(key: str) -> tuple[Cached, dict]:
+    """Split name:field=value,... into its registry entry and typed fields."""
+    command, _, rest = key.partition(":")
+    if command not in CACHED:
+        raise ValueError(f"unknown cache key prefix {command!r}")
+    entry = CACHED[command]
+    pairs = [part.partition("=") for part in rest.split(",")]
+    if [name for name, _, _ in pairs] != list(entry.fields):
+        raise ValueError(f"expected the fields {','.join(entry.fields)}")
+    # the operator key stays text; every other field is an integer
+    return entry, {name: text if name == "op" else int(text) for name, _, text in pairs}
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def cmd_bott(args) -> int:
-    key = f"bott:n={args.n},d={args.d}"
-    result = _with_cache(
-        args, key, lambda: _cohomology_payload(bott_cohomology(args.n, args.d))
-    )
-    params = {"n": args.n, "d": args.d, "seed": args.seed, "size_cap": args.size_cap}
-    vec = bott_cohomology(args.n, args.d)
-    _emit(args, "bott", params, result, [f"O({args.d}) on P^{args.n}:"] + _vector_table(vec))
-    return 0
+def _resolve_operator(args) -> tuple[ContractionOperator, str]:
+    if getattr(args, "operator_file", None):
+        op = load_operator(args.operator_file)
+        if op.n != args.n or op.k != args.k:
+            raise ValueError(
+                f"operator file has (n, k) = ({op.n}, {op.k}), flags say ({args.n}, {args.k})"
+            )
+        return op, op.canonical_key()
+    name = getattr(args, "operator", "special") or "special"
+    if name != "special":
+        raise ValueError(f"unknown operator {name!r}; use 'special' or --operator-file")
+    return special_fiber_operator(args.n, args.k), "special"
 
 
-def cmd_product(args) -> int:
-    divisor = DivisorClass(args.a1, args.a2)
-    key = f"product:n={args.n},a1={args.a1},a2={args.a2}"
-
-    def compute():
-        vec = kunneth_cohomology(args.n, divisor)
-        payload = _cohomology_payload(vec)
-        payload["euler"] = euler_characteristic(args.n, divisor)
-        return payload
-
-    result = _with_cache(args, key, compute)
+def cmd_cached(args) -> int:
+    """Any command in CACHED: key, cache lookup or compute-and-store, output."""
+    entry = CACHED[args.command]
     params = {
-        "n": args.n, "a1": args.a1, "a2": args.a2,
-        "seed": args.seed, "size_cap": args.size_cap,
+        name: _resolve_operator(args)[1] if name == "op" else getattr(args, name)
+        for name in entry.fields
     }
-    vec = kunneth_cohomology(args.n, divisor)
-    table = [f"O({args.a1}, {args.a2}) on P^{args.n} x P^{args.n}:"]
-    table += _vector_table(vec)
-    table.append(f"euler = {vec.euler()}")
-    _emit(args, "product", params, result, table)
+    key = f"{args.command}:" + ",".join(f"{name}={params[name]}" for name in entry.fields)
+    cache = ResultCache(args.cache) if args.cache else None
+    result = cache.get(key) if cache is not None else None
+    if result is None:
+        result = _stringify(entry.compute(params, args.seed, args.size_cap))
+        if cache is not None:
+            cache.put(key, result)
+    envelope = {("operator" if name == "op" else name): v for name, v in params.items()}
+    envelope.update(seed=args.seed, size_cap=args.size_cap)
+    _emit(args, args.command, envelope, result, entry.table(params, result))
     return 0
 
 
@@ -222,68 +315,6 @@ def cmd_decompose(args) -> int:
     table += [f"  ({c['lambda1']}, {c['lambda2']})  dim {c['dim']}" for c in components]
     table.append(f"total = {decomposition.dimension()}")
     _emit(args, "decompose", params, result, table)
-    return 0
-
-
-def cmd_predict(args) -> int:
-    key = f"predict:n={args.n},k={args.k},A={args.A},B={args.B}"
-
-    def compute():
-        analysis = predict_map_analysis(args.n, args.k, args.A, args.B)
-        payload = _analysis_payload(analysis)
-        src, tgt = source_target_dims(args.n, args.k, args.A, args.B)
-        payload["dim_source"], payload["dim_target"] = src, tgt
-        return payload
-
-    result = _with_cache(args, key, compute)
-    params = {
-        "n": args.n, "k": args.k, "A": args.A, "B": args.B,
-        "seed": args.seed, "size_cap": args.size_cap,
-    }
-
-    def labels_text(labels):
-        return ", ".join(f"({l1}, {l2})" for l1, l2 in labels) or "none"
-
-    table = [
-        f"kernel_dim = {result['kernel_dim']}",
-        f"cokernel_dim = {result['cokernel_dim']}",
-        f"kernel_labels = {labels_text(result['kernel_labels'])}",
-        f"cokernel_labels = {labels_text(result['cokernel_labels'])}",
-    ]
-    _emit(args, "predict", params, result, table)
-    return 0
-
-
-def _resolve_operator(args) -> tuple[ContractionOperator, str]:
-    if getattr(args, "operator_file", None):
-        op = load_operator(args.operator_file)
-        if op.n != args.n or op.k != args.k:
-            raise ValueError(
-                f"operator file has (n, k) = ({op.n}, {op.k}), flags say ({args.n}, {args.k})"
-            )
-        return op, op.canonical_key()
-    name = getattr(args, "operator", "special") or "special"
-    if name != "special":
-        raise ValueError(f"unknown operator {name!r}; use 'special' or --operator-file")
-    return special_fiber_operator(args.n, args.k), "special"
-
-
-def cmd_oracle(args) -> int:
-    op, opkey = _resolve_operator(args)
-    key = f"oracle:n={args.n},k={args.k},A={args.A},B={args.B},op={opkey}"
-
-    def compute():
-        matrix = build_matrix(op, args.A, args.B, size_cap=args.size_cap)
-        return _rank_payload(exact_rank(matrix, seed=args.seed))
-
-    result = _with_cache(args, key, compute)
-    params = {
-        "n": args.n, "k": args.k, "A": args.A, "B": args.B, "operator": opkey,
-        "seed": args.seed, "size_cap": args.size_cap,
-    }
-    table = [f"{field} = {result[field]}" for field in
-             ("dim_source", "dim_target", "rank", "kernel_dim", "cokernel_dim", "certified")]
-    _emit(args, "oracle", params, result, table)
     return 0
 
 
@@ -318,28 +349,6 @@ def cmd_series(args) -> int:
     else:
         for row in rows:
             print("  ".join(f"{k}={v}" for k, v in row.items()))
-    return 0
-
-
-def cmd_asymptotics(args) -> int:
-    key = f"asymptotics:n={args.n},k={args.k},a1={args.a1},a2={args.a2}"
-
-    def compute():
-        label = classify(args.n, DivisorClass(args.a1, -args.a2))
-        vector = asymptotic_special_fiber(args.n, args.k, args.a1, args.a2)
-        return _asymptotic_payload(args.n, label, vector)
-
-    result = _with_cache(args, key, compute)
-    params = {
-        "n": args.n, "k": args.k, "a1": args.a1, "a2": args.a2,
-        "seed": args.seed, "size_cap": args.size_cap,
-    }
-    table = [f"case = {result['case']}"]
-    table += [
-        f"h_hat^{i} = {v}" for i, v in enumerate(result["values"]) if v != "0"
-    ] or ["all asymptotic cohomology vanishes"]
-    table.append(f"verdict = {result['verdict']}")
-    _emit(args, "asymptotics", params, result, table)
     return 0
 
 
@@ -387,53 +396,6 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _operator_from_canonical(text: str) -> ContractionOperator:
-    head, _, body = text.partition(":")
-    match = re.fullmatch(r"n(\d+)k(\d+)", head)
-    if match is None:
-        raise ValueError(f"malformed operator key {text!r}")
-    n, k = int(match.group(1)), int(match.group(2))
-    terms = []
-    for part in body.split("+"):
-        coeff_s, _, monomials = part.partition("*")
-        xs, _, ds = monomials.lstrip("x").partition("d")
-        alpha = tuple(int(e) for e in xs.split("."))
-        beta = tuple(int(e) for e in ds.split("."))
-        terms.append((int(coeff_s), alpha, beta))
-    return ContractionOperator(n, k, tuple(terms))
-
-
-def _recompute_cached(key: str, seed: int, size_cap: int) -> dict:
-    command, _, rest = key.partition(":")
-    fields = dict(part.split("=", 1) for part in rest.split(","))
-    if command == "bott":
-        return _stringify(_cohomology_payload(bott_cohomology(int(fields["n"]), int(fields["d"]))))
-    if command == "product":
-        n, a1, a2 = int(fields["n"]), int(fields["a1"]), int(fields["a2"])
-        payload = _cohomology_payload(kunneth_cohomology(n, DivisorClass(a1, a2)))
-        payload["euler"] = euler_characteristic(n, DivisorClass(a1, a2))
-        return _stringify(payload)
-    if command == "predict":
-        n, k = int(fields["n"]), int(fields["k"])
-        A, B = int(fields["A"]), int(fields["B"])
-        payload = _analysis_payload(predict_map_analysis(n, k, A, B))
-        payload["dim_source"], payload["dim_target"] = source_target_dims(n, k, A, B)
-        return _stringify(payload)
-    if command == "oracle":
-        n, k = int(fields["n"]), int(fields["k"])
-        A, B = int(fields["A"]), int(fields["B"])
-        opkey = fields["op"]
-        op = special_fiber_operator(n, k) if opkey == "special" else _operator_from_canonical(opkey)
-        matrix = build_matrix(op, A, B, size_cap=size_cap)
-        return _stringify(_rank_payload(exact_rank(matrix, seed=seed)))
-    if command == "asymptotics":
-        n, k = int(fields["n"]), int(fields["k"])
-        a1, a2 = int(fields["a1"]), int(fields["a2"])
-        label = classify(n, DivisorClass(a1, -a2))
-        return _stringify(_asymptotic_payload(n, label, asymptotic_special_fiber(n, k, a1, a2)))
-    raise ValueError(f"unknown cache key prefix {command!r}")
-
-
 def _verify_cache(path: str, seed: int, size_cap: int) -> int:
     """Recompute every cached record; return the number of mismatches."""
     failures = 0
@@ -445,7 +407,8 @@ def _verify_cache(path: str, seed: int, size_cap: int) -> int:
     audited = {"certified"}  # seed-dependent certification detail, not a result integer
     for key, value in cache.items():
         try:
-            fresh = _recompute_cached(key, seed, size_cap)
+            entry, params = _parse_key(key)
+            fresh = _stringify(entry.compute(params, seed, size_cap))
         except Exception as exc:
             print(f"FAIL - cache key {key}: cannot recompute ({exc})")
             failures += 1
@@ -492,13 +455,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bott", parents=[common], help="cohomology of O(d) on P^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=cmd_bott)
+    p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("product", parents=[common], help="cohomology of O(a1, a2) on P^n x P^n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
-    p.set_defaults(handler=cmd_product)
+    p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("decompose", parents=[common], help="Pieri decomposition of Sym^A (x) Sym^B")
     p.add_argument("--n", type=int, required=True)
@@ -511,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--A", type=int, required=True)
     p.add_argument("--B", type=int, required=True)
-    p.set_defaults(handler=cmd_predict)
+    p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("oracle", parents=[common], help="exact matrix rank of a contraction operator")
     p.add_argument("--n", type=int, required=True)
@@ -520,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--operator", default="special")
     p.add_argument("--operator-file", default=None)
-    p.set_defaults(handler=cmd_oracle)
+    p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("series", parents=[common], help="kernel/cokernel series over a range of multiples")
     p.add_argument("--n", type=int, required=True)
@@ -538,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
-    p.set_defaults(handler=cmd_asymptotics)
+    p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("scan", parents=[common], help="purity scan over a coefficient grid (CSV)")
     p.add_argument("--n", type=int, required=True)

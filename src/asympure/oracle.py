@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -88,6 +89,10 @@ def monomial_basis(n: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+# one term of a canonical operator key: coeff*x<alpha>d<beta>
+_KEY_TERM = re.compile(r"(-?\d+)\*x(\d+(?:\.\d+)*)d(\d+(?:\.\d+)*)")
+
+
 @dataclass(frozen=True)
 class ContractionOperator:
     """Bihomogeneous operator sum of coeff * x^alpha (x) d^beta of bidegree (k, -k).
@@ -119,12 +124,29 @@ class ContractionOperator:
             seen.add((alpha, beta))
 
     def canonical_key(self) -> str:
-        """Deterministic, parseable string form; used for cache keys."""
+        """Deterministic string form, e.g. n2k1:-1*x0.1.0d0.1.0+1*x1.0.0d1.0.0.
+
+        Terms are sorted by (alpha, beta), so operators with the same terms
+        share a key.  Used for cache keys; from_canonical_key is its inverse.
+        """
         parts = [
             f"{coeff}*x{'.'.join(map(str, alpha))}d{'.'.join(map(str, beta))}"
             for coeff, alpha, beta in sorted(self.terms, key=lambda t: (t[1], t[2]))
         ]
         return f"n{self.n}k{self.k}:" + "+".join(parts)
+
+    @classmethod
+    def from_canonical_key(cls, text: str) -> "ContractionOperator":
+        """The operator whose canonical_key is text; ValueError if malformed."""
+        head, _, body = text.partition(":")
+        match = re.fullmatch(r"n(\d+)k(\d+)", head)
+        terms = [_KEY_TERM.fullmatch(part) for part in body.split("+")]
+        if match is None or not all(terms):
+            raise ValueError(f"malformed operator key {text!r}")
+        return cls(int(match[1]), int(match[2]), tuple(
+            (int(coeff), tuple(map(int, xs.split("."))), tuple(map(int, ds.split("."))))
+            for coeff, xs, ds in (term.groups() for term in terms)
+        ))
 
     def to_json_dict(self) -> dict:
         return {

@@ -147,6 +147,9 @@ def _corner_operator(terms: int) -> ContractionOperator:
 
 def _check_corner_closed_form(m_max: int, seed: int) -> tuple[bool, str]:
     rows = oracle_series(_corner_operator(1), 2, 1, 1, 1, range(2, m_max + 1), seed=seed)
+    multiples = [m for m, _ in rows]
+    if multiples != list(range(2, m_max + 1)):
+        return False, f"series covers multiples {multiples}, expected 2..{m_max}"
     for m, result in rows:
         expected = (m**3 - m) // 2
         if result.kernel_dim != expected:

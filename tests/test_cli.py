@@ -246,3 +246,87 @@ class TestVerify:
         assert code == 0
         assert "all checks passed" in out
         assert out.count("PASS") >= 10
+
+
+FORMATS = ("json", "csv", "table")
+
+# each cached command with the key it is stored under
+CACHED_CALLS = {
+    "bott": (["bott", "--n", "2", "--d", "-4"], "bott:n=2,d=-4"),
+    "product": (["product", "--n", "2", "--a1", "2", "--a2", "-4"], "product:n=2,a1=2,a2=-4"),
+    "predict": (["predict", "--n", "2", "--k", "1", "--A", "9", "--B", "3"],
+                "predict:n=2,k=1,A=9,B=3"),
+    "oracle": (["oracle", "--n", "2", "--k", "1", "--A", "4", "--B", "3"],
+               "oracle:n=2,k=1,A=4,B=3,op=special"),
+    "asymptotics": (["asymptotics", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1"],
+                    "asymptotics:n=2,k=1,a1=2,a2=1"),
+}
+
+# the layer functions the cached commands call
+LAYER_FUNCTIONS = (
+    "bott_cohomology", "kunneth_cohomology", "euler_characteristic",
+    "predict_map_analysis", "source_target_dims", "build_matrix", "exact_rank",
+    "classify", "asymptotic_special_fiber",
+)
+
+
+def cache_keys(path) -> list[str]:
+    return [json.loads(line)["key"] for line in path.read_text().splitlines()]
+
+
+class TestCachedCommands:
+    @pytest.mark.parametrize("command", sorted(CACHED_CALLS))
+    def test_hit_recomputes_nothing(self, capsys, monkeypatch, tmp_path, command):
+        from asympure import cli
+
+        argv, key = CACHED_CALLS[command]
+        cache = tmp_path / "cache.jsonl"
+        argv = argv + ["--cache", str(cache)]
+        code, _, _ = run(capsys, *argv)  # the miss
+        assert code == 0 and cache_keys(cache) == [key]
+        expected = {fmt: run(capsys, *argv, "--format", fmt) for fmt in FORMATS}
+        assert all(code == 0 for code, _, _ in expected.values())
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a cache hit recomputed its result")
+
+        for name in LAYER_FUNCTIONS:
+            monkeypatch.setattr(cli, name, recompute)
+        for fmt in FORMATS:
+            assert run(capsys, *argv, "--format", fmt) == expected[fmt]
+
+    def test_operator_file_record_verifies(self, capsys, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 2, "k": 1, "terms": [
+            {"coeff": 2, "alpha": [1, 0, 0], "beta": [0, 0, 1]},
+            {"coeff": -1, "alpha": [0, 1, 0], "beta": [0, 1, 0]},
+            {"coeff": 1, "alpha": [1, 0, 0], "beta": [1, 0, 0]},
+        ]}))
+        cache = tmp_path / "cache.jsonl"
+        code, _, _ = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "4", "--B", "3",
+                         "--operator-file", str(path), "--cache", str(cache))
+        key = "oracle:n=2,k=1,A=4,B=3,op=n2k1:-1*x0.1.0d0.1.0+2*x1.0.0d0.0.1+1*x1.0.0d1.0.0"
+        assert code == 0 and cache_keys(cache) == [key]
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 0
+        assert f"PASS - cache key {key}" in out
+        record = json.loads(cache.read_text())
+        record["value"]["rank"] = str(int(record["value"]["rank"]) - 1)
+        cache.write_text(json.dumps(record) + "\n")
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 1
+        assert f"FAIL - cache key {key}: cached value differs from recomputation" in out
+
+    def test_records_that_cannot_be_recomputed(self, capsys, tmp_path):
+        from asympure.cache import ResultCache
+
+        path = tmp_path / "cache.jsonl"
+        cache = ResultCache(path)
+        keys = ["decompose:n=2,A=9,B=3", "bott:n=2", "oracle:n=2,k=1,A=2,B=1,op=n2k1:zz"]
+        for key in keys:
+            cache.put(key, {"rank": "0"})
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(path))
+        assert code == 1
+        for key in keys:
+            assert f"FAIL - cache key {key}: cannot recompute (" in out
+        assert f"{len(keys)} check(s) failed" in out

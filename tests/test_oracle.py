@@ -77,6 +77,29 @@ class TestContractionOperator:
         with pytest.raises(ValueError, match="terms"):
             load_operator(path)
 
+    @pytest.mark.parametrize("op", [
+        *(special_fiber_operator(n, k) for n in range(1, 5) for k in range(1, 4)),
+        corner_operator(1),
+        corner_operator(2),
+        ContractionOperator(2, 1, ((2, E0, E2), (-1, E1, E1), (1, E0, E0))),
+    ])
+    def test_canonical_key_round_trip(self, op):
+        key = op.canonical_key()
+        parsed = ContractionOperator.from_canonical_key(key)
+        assert parsed.canonical_key() == key
+        assert set(parsed.terms) == set(op.terms)
+
+    @pytest.mark.parametrize("key", [
+        "special", "n2k1", "n2k1:", "n2k1:zz", "m2k1:1*x1.0.0d1.0.0",
+        "n2k1:1*x1.0.0", "n2k1:1*x1.0.0d1.0.0+", "n2k1:1.5*x1.0.0d1.0.0",
+        "n2k1:1*x1.0d1.0.0",  # exponent vector of the wrong length
+        "n2k1:0*x1.0.0d1.0.0",  # zero coefficient
+        "n2k1:1*x1.0.0d1.0.0+2*x1.0.0d1.0.0",  # duplicate term
+    ])
+    def test_malformed_canonical_key_raises(self, key):
+        with pytest.raises(ValueError):
+            ContractionOperator.from_canonical_key(key)
+
 
 class TestApplyTerm:
     def test_differentiation_scale(self):

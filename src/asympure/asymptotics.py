@@ -124,7 +124,7 @@ def fit_leading_coefficient(
     ms = [m for m, _ in series]
     if any(b - a != 1 for a, b in zip(ms, ms[1:])):
         raise ValueError("series must be sampled at consecutive m")
-    diffs = [Fraction(v) for _, v in series]
+    diffs = [v for _, v in series]
     for _ in range(degree):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     if any(d != diffs[0] for d in diffs[1:]):
@@ -132,7 +132,7 @@ def fit_leading_coefficient(
             f"order-{degree + 1} differences do not vanish on m in "
             f"[{ms[0]}, {ms[-1]}]; extend the window"
         )
-    return diffs[0] / factorial(degree)
+    return Fraction(diffs[0], factorial(degree))
 
 
 def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:

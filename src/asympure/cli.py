@@ -89,7 +89,7 @@ def _emit(args, command: str, params: dict, result: dict, table_lines: list[str]
     if args.format == "json":
         _emit_json(command, params, result)
     elif args.format == "csv":
-        header = list(result)
+        header = sorted(result)  # as in the JSON and the cache, so a miss prints what a hit does
         _emit_csv_rows(header, [[_csv_cell(result[k]) for k in header]])
     else:
         for line in table_lines:

@@ -13,11 +13,14 @@ operator's own term set to itself permute those blocks without changing
 their ranks, so build_matrix records one representative block per orbit
 with the orbit's size, and exact_rank eliminates each representative once.
 Operators that do not preserve weight fall back to the connected components
-of the sparsity pattern.  Each block is eliminated once: exactly by
-fraction-free (Bareiss) elimination when both matrix dimensions are at or
-below exact_limit, and otherwise modulo two independent random primes above
-2^30, which certify the rank when they agree (modular rank can only
-undershoot); the primes are logged for audit.
+of the sparsity pattern.  When both matrix dimensions are at or below
+exact_limit, each block is eliminated once, exactly, by fraction-free
+(Bareiss) elimination.  Otherwise each block is eliminated modulo a random
+prime above 2^30.  Modular rank can only undershoot the rank over Q, so a
+block of full rank modulo that prime (rank min(rows, cols)) is certified by
+that one elimination.  The rank-deficient blocks are eliminated again modulo
+a second independent prime, and their total is certified when the two
+primes agree.  The primes are logged for audit.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -49,9 +52,10 @@ Monomial = tuple[int, ...]
 
 DEFAULT_SIZE_CAP = 200_000
 # Exact Bareiss elimination is the rank route whenever both matrix dimensions
-# are at or below this; above it, two-prime agreement is reported (with the
-# primes logged).  Graded operators split into small weight blocks, so the
-# exact pass is cheap at this scale.
+# are at or below this; above it, the modular route runs (one prime for
+# full-rank blocks, two-prime agreement for the rest, the primes logged).
+# Graded operators split into small weight blocks, so the exact pass is
+# cheap at this scale.
 DEFAULT_EXACT_LIMIT = 2000
 
 _PRIME_LOW = 2**30 + 1
@@ -383,9 +387,12 @@ def _weight_blocks(
 class RankResult:
     """Exact rank data for one contraction matrix.
 
-    certified is True on the exact route, and on the modular route when two
-    primes agreed on the maximum rank seen.  primes are the primes drawn for
-    the call, used by the modular route and retained for audit.
+    certified is True on the exact route.  On the modular route it is True
+    when two primes agreed on the maximum total rank seen over the blocks
+    that were rank-deficient modulo the first prime; every other block had
+    full rank modulo the first prime, which proves its rank.  primes are the
+    primes drawn for the call, used by the modular route and retained for
+    audit.
     """
 
     dim_source: int
@@ -556,14 +563,16 @@ def exact_rank(
     representative weight blocks build_matrix recorded in matrix.blocks,
     each counted with its orbit's multiplicity, or else the connected
     components of the sparsity pattern.  The rank is the sum of
-    multiplicity x block rank, and each block is eliminated once.  When
-    both matrix dimensions are at most exact_limit the route is exact
-    fraction-free (Bareiss) elimination, and certified is True.  Above it
-    the rank is taken modulo two independent random primes > 2^30;
-    certified is True when they agree, and a disagreement (modular rank can
-    only undershoot) triggers fresh primes until two agree at the maximum.
-    primes lists the primes drawn for this call from the seeded generator;
-    they are used by the modular route, and two are drawn on every call so
+    multiplicity x block rank.  When both matrix dimensions are at most
+    exact_limit the route is exact fraction-free (Bareiss) elimination, one
+    per block, and certified is True.  Above it every block is eliminated
+    modulo a random prime p1 > 2^30.  Modular rank can only undershoot, so a
+    block whose rank mod p1 is min(rows, cols) has that rank over Q and
+    needs no second prime.  The rank-deficient blocks are eliminated modulo
+    a second independent prime p2 as well; certified is True when their
+    totals agree, and a disagreement triggers fresh primes until two agree
+    at the maximum.  primes lists the primes drawn for this call from the
+    seeded generator; two are drawn on every call, whether used or not, so
     that the generator's stream does not depend on the route.
     """
     if rng is None:
@@ -576,12 +585,6 @@ def exact_rank(
         (_component_entries(matrix, rows, cols), len(rows), len(cols), multiplicity)
         for rows, cols, multiplicity in blocks
     ]
-
-    def rank_mod(p: int) -> int:
-        return sum(
-            multiplicity * _rank_mod_p(entries, nr, nc, p)
-            for entries, nr, nc, multiplicity in components
-        )
 
     p1 = _random_prime(rng)
     p2 = _random_prime(rng)
@@ -596,7 +599,26 @@ def exact_rank(
         )
         certified = True
     else:
-        seen = sorted(rank_mod(p) for p in primes)
+        # A block of full rank mod p1 has that rank over Q: modular rank can
+        # only undershoot, and no rank exceeds min(rows, cols).  Only the
+        # rank-deficient blocks go on to further primes.
+        full_rank = deficient_p1 = 0
+        deficient = []
+        for entries, nr, nc, multiplicity in components:
+            block_rank = _rank_mod_p(entries, nr, nc, p1)
+            if block_rank == min(nr, nc):
+                full_rank += multiplicity * block_rank
+            else:
+                deficient_p1 += multiplicity * block_rank
+                deficient.append((entries, nr, nc, multiplicity))
+
+        def rank_mod(p: int) -> int:
+            return sum(
+                multiplicity * _rank_mod_p(entries, nr, nc, p)
+                for entries, nr, nc, multiplicity in deficient
+            )
+
+        seen = sorted((deficient_p1, rank_mod(p2)))
         # Vanishingly unlikely to loop; modular rank <= true rank, so keep
         # drawing until the running maximum is seen twice.
         attempts = 0
@@ -608,7 +630,7 @@ def exact_rank(
             primes.append(p)
             seen.append(rank_mod(p))
             seen.sort()
-        rank = seen[-1]
+        rank = full_rank + seen[-1]
         certified = seen[-1] == seen[-2]
     logger.debug(
         "rank %d of %dx%d matrix by %s (primes %s)",

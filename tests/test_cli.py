@@ -276,6 +276,14 @@ def cache_keys(path) -> list[str]:
 
 class TestCachedCommands:
     @pytest.mark.parametrize("command", sorted(CACHED_CALLS))
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_miss_prints_the_hit_bytes(self, capsys, tmp_path, command, fmt):
+        argv, _ = CACHED_CALLS[command]
+        argv = argv + ["--format", fmt, "--cache", str(tmp_path / "cache.jsonl")]
+        miss, hit = run(capsys, *argv), run(capsys, *argv)
+        assert miss[0] == 0 and miss == hit
+
+    @pytest.mark.parametrize("command", sorted(CACHED_CALLS))
     def test_hit_recomputes_nothing(self, capsys, monkeypatch, tmp_path, command):
         from asympure import cli
 

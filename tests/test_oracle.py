@@ -209,6 +209,31 @@ class TestExactRank:
         assert modular.rank == exact.rank
         assert modular.certified
 
+    def test_undershooting_first_prime_is_not_trusted(self):
+        # a 1x1 matrix whose only entry is the seeded p1: rank 0 mod p1
+        p1 = exact_rank(SparseIntMatrix((1, 1), ((),)), seed=3).primes[0]
+        result = exact_rank(SparseIntMatrix((1, 1), (((0, p1),),)), seed=3, exact_limit=0)
+        assert result.primes[0] == p1
+        assert (result.rank, result.certified, len(result.primes)) == (1, True, 3)
+
+    def test_full_rank_blocks_take_one_elimination(self, monkeypatch):
+        from asympure import oracle
+
+        calls = []
+        rank_mod_p = oracle._rank_mod_p
+
+        def counted(entries, nrows, ncols, p):
+            calls.append(p)
+            return rank_mod_p(entries, nrows, ncols, p)
+
+        monkeypatch.setattr(oracle, "_rank_mod_p", counted)
+        # the special operator is injective or surjective, so every block is full rank
+        matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
+        result = exact_rank(matrix, exact_limit=0)
+        assert result.rank == min(matrix.shape)
+        assert len(result.primes) == 2 and result.certified
+        assert calls == [result.primes[0]] * len(matrix.blocks)
+
     def test_rank_nullity_everywhere(self):
         for A in range(4):
             for B in range(4):

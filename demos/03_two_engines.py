@@ -2,11 +2,12 @@
 
 The oracle builds the honest matrix of a contraction operator between
 monomial bases and computes its rank exactly, one weight block at a time:
-fraction-free elimination up to 2000x2000; beyond that, one random prime
-above 2^30 for blocks of full rank modulo it, and agreement with a second
-prime for the rest.  Its only symmetry is the one it checks on the
-operator's own terms; it knows nothing about representation theory, which
-is what makes the agreement meaningful.
+fraction-free elimination up to 2000x2000, with no prime drawn; beyond
+that, one random prime above 2^30 for blocks of full rank modulo it, and
+further primes, until two agree, only for the rank-deficient blocks.  Each
+result keeps the primes the call used.  Its only symmetry is the one it
+checks on the operator's own terms; it knows nothing about representation
+theory, which is what makes the agreement meaningful.
 """
 
 from asympure import (

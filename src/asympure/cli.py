@@ -97,10 +97,15 @@ def _emit(args, command: str, params: dict, result: dict, table_lines: list[str]
 
 
 def _parse_span(text: str) -> range:
-    """'2..8' -> range(2, 9) (inclusive ends); '3' -> range(3, 4)."""
+    """'2..8' -> range(2, 9) (inclusive ends); '3' -> range(3, 4).
+
+    A reversed span such as '5..2' is a ValueError, not an empty range.
+    """
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split("..", 1))
+        if hi < lo:
+            raise ValueError(f"span {text!r} ends before it starts")
+        return range(lo, hi + 1)
     value = int(text)
     return range(value, value + 1)
 

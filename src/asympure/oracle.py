@@ -15,12 +15,13 @@ with the orbit's size, and exact_rank eliminates each representative once.
 Operators that do not preserve weight fall back to the connected components
 of the sparsity pattern.  When both matrix dimensions are at or below
 exact_limit, each block is eliminated once, exactly, by fraction-free
-(Bareiss) elimination.  Otherwise each block is eliminated modulo a random
-prime above 2^30.  Modular rank can only undershoot the rank over Q, so a
-block of full rank modulo that prime (rank min(rows, cols)) is certified by
-that one elimination.  The rank-deficient blocks are eliminated again modulo
-a second independent prime, and their total is certified when the two
-primes agree.  The primes are logged for audit.
+(Bareiss) elimination, and no prime is drawn.  Otherwise each block is
+eliminated modulo a random prime above 2^30.  Modular rank can only
+undershoot the rank over Q, so a block of full rank modulo that prime (rank
+min(rows, cols)) is certified by that one elimination.  Only if some block
+is rank-deficient are further primes drawn: the rank-deficient blocks are
+eliminated modulo each, and their total is certified when two primes agree
+on the maximum.  The primes the call used are logged for audit.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -51,15 +52,16 @@ logger = logging.getLogger(__name__)
 Monomial = tuple[int, ...]
 
 DEFAULT_SIZE_CAP = 200_000
-# Exact Bareiss elimination is the rank route whenever both matrix dimensions
-# are at or below this; above it, the modular route runs (one prime for
-# full-rank blocks, two-prime agreement for the rest, the primes logged).
+# Exact Bareiss elimination, which draws no prime, is the rank route whenever
+# both matrix dimensions are at or below this; above it, the modular route runs
+# on the primes the call used (one for full-rank blocks, two agreeing for the rest).
 # Graded operators split into small weight blocks, so the exact pass is
 # cheap at this scale.
 DEFAULT_EXACT_LIMIT = 2000
 
 _PRIME_LOW = 2**30 + 1
 _PRIME_HIGH = 2**31  # (p-1)^2 < 2^62 keeps int64 elimination overflow-free
+_MAX_PRIMES = 8  # primes one modular call may use before it gives up certifying
 
 
 class SizeCapError(ValueError):
@@ -391,8 +393,8 @@ class RankResult:
     when two primes agreed on the maximum total rank seen over the blocks
     that were rank-deficient modulo the first prime; every other block had
     full rank modulo the first prime, which proves its rank.  primes are the
-    primes drawn for the call, used by the modular route and retained for
-    audit.
+    primes the call used, retained for audit: none on the exact route, one
+    when every block had full rank modulo the first.
     """
 
     dim_source: int
@@ -554,7 +556,6 @@ def exact_rank(
     matrix: SparseIntMatrix,
     *,
     seed: int = 0,
-    rng: random.Random | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> RankResult:
     """Rank of the matrix over the rationals, with kernel/cokernel dimensions.
@@ -565,79 +566,65 @@ def exact_rank(
     components of the sparsity pattern.  The rank is the sum of
     multiplicity x block rank.  When both matrix dimensions are at most
     exact_limit the route is exact fraction-free (Bareiss) elimination, one
-    per block, and certified is True.  Above it every block is eliminated
-    modulo a random prime p1 > 2^30.  Modular rank can only undershoot, so a
-    block whose rank mod p1 is min(rows, cols) has that rank over Q and
-    needs no second prime.  The rank-deficient blocks are eliminated modulo
-    a second independent prime p2 as well; certified is True when their
-    totals agree, and a disagreement triggers fresh primes until two agree
-    at the maximum.  primes lists the primes drawn for this call from the
-    seeded generator; two are drawn on every call, whether used or not, so
-    that the generator's stream does not depend on the route.
+    per block; no prime is drawn and certified is True.  Above it every
+    block is eliminated modulo a prime p1 > 2^30, drawn from
+    random.Random(seed) when the first block is reached.  Modular rank can
+    only undershoot, so a block whose rank mod p1 is min(rows, cols) has
+    that rank over Q.  Only when some block is rank-deficient mod p1 are
+    further primes drawn, and the deficient blocks are eliminated modulo
+    each until the maximum of their totals is seen twice (at most 8 primes
+    in all); certified is False if it never is.  primes lists the primes
+    the call used, in the order drawn.
     """
-    if rng is None:
-        rng = random.Random(seed)
     dim_target, dim_source = matrix.shape
     blocks = matrix.blocks
     if blocks is None:
         blocks = [(rows, cols, 1) for rows, cols in _connected_components(matrix)]
-    components = [
-        (_component_entries(matrix, rows, cols), len(rows), len(cols), multiplicity)
-        for rows, cols, multiplicity in blocks
-    ]
-
-    p1 = _random_prime(rng)
-    p2 = _random_prime(rng)
-    while p2 == p1:
-        p2 = _random_prime(rng)
-    primes = [p1, p2]
     use_exact = max(matrix.shape) <= exact_limit
-    if use_exact:
-        rank = sum(
-            multiplicity * _rank_bareiss(entries, nr, nc)
-            for entries, nr, nc, multiplicity in components
-        )
-        certified = True
-    else:
-        # A block of full rank mod p1 has that rank over Q: modular rank can
-        # only undershoot, and no rank exceeds min(rows, cols).  Only the
-        # rank-deficient blocks go on to further primes.
-        full_rank = deficient_p1 = 0
-        deficient = []
-        for entries, nr, nc, multiplicity in components:
-            block_rank = _rank_mod_p(entries, nr, nc, p1)
-            if block_rank == min(nr, nc):
-                full_rank += multiplicity * block_rank
-            else:
-                deficient_p1 += multiplicity * block_rank
-                deficient.append((entries, nr, nc, multiplicity))
-
-        def rank_mod(p: int) -> int:
-            return sum(
-                multiplicity * _rank_mod_p(entries, nr, nc, p)
-                for entries, nr, nc, multiplicity in deficient
-            )
-
-        seen = sorted((deficient_p1, rank_mod(p2)))
-        # Vanishingly unlikely to loop; modular rank <= true rank, so keep
-        # drawing until the running maximum is seen twice.
-        attempts = 0
-        while seen[-1] != seen[-2] and attempts < 6:
-            attempts += 1
+    rng = random.Random(seed)
+    primes: list[int] = []
+    rank = deficient_rank = 0
+    deficient = []
+    largest = (0, 0)
+    for rows, cols, multiplicity in blocks:
+        nr, nc = len(rows), len(cols)
+        largest = max(largest, (nr, nc), key=prod)
+        entries = _component_entries(matrix, rows, cols)
+        if use_exact:
+            block_rank = _rank_bareiss(entries, nr, nc)
+        else:
+            if not primes:
+                primes.append(_random_prime(rng))
+            block_rank = _rank_mod_p(entries, nr, nc, primes[0])
+        if block_rank == min(nr, nc):
+            rank += multiplicity * block_rank
+        else:
+            deficient_rank += multiplicity * block_rank
+            deficient.append((entries, nr, nc, multiplicity))
+    # The deficient blocks' total, once per prime; a single total (the exact
+    # route, or no deficient block) needs no vote.  Modular rank can only
+    # undershoot, so the maximum seen twice is taken as the rank over Q.
+    seen = [deficient_rank]
+    if deficient and not use_exact:
+        while seen.count(max(seen)) < 2 and len(primes) < _MAX_PRIMES:
             p = _random_prime(rng)
-            if p in primes:
-                continue
-            primes.append(p)
-            seen.append(rank_mod(p))
-            seen.sort()
-        rank = full_rank + seen[-1]
-        certified = seen[-1] == seen[-2]
+            if p not in primes:
+                primes.append(p)
+                seen.append(sum(
+                    multiplicity * _rank_mod_p(entries, nr, nc, p)
+                    for entries, nr, nc, multiplicity in deficient
+                ))
+    rank += max(seen)
     logger.debug(
-        "rank %d of %dx%d matrix by %s (primes %s)",
+        "rank %d of %dx%d matrix by %s: %d blocks, largest %dx%d, "
+        "%d rank-deficient (primes %s)",
         rank,
         dim_target,
         dim_source,
         "exact elimination" if use_exact else "modular elimination",
+        len(blocks),
+        *largest,
+        len(deficient),
         primes,
     )
     return RankResult(
@@ -646,7 +633,7 @@ def exact_rank(
         rank=rank,
         kernel_dim=dim_source - rank,
         cokernel_dim=dim_target - rank,
-        certified=certified,
+        certified=len(seen) == 1 or seen.count(max(seen)) > 1,
         primes=tuple(primes),
     )
 
@@ -661,13 +648,13 @@ def oracle_series(
     *,
     seed: int = 0,
     size_cap: int = DEFAULT_SIZE_CAP,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> list[tuple[int, RankResult]]:
     """Per-multiple rank results for op along the special-fiber exponent schedule.
 
     At multiple m the source exponents are (m*a1 - k, m*a2 + k - (n+1));
     multiples where either is negative are skipped.  B in [0, k) is kept:
     the target is the zero space there and the kernel is the whole source.
+    Each multiple's rank is exact_rank(build_matrix(op, A, B), seed=seed).
     """
     if op.n != n or op.k != k:
         raise ValueError(
@@ -675,7 +662,6 @@ def oracle_series(
         )
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
-    rng = random.Random(seed)
     out: list[tuple[int, RankResult]] = []
     for m in m_range:
         A = m * a1 - k
@@ -683,7 +669,7 @@ def oracle_series(
         if A < 0 or B < 0:
             continue
         matrix = build_matrix(op, A, B, size_cap=size_cap)
-        out.append((m, exact_rank(matrix, rng=rng, exact_limit=exact_limit)))
+        out.append((m, exact_rank(matrix, seed=seed)))
     if not out:
         raise ValueError("no feasible multiple m in the requested range")
     return out

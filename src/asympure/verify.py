@@ -259,7 +259,7 @@ def build_suite(suite: str, seed: int = 0) -> list[Check]:
     raise ValueError(f"unknown suite {suite!r}; expected 'small' or 'full'")
 
 
-def run_suite(suite: str, seed: int = 0, emit=print) -> int:
+def run_suite(suite: str, seed: int = 0) -> int:
     """Run all checks, print one line per check, return the failure count."""
     failures = 0
     for name, check in build_suite(suite, seed):
@@ -270,5 +270,5 @@ def run_suite(suite: str, seed: int = 0, emit=print) -> int:
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        emit(f"{status} - {name}: {detail}")
+        print(f"{status} - {name}: {detail}")
     return failures

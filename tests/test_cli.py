@@ -112,6 +112,16 @@ class TestScan:
         lines = out.strip().splitlines()
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--a1", "5..2", "--a2", "0..3"],
+        ["scan", "--a1", "5..2", "--a2", "0..3", "--format", "json"],
+        ["series", "--a1", "1", "--a2", "1", "--m", "5..2"],
+    ])
+    def test_reversed_span_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", "2", "--k", "1")
+        assert (code, out) == (2, "")
+        assert "'5..2'" in err
+
 
 class TestExitCodes:
     def test_usage_error_from_argparse(self):

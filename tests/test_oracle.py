@@ -188,15 +188,16 @@ class TestExactRank:
         assert result.certified
 
     def test_primes_are_large_and_distinct(self):
-        result = exact_rank(build_matrix(special_fiber_operator(2, 1), 2, 2))
+        result = exact_rank(build_matrix(special_fiber_operator(2, 1), 2, 2), exact_limit=0)
+        assert result.primes
         assert len(set(result.primes)) == len(result.primes)
         assert all(p > 2**30 for p in result.primes)
 
     def test_seed_determinism(self):
         matrix = build_matrix(special_fiber_operator(2, 1), 3, 2)
-        a = exact_rank(matrix, seed=7)
-        b = exact_rank(matrix, seed=7)
-        c = exact_rank(matrix, seed=8)
+        a = exact_rank(matrix, seed=7, exact_limit=0)
+        b = exact_rank(matrix, seed=7, exact_limit=0)
+        c = exact_rank(matrix, seed=8, exact_limit=0)
         assert a == b
         assert a.primes != c.primes
         assert a.rank == c.rank
@@ -211,7 +212,8 @@ class TestExactRank:
 
     def test_undershooting_first_prime_is_not_trusted(self):
         # a 1x1 matrix whose only entry is the seeded p1: rank 0 mod p1
-        p1 = exact_rank(SparseIntMatrix((1, 1), ((),)), seed=3).primes[0]
+        unit = SparseIntMatrix((1, 1), (((0, 1),),))
+        p1 = exact_rank(unit, seed=3, exact_limit=0).primes[0]
         result = exact_rank(SparseIntMatrix((1, 1), (((0, p1),),)), seed=3, exact_limit=0)
         assert result.primes[0] == p1
         assert (result.rank, result.certified, len(result.primes)) == (1, True, 3)
@@ -231,8 +233,33 @@ class TestExactRank:
         matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
         result = exact_rank(matrix, exact_limit=0)
         assert result.rank == min(matrix.shape)
-        assert len(result.primes) == 2 and result.certified
+        assert len(result.primes) == 1 and result.certified
         assert calls == [result.primes[0]] * len(matrix.blocks)
+
+    def test_exact_route_draws_no_prime(self, monkeypatch):
+        from asympure import oracle
+
+        def refuse(rng):
+            raise AssertionError("the exact route drew a prime")
+
+        monkeypatch.setattr(oracle, "_random_prime", refuse)
+        for op in (special_fiber_operator(2, 1), corner_operator(1)):
+            result = exact_rank(build_matrix(op, 6, 4), seed=5)
+            assert result.primes == () and result.certified
+
+    def test_debug_line_reports_blocks_and_primes(self, caplog):
+        # blocks {row 0} x {col 0} and {rows 1, 2} x {cols 1, 2}, the second of rank 1
+        matrix = SparseIntMatrix((3, 3), (((0, 1),), ((1, 2), (2, 4)), ((1, 1), (2, 2))))
+        with caplog.at_level("DEBUG", logger="asympure.oracle"):
+            exact = exact_rank(matrix)
+            modular = exact_rank(matrix, exact_limit=0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "rank 2 of 3x3 matrix by exact elimination: 2 blocks, largest 2x2, "
+            "1 rank-deficient (primes [])",
+            "rank 2 of 3x3 matrix by modular elimination: 2 blocks, largest 2x2, "
+            f"1 rank-deficient (primes {list(modular.primes)})",
+        ]
+        assert exact.rank == modular.rank == 2 and len(modular.primes) == 2
 
     def test_rank_nullity_everywhere(self):
         for A in range(4):
@@ -289,6 +316,14 @@ class TestOracleSeries:
                 analysis.kernel_dim,
                 analysis.cokernel_dim,
             )
+
+    def test_each_multiple_is_ranked_with_the_seed(self):
+        # m = 11 lies above the default exact_limit, so its primes come from the seed
+        op = corner_operator(2)
+        rows = oracle_series(op, 2, 1, 1, 1, [3, 11], seed=9)
+        for m, result in rows:
+            assert result == exact_rank(build_matrix(op, m - 1, m - 2), seed=9)
+        assert rows[0][1].primes == () and len(rows[1][1].primes) >= 2
 
     def test_skips_infeasible_multiples(self):
         rows = oracle_series(special_fiber_operator(2, 1), 2, 1, 1, 1, range(1, 5))

@@ -2,10 +2,10 @@
 
 The oracle builds the honest matrix of a contraction operator between
 monomial bases and computes its rank exactly, one weight block at a time:
-fraction-free elimination up to 2000x2000, with no prime drawn; beyond
-that, one random prime above 2^30 for blocks of full rank modulo it, and
-further primes, until two agree, only for the rank-deficient blocks.  Each
-result keeps the primes the call used.  Its only symmetry is the one it
+every block is eliminated modulo one random prime above 2^30, which proves
+the blocks of full rank modulo it; a rank-deficient block is ranked by
+fraction-free elimination, or, if wider than 40, by further primes until
+two agree.  Each result keeps the primes the call used.  Its only symmetry is the one it
 checks on the operator's own terms; it knows nothing about representation
 theory, which is what makes the agreement meaningful.
 """

@@ -42,6 +42,7 @@ from .projspace import (
     bott_cohomology,
     euler_characteristic,
     kunneth_cohomology,
+    series_exponents,
     sym_dim,
 )
 from .reptheory import (
@@ -52,7 +53,6 @@ from .reptheory import (
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
-    series_exponents,
     source_target_dims,
     weyl_dimension,
 )

@@ -13,15 +13,15 @@ operator's own term set to itself permute those blocks without changing
 their ranks, so build_matrix records one representative block per orbit
 with the orbit's size, and exact_rank eliminates each representative once.
 Operators that do not preserve weight fall back to the connected components
-of the sparsity pattern.  When both matrix dimensions are at or below
-exact_limit, each block is eliminated once, exactly, by fraction-free
-(Bareiss) elimination, and no prime is drawn.  Otherwise each block is
-eliminated modulo a random prime above 2^30.  Modular rank can only
-undershoot the rank over Q, so a block of full rank modulo that prime (rank
-min(rows, cols)) is certified by that one elimination.  Only if some block
-is rank-deficient are further primes drawn: the rank-deficient blocks are
-eliminated modulo each, and their total is certified when two primes agree
-on the maximum.  The primes the call used are logged for audit.
+of the sparsity pattern.  Every block is eliminated modulo one prime p1
+above 2^30 drawn from random.Random(seed), with Python lists if the block is
+narrow and numpy if it is wide.  Modular rank can only undershoot the rank
+over Q, so a block of full rank modulo p1 (rank min(rows, cols)) is proven
+by that one elimination.  A block that is rank-deficient modulo p1 is proven
+exactly by fraction-free (Bareiss) elimination when neither of its sides
+exceeds exact_limit; only wider deficient blocks are eliminated modulo
+further primes, and their total is certified when two primes agree on the
+maximum.  The primes the call used are logged for audit.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -44,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .projspace import sym_dim
+from .projspace import series_exponents, sym_dim
 
 logger = logging.getLogger(__name__)
 
@@ -52,16 +52,22 @@ logger = logging.getLogger(__name__)
 Monomial = tuple[int, ...]
 
 DEFAULT_SIZE_CAP = 200_000
-# Exact Bareiss elimination, which draws no prime, is the rank route whenever
-# both matrix dimensions are at or below this; above it, the modular route runs
-# on the primes the call used (one for full-rank blocks, two agreeing for the rest).
-# Graded operators split into small weight blocks, so the exact pass is
-# cheap at this scale.
-DEFAULT_EXACT_LIMIT = 2000
+# The widest block, rank-deficient modulo p1, that Bareiss elimination proves
+# exactly; wider deficient blocks go to the vote of further primes.  Bareiss
+# slows as the entries grow: on the deficient blocks of the two-term corner
+# operator it takes about 1.5 ms at 30-39 wide, where one modular elimination
+# takes 0.16 ms, and 20 ms at 80-89 wide.  40 covers every deficient block of
+# the corner check at m <= 10 (the widest is 33).
+DEFAULT_EXACT_LIMIT = 40
 
 _PRIME_LOW = 2**30 + 1
 _PRIME_HIGH = 2**31  # (p-1)^2 < 2^62 keeps int64 elimination overflow-free
-_MAX_PRIMES = 8  # primes one modular call may use before it gives up certifying
+_MAX_PRIMES = 8  # primes one call may use before it gives up certifying
+# Blocks narrower than this are eliminated modulo p with Python lists, wider
+# ones with numpy, whose per-call overhead pays off only on large blocks.  On
+# the special operator's blocks the two break even at about 50 wide (0.6-0.9
+# ms a block); at 20-39 wide the lists take 0.2 ms and numpy 0.47 ms.
+_NUMPY_WIDTH = 50
 
 
 class SizeCapError(ValueError):
@@ -166,6 +172,7 @@ class ContractionOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContractionOperator":
+        """The operator of a to_json_dict document; ValueError if malformed."""
         try:
             terms = tuple(
                 (int(t["coeff"]), tuple(int(e) for e in t["alpha"]), tuple(int(e) for e in t["beta"]))
@@ -174,12 +181,20 @@ class ContractionOperator:
             return cls(int(data["n"]), int(data["k"]), terms)
         except KeyError as exc:
             raise ValueError(f"operator document missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed operator document ({exc})") from exc
 
 
 def load_operator(path: str | Path) -> ContractionOperator:
-    """Read a ContractionOperator from a JSON document with fields n, k, terms."""
-    with open(path, encoding="utf-8") as handle:
-        return ContractionOperator.from_json_dict(json.load(handle))
+    """Read a ContractionOperator from a JSON document with fields n, k, terms.
+
+    A document that cannot be read as one raises ValueError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return ContractionOperator.from_json_dict(json.load(handle))
+    except ValueError as exc:
+        raise ValueError(f"operator file {path}: {exc}") from exc
 
 
 def special_fiber_operator(n: int, k: int) -> ContractionOperator:
@@ -389,12 +404,13 @@ def _weight_blocks(
 class RankResult:
     """Exact rank data for one contraction matrix.
 
-    certified is True on the exact route.  On the modular route it is True
-    when two primes agreed on the maximum total rank seen over the blocks
-    that were rank-deficient modulo the first prime; every other block had
-    full rank modulo the first prime, which proves its rank.  primes are the
-    primes the call used, retained for audit: none on the exact route, one
-    when every block had full rank modulo the first.
+    Every block is eliminated modulo the first prime.  certified is True
+    when every block is proven: a block of full rank modulo the first prime
+    by that elimination, a rank-deficient block no wider than exact_limit by
+    Bareiss elimination, and the wider rank-deficient blocks by two primes
+    agreeing on the maximum of their total rank.  primes are the primes the
+    call used, retained for audit: none for a matrix without blocks, one
+    when no block went to the vote.
     """
 
     dim_source: int
@@ -443,6 +459,21 @@ def _random_prime(rng: random.Random) -> int:
             candidate += 2
         if candidate < _PRIME_HIGH:
             return candidate
+
+
+@lru_cache(maxsize=64)
+def _seeded_primes(seed: int) -> tuple[int, ...]:
+    """The first _MAX_PRIMES distinct primes drawn from random.Random(seed).
+
+    Kept per seed, so calls that share a seed skip the Miller-Rabin search.
+    """
+    rng = random.Random(seed)
+    primes: list[int] = []
+    while len(primes) < _MAX_PRIMES:
+        p = _random_prime(rng)
+        if p not in primes:
+            primes.append(p)
+    return tuple(primes)
 
 
 def _connected_components(
@@ -494,8 +525,47 @@ def _component_entries(
 def _rank_mod_p(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
 ) -> int:
+    """Rank of the block modulo the prime p: lists if narrow, numpy if wide."""
     if nrows == 0 or ncols == 0:
         return 0
+    if max(nrows, ncols) < _NUMPY_WIDTH:
+        return _rank_mod_p_lists(entries, nrows, ncols, p)
+    return _rank_mod_p_numpy(entries, nrows, ncols, p)
+
+
+def _rank_mod_p_lists(
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
+) -> int:
+    # The shorter side is taken as the rows (rank is that of the transpose),
+    # so each pivot updates fewer, longer rows.
+    if nrows > ncols:
+        entries = [(j, i, val) for i, j, val in entries]
+        nrows, ncols = ncols, nrows
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i, j, val in entries:
+        rows[i][j] = val % p
+    rank = 0
+    for c in range(ncols):
+        for i, row in enumerate(rows):
+            if row[c]:
+                break
+        else:
+            continue
+        pivot = rows.pop(i)
+        rank += 1
+        # Every remaining row is zero left of column c, so only tails change.
+        minus_inv = p - pow(pivot[c], -1, p)
+        tail = pivot[c:]
+        for row in rows:
+            if row[c]:
+                f = row[c] * minus_inv % p
+                row[c:] = [(x + f * y) % p for x, y in zip(row[c:], tail)]
+    return rank
+
+
+def _rank_mod_p_numpy(
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
+) -> int:
     a = np.zeros((nrows, ncols), dtype=np.int64)
     for i, j, val in entries:
         a[i, j] = val % p
@@ -564,68 +634,61 @@ def exact_rank(
     representative weight blocks build_matrix recorded in matrix.blocks,
     each counted with its orbit's multiplicity, or else the connected
     components of the sparsity pattern.  The rank is the sum of
-    multiplicity x block rank.  When both matrix dimensions are at most
-    exact_limit the route is exact fraction-free (Bareiss) elimination, one
-    per block; no prime is drawn and certified is True.  Above it every
-    block is eliminated modulo a prime p1 > 2^30, drawn from
-    random.Random(seed) when the first block is reached.  Modular rank can
-    only undershoot, so a block whose rank mod p1 is min(rows, cols) has
-    that rank over Q.  Only when some block is rank-deficient mod p1 are
-    further primes drawn, and the deficient blocks are eliminated modulo
-    each until the maximum of their totals is seen twice (at most 8 primes
-    in all); certified is False if it never is.  primes lists the primes
-    the call used, in the order drawn.
+    multiplicity x block rank.  Every block is eliminated modulo a prime
+    p1 > 2^30, the first of the primes random.Random(seed) draws.  Modular
+    rank can only undershoot, so a block whose rank mod p1 is
+    min(rows, cols) has that rank over Q.  A block of lower rank mod p1 is
+    ranked exactly by fraction-free (Bareiss) elimination when
+    max(rows, cols) <= exact_limit.  Only the wider rank-deficient blocks
+    are eliminated modulo the next primes drawn from the seed, until the
+    maximum of their totals is seen twice (at most 8 primes in all);
+    certified is False if it never is.  exact_limit=0 sends every rank-deficient block
+    to that vote.  primes lists the primes the call used, in the order drawn.
     """
     dim_target, dim_source = matrix.shape
     blocks = matrix.blocks
     if blocks is None:
         blocks = [(rows, cols, 1) for rows, cols in _connected_components(matrix)]
-    use_exact = max(matrix.shape) <= exact_limit
-    rng = random.Random(seed)
-    primes: list[int] = []
-    rank = deficient_rank = 0
-    deficient = []
+    stream = _seeded_primes(seed)
+    rank = voted_rank = proven = 0
+    voted = []
     largest = (0, 0)
     for rows, cols, multiplicity in blocks:
         nr, nc = len(rows), len(cols)
         largest = max(largest, (nr, nc), key=prod)
         entries = _component_entries(matrix, rows, cols)
-        if use_exact:
-            block_rank = _rank_bareiss(entries, nr, nc)
-        else:
-            if not primes:
-                primes.append(_random_prime(rng))
-            block_rank = _rank_mod_p(entries, nr, nc, primes[0])
+        block_rank = _rank_mod_p(entries, nr, nc, stream[0])
         if block_rank == min(nr, nc):
             rank += multiplicity * block_rank
+        elif max(nr, nc) <= exact_limit:
+            rank += multiplicity * _rank_bareiss(entries, nr, nc)
+            proven += 1
         else:
-            deficient_rank += multiplicity * block_rank
-            deficient.append((entries, nr, nc, multiplicity))
-    # The deficient blocks' total, once per prime; a single total (the exact
-    # route, or no deficient block) needs no vote.  Modular rank can only
+            voted_rank += multiplicity * block_rank
+            voted.append((entries, nr, nc, multiplicity))
+    # The voted blocks' total, once per prime.  Modular rank can only
     # undershoot, so the maximum seen twice is taken as the rank over Q.
-    seen = [deficient_rank]
-    if deficient and not use_exact:
-        while seen.count(max(seen)) < 2 and len(primes) < _MAX_PRIMES:
-            p = _random_prime(rng)
-            if p not in primes:
-                primes.append(p)
-                seen.append(sum(
-                    multiplicity * _rank_mod_p(entries, nr, nc, p)
-                    for entries, nr, nc, multiplicity in deficient
-                ))
+    seen = [voted_rank]
+    while voted and seen.count(max(seen)) < 2 and len(seen) < _MAX_PRIMES:
+        p = stream[len(seen)]
+        seen.append(sum(
+            multiplicity * _rank_mod_p(entries, nr, nc, p)
+            for entries, nr, nc, multiplicity in voted
+        ))
     rank += max(seen)
+    primes = stream[: len(seen)] if blocks else ()
     logger.debug(
-        "rank %d of %dx%d matrix by %s: %d blocks, largest %dx%d, "
-        "%d rank-deficient (primes %s)",
+        "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d rank-deficient "
+        "(%d by Bareiss, %d by vote), primes %s",
         rank,
         dim_target,
         dim_source,
-        "exact elimination" if use_exact else "modular elimination",
         len(blocks),
         *largest,
-        len(deficient),
-        primes,
+        proven + len(voted),
+        proven,
+        len(voted),
+        list(primes),
     )
     return RankResult(
         dim_source=dim_source,
@@ -633,8 +696,8 @@ def exact_rank(
         rank=rank,
         kernel_dim=dim_source - rank,
         cokernel_dim=dim_target - rank,
-        certified=len(seen) == 1 or seen.count(max(seen)) > 1,
-        primes=tuple(primes),
+        certified=not voted or seen.count(max(seen)) > 1,
+        primes=primes,
     )
 
 
@@ -651,7 +714,7 @@ def oracle_series(
 ) -> list[tuple[int, RankResult]]:
     """Per-multiple rank results for op along the special-fiber exponent schedule.
 
-    At multiple m the source exponents are (m*a1 - k, m*a2 + k - (n+1));
+    At multiple m the source exponents are series_exponents(n, k, a1, a2, m);
     multiples where either is negative are skipped.  B in [0, k) is kept:
     the target is the zero space there and the kernel is the whole source.
     Each multiple's rank is exact_rank(build_matrix(op, A, B), seed=seed).
@@ -664,8 +727,7 @@ def oracle_series(
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
     out: list[tuple[int, RankResult]] = []
     for m in m_range:
-        A = m * a1 - k
-        B = m * a2 + k - (n + 1)
+        A, B = series_exponents(n, k, a1, a2, m)
         if A < 0 or B < 0:
             continue
         matrix = build_matrix(op, A, B, size_cap=size_cap)

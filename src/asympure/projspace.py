@@ -30,6 +30,16 @@ def sym_dim(n: int, d: int) -> int:
     return binomial(d + n, n)
 
 
+def series_exponents(n: int, k: int, a1: int, a2: int, m: int) -> tuple[int, int]:
+    """Source exponents (A, B) = (m*a1 - k, m*a2 + k - (n+1)) at multiple m.
+
+    These are the exponents of the twisted restriction sequence for the
+    divisor a1*H1 - a2*H2 against the bidegree-(k, k) special fiber; the
+    target exponents are (A+k, B-k) = (m*a1, m*a2 - (n+1)).
+    """
+    return m * a1 - k, m * a2 + k - (n + 1)
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Integer class a1*H1 + a2*H2 in the Neron-Severi lattice of P^n x P^n.

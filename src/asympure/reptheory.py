@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
-from .projspace import sym_dim
+from .projspace import series_exponents, sym_dim
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,6 @@ def predict_map_analysis(n: int, k: int, A: int, B: int) -> MapAnalysis:
         kernel_labels=kernel_labels,
         cokernel_labels=cokernel_labels,
     )
-
-
-def series_exponents(n: int, k: int, a1: int, a2: int, m: int) -> tuple[int, int]:
-    """Source exponents (A, B) = (m*a1 - k, m*a2 + k - (n+1)) at multiple m.
-
-    These are the exponents of the twisted restriction sequence for the
-    divisor a1*H1 - a2*H2 against the bidegree-(k, k) special fiber; the
-    target exponents are (A+k, B-k) = (m*a1, m*a2 - (n+1)).
-    """
-    return m * a1 - k, m * a2 + k - (n + 1)
 
 
 def kernel_series_rep(

@@ -19,7 +19,13 @@ from .oracle import (
     oracle_series,
     special_fiber_operator,
 )
-from .projspace import DivisorClass, binomial, bott_cohomology, kunneth_cohomology
+from .projspace import (
+    DivisorClass,
+    binomial,
+    bott_cohomology,
+    kunneth_cohomology,
+    series_exponents,
+)
 from .reptheory import (
     pieri_decompose,
     predict_map_analysis,
@@ -99,8 +105,7 @@ def _check_engine_series(m_max: int, seed: int) -> tuple[bool, str]:
             for a1, a2 in ((1, 1), (2, 1), (1, 2)):
                 oracle_rows = oracle_series(op, n, k, a1, a2, range(1, m_max + 1), seed=seed)
                 for m, result in oracle_rows:
-                    A = m * a1 - k
-                    B = m * a2 + k - (n + 1)
+                    A, B = series_exponents(n, k, a1, a2, m)
                     if B < k:
                         predicted = (result.dim_source, 0)  # zero target: all kernel
                     else:

@@ -140,6 +140,19 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("text", [
+        "",  # what /dev/null holds
+        "[]",
+        '{"n": 2, "k": 1, "terms": [{"coeff": 1, "alpha": [1, 0, 0], "beta": null}]}',
+    ], ids=["empty", "list", "null_beta"])
+    def test_unreadable_operator_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "3",
+                             "--B", "2", "--operator-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: operator file {path}: ")
+
 
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from asympure import (
     predict_map_analysis,
     special_fiber_operator,
 )
+from asympure import oracle
 
 E0, E1, E2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -203,7 +205,7 @@ class TestExactRank:
         assert a.rank == c.rank
 
     def test_two_prime_route_matches_exact(self):
-        # force the modular-only path and compare with the exact default
+        # exact_limit=0 sends every rank-deficient block to the vote
         matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
         modular = exact_rank(matrix, exact_limit=0)
         exact = exact_rank(matrix)
@@ -219,8 +221,6 @@ class TestExactRank:
         assert (result.rank, result.certified, len(result.primes)) == (1, True, 3)
 
     def test_full_rank_blocks_take_one_elimination(self, monkeypatch):
-        from asympure import oracle
-
         calls = []
         rank_mod_p = oracle._rank_mod_p
 
@@ -236,30 +236,70 @@ class TestExactRank:
         assert len(result.primes) == 1 and result.certified
         assert calls == [result.primes[0]] * len(matrix.blocks)
 
-    def test_exact_route_draws_no_prime(self, monkeypatch):
-        from asympure import oracle
-
-        def refuse(rng):
-            raise AssertionError("the exact route drew a prime")
-
-        monkeypatch.setattr(oracle, "_random_prime", refuse)
+    def test_small_matrices_draw_only_p1(self):
+        # every block is eliminated modulo p1; the corner's rank-deficient
+        # blocks are proven by Bareiss, so no second prime is drawn
+        p1 = oracle._random_prime(random.Random(5))
         for op in (special_fiber_operator(2, 1), corner_operator(1)):
             result = exact_rank(build_matrix(op, 6, 4), seed=5)
-            assert result.primes == () and result.certified
+            assert result.primes == (p1,) and result.certified
+        assert exact_rank(SparseIntMatrix((3, 4), ((),) * 4), seed=5).primes == ()
+
+    def test_prime_stream_is_the_seeded_draws_searched_once(self, monkeypatch):
+        rng = random.Random(13)
+        want = tuple(oracle._random_prime(rng) for _ in range(3))
+        # rank 0 modulo p1 and 1 modulo the others: the vote takes three primes
+        matrix = SparseIntMatrix((1, 1), (((0, want[0]),),))
+        first = exact_rank(matrix, seed=13, exact_limit=0)
+        assert (first.rank, first.certified, first.primes) == (1, True, want)
+
+        def refuse(rng):
+            raise AssertionError("a memoized prime was searched again")
+
+        monkeypatch.setattr(oracle, "_random_prime", refuse)
+        assert exact_rank(matrix, seed=13, exact_limit=0) == first
+
+    def test_corner_deficient_blocks_are_proven_by_bareiss(self, monkeypatch):
+        # the two-term corner map at m = 10: every rank-deficient block is at
+        # most 33 wide, so the default limit proves each exactly, with p1 alone
+        matrix = build_matrix(corner_operator(2), 9, 8)
+        p1 = exact_rank(matrix).primes[0]
+        deficient = 0
+        for rows, cols, _ in matrix.blocks:
+            entries = oracle._component_entries(matrix, rows, cols)
+            if oracle._rank_mod_p(entries, len(rows), len(cols), p1) < min(len(rows), len(cols)):
+                assert max(len(rows), len(cols)) <= oracle.DEFAULT_EXACT_LIMIT
+                deficient += 1
+        calls = []
+        bareiss = oracle._rank_bareiss
+
+        def counted(entries, nrows, ncols):
+            calls.append((nrows, ncols))
+            return bareiss(entries, nrows, ncols)
+
+        monkeypatch.setattr(oracle, "_rank_bareiss", counted)
+        exact = exact_rank(matrix)
+        assert len(calls) == deficient > 0
+        assert (exact.kernel_dim, exact.primes, exact.certified) == (219, (p1,), True)
+        calls.clear()
+        voted = exact_rank(matrix, exact_limit=0)
+        assert calls == [] and voted.rank == exact.rank
+        assert voted.certified and len(voted.primes) >= 2 and voted.primes[0] == p1
 
     def test_debug_line_reports_blocks_and_primes(self, caplog):
         # blocks {row 0} x {col 0} and {rows 1, 2} x {cols 1, 2}, the second of rank 1
         matrix = SparseIntMatrix((3, 3), (((0, 1),), ((1, 2), (2, 4)), ((1, 1), (2, 2))))
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
-            exact = exact_rank(matrix)
-            modular = exact_rank(matrix, exact_limit=0)
+            proven = exact_rank(matrix)
+            voted = exact_rank(matrix, exact_limit=0)
         assert [r.getMessage() for r in caplog.records] == [
-            "rank 2 of 3x3 matrix by exact elimination: 2 blocks, largest 2x2, "
-            "1 rank-deficient (primes [])",
-            "rank 2 of 3x3 matrix by modular elimination: 2 blocks, largest 2x2, "
-            f"1 rank-deficient (primes {list(modular.primes)})",
+            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 rank-deficient "
+            f"(1 by Bareiss, 0 by vote), primes {list(proven.primes)}",
+            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 rank-deficient "
+            f"(0 by Bareiss, 1 by vote), primes {list(voted.primes)}",
         ]
-        assert exact.rank == modular.rank == 2 and len(modular.primes) == 2
+        assert proven.rank == voted.rank == 2
+        assert (len(proven.primes), len(voted.primes)) == (1, 2)
 
     def test_rank_nullity_everywhere(self):
         for A in range(4):
@@ -273,6 +313,39 @@ class TestExactRank:
     def test_rank_result_validates(self):
         with pytest.raises(ValueError):
             RankResult(4, 3, 2, 1, 1, True, (3, 5))
+
+
+class TestModularElimination:
+    """The list and numpy eliminations on each side of the width switch."""
+
+    P = 2**31 - 1  # a prime in the range the oracle draws from
+
+    @staticmethod
+    def ranks(entries, nrows, ncols, p):
+        implementations = (oracle._rank_mod_p, oracle._rank_mod_p_lists, oracle._rank_mod_p_numpy)
+        return [rank_mod_p(entries, nrows, ncols, p) for rank_mod_p in implementations]
+
+    @pytest.mark.parametrize("width", [oracle._NUMPY_WIDTH - 1, oracle._NUMPY_WIDTH])
+    @pytest.mark.parametrize("tall", [True, False])
+    def test_planted_dependent_row(self, width, tall):
+        rng = random.Random(width)
+        nrows, ncols = width, width - 7
+        dense = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(nrows - 10)]
+        dense += [[a - 3 * b for a, b in zip(dense[i], dense[i + 1])] for i in range(10)]
+        entries = [(i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+        if not tall:
+            entries = [(j, i, v) for i, j, v in entries]
+            nrows, ncols = ncols, nrows
+        want = oracle._rank_bareiss(entries, nrows, ncols)
+        assert want == width - 10
+        assert self.ranks(entries, nrows, ncols, self.P) == [want] * 3
+
+    @pytest.mark.parametrize("width", [oracle._NUMPY_WIDTH - 1, oracle._NUMPY_WIDTH])
+    def test_entry_equal_to_p(self, width):
+        # the identity with one diagonal entry p: full rank over Q, not mod p
+        entries = [(i, i, self.P if i == width // 2 else 1) for i in range(width)]
+        assert self.ranks(entries, width, width, self.P) == [width - 1] * 3
+        assert oracle._rank_bareiss(entries, width, width) == width
 
 
 class TestEquivariance:
@@ -318,12 +391,15 @@ class TestOracleSeries:
             )
 
     def test_each_multiple_is_ranked_with_the_seed(self):
-        # m = 11 lies above the default exact_limit, so its primes come from the seed
+        # every multiple draws p1 from the seed; m = 12 has rank-deficient
+        # blocks wider than the default exact_limit, so it votes on more primes
         op = corner_operator(2)
-        rows = oracle_series(op, 2, 1, 1, 1, [3, 11], seed=9)
+        rows = oracle_series(op, 2, 1, 1, 1, [3, 12], seed=9)
         for m, result in rows:
             assert result == exact_rank(build_matrix(op, m - 1, m - 2), seed=9)
-        assert rows[0][1].primes == () and len(rows[1][1].primes) >= 2
+        (_, small), (_, large) = rows
+        assert len(small.primes) == 1 and len(large.primes) >= 2
+        assert small.primes[0] == large.primes[0] == oracle._random_prime(random.Random(9))
 
     def test_skips_infeasible_multiples(self):
         rows = oracle_series(special_fiber_operator(2, 1), 2, 1, 1, 1, range(1, 5))

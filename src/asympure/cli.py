@@ -6,12 +6,14 @@ serialized as a decimal string so arbitrary-precision values survive
 deterministic: identical flags (including --seed) produce byte-identical
 JSON.
 
-Five commands (bott, product, predict, oracle, asymptotics) can keep their
-results in a JSON-lines cache.  Each is defined once, in CACHED: the fields
-of its key name:field=value,..., how to compute its payload, and how to
-draw its table from the payload.  One handler serves all five, and
-`verify --cache` parses every stored key back into its fields and re-runs
-the same computation, failing loudly on any mismatch.
+Six single-result commands (bott, product, decompose, predict, oracle,
+asymptotics) are declared once, in CACHED: their help text, the fields of
+their key name:field=value,..., how to compute their payload, and how to
+draw their table from the payload.  Their flags are generated from the
+fields, one handler serves all six, and each can keep its results in a
+JSON-lines cache with --cache.  `verify --cache` parses every stored key
+back into its fields and re-runs the same computation, failing loudly on
+any mismatch.  Only series, scan and verify declare their flags by hand.
 
 Exit codes: 0 success, 1 verification or purity mismatch, 2 usage error,
 3 size cap exceeded.
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -65,32 +69,29 @@ def _stringify(value):
     return value
 
 
-def _emit_json(command: str, params: dict, result) -> None:
-    envelope = {"command": command, "params": params, "result": result}
-    print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, list):
         return ";".join(_csv_cell(v) for v in value)
     if isinstance(value, dict):
-        return ";".join(f"{k}={_csv_cell(v)}" for k, v in value.items())
+        # sorted, as in the JSON and the cache, so a miss prints what a hit does
+        return ";".join(f"{k}={_csv_cell(v)}" for k, v in sorted(value.items()))
     return str(value)
 
 
-def _emit_csv_rows(header: list[str], rows: list[list], stream=None) -> None:
-    out = stream or sys.stdout
-    writer = csv.writer(out, lineterminator="\n")
+def _write_csv(stream, header: list[str], rows: list[list]) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
 
 
-def _emit(args, command: str, params: dict, result: dict, table_lines: list[str]) -> None:
-    if args.format == "json":
-        _emit_json(command, params, result)
-    elif args.format == "csv":
-        header = sorted(result)  # as in the JSON and the cache, so a miss prints what a hit does
-        _emit_csv_rows(header, [[_csv_cell(result[k]) for k in header]])
+def _emit(fmt: str, command: str, params: dict, result: dict,
+          header: list[str], rows: list[list], table_lines: list[str]) -> None:
+    """Print result as the JSON envelope, as header and rows of CSV, or as table lines."""
+    if fmt == "json":
+        envelope = {"command": command, "params": params, "result": result}
+        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+    elif fmt == "csv":
+        _write_csv(sys.stdout, header, rows)
     else:
         for line in table_lines:
             print(line)
@@ -164,6 +165,27 @@ def _product_table(p, result) -> list[str]:
     return [header] + _vector_table(result["values"]) + [f"euler = {result['euler']}"]
 
 
+def _decompose(p, seed, size_cap) -> dict:
+    decomposition = pieri_decompose(p["n"], p["A"], p["B"])
+    return {
+        "A": p["A"],
+        "B": p["B"],
+        "rank_n": p["n"],
+        "components": [
+            {"lambda1": c.lambda1, "lambda2": c.lambda2, "dim": weyl_dimension(p["n"], c)}
+            for c in decomposition.components
+        ],
+        "total_dim": decomposition.dimension(),
+    }
+
+
+def _decompose_table(p, result) -> list[str]:
+    table = [f"Sym^{p['A']} (x) Sym^{p['B']} for SL({p['n'] + 1}):"]
+    table += [f"  ({c['lambda1']}, {c['lambda2']})  dim {c['dim']}" for c in result["components"]]
+    table.append(f"total = {result['total_dim']}")
+    return table
+
+
 def _predict(p, seed, size_cap) -> dict:
     analysis = predict_map_analysis(p["n"], p["k"], p["A"], p["B"])
     dim_source, dim_target = source_target_dims(p["n"], p["k"], p["A"], p["B"])
@@ -225,23 +247,32 @@ def _asymptotics_table(p, result) -> list[str]:
 
 
 class Cached(NamedTuple):
-    """A cached command, as both the handler and `verify --cache` run it.
+    """A cached command, as its parser, its handler and `verify --cache` see it.
 
-    fields are the cache-key fields in key order; compute(params, seed,
-    size_cap) returns the payload and table(params, payload) its table lines.
+    fields are the cache-key fields in key order, and each is one flag:
+    `op` is --operator/--operator-file and stays text, every other field is
+    a required integer --<field>.  compute(params, seed, size_cap) returns
+    the payload and table(params, payload) its table lines.
     """
 
+    help: str
     fields: tuple[str, ...]
     compute: Callable[[dict, int, int], dict]
     table: Callable[[dict, dict], list[str]]
 
 
 CACHED = {
-    "bott": Cached(("n", "d"), _bott, _bott_table),
-    "product": Cached(("n", "a1", "a2"), _product, _product_table),
-    "predict": Cached(("n", "k", "A", "B"), _predict, _predict_table),
-    "oracle": Cached(("n", "k", "A", "B", "op"), _oracle, _oracle_table),
-    "asymptotics": Cached(("n", "k", "a1", "a2"), _asymptotics, _asymptotics_table),
+    "bott": Cached("cohomology of O(d) on P^n", ("n", "d"), _bott, _bott_table),
+    "product": Cached("cohomology of O(a1, a2) on P^n x P^n",
+                      ("n", "a1", "a2"), _product, _product_table),
+    "decompose": Cached("Pieri decomposition of Sym^A (x) Sym^B",
+                        ("n", "A", "B"), _decompose, _decompose_table),
+    "predict": Cached("predicted kernel/cokernel of the contraction",
+                      ("n", "k", "A", "B"), _predict, _predict_table),
+    "oracle": Cached("exact matrix rank of a contraction operator",
+                     ("n", "k", "A", "B", "op"), _oracle, _oracle_table),
+    "asymptotics": Cached("asymptotic cohomology on the special fiber",
+                          ("n", "k", "a1", "a2"), _asymptotics, _asymptotics_table),
 }
 
 
@@ -254,7 +285,6 @@ def _parse_key(key: str) -> tuple[Cached, dict]:
     pairs = [part.partition("=") for part in rest.split(",")]
     if [name for name, _, _ in pairs] != list(entry.fields):
         raise ValueError(f"expected the fields {','.join(entry.fields)}")
-    # the operator key stays text; every other field is an integer
     return entry, {name: text if name == "op" else int(text) for name, _, text in pairs}
 
 
@@ -263,14 +293,14 @@ def _parse_key(key: str) -> tuple[Cached, dict]:
 
 
 def _resolve_operator(args) -> tuple[ContractionOperator, str]:
-    if getattr(args, "operator_file", None):
+    if args.operator_file:
         op = load_operator(args.operator_file)
         if op.n != args.n or op.k != args.k:
             raise ValueError(
                 f"operator file has (n, k) = ({op.n}, {op.k}), flags say ({args.n}, {args.k})"
             )
         return op, op.canonical_key()
-    name = getattr(args, "operator", "special") or "special"
+    name = args.operator or "special"
     if name != "special":
         raise ValueError(f"unknown operator {name!r}; use 'special' or --operator-file")
     return special_fiber_operator(args.n, args.k), "special"
@@ -292,34 +322,9 @@ def cmd_cached(args) -> int:
             cache.put(key, result)
     envelope = {("operator" if name == "op" else name): v for name, v in params.items()}
     envelope.update(seed=args.seed, size_cap=args.size_cap)
-    _emit(args, args.command, envelope, result, entry.table(params, result))
-    return 0
-
-
-def cmd_decompose(args) -> int:
-    decomposition = pieri_decompose(args.n, args.A, args.B)
-    components = [
-        {
-            "lambda1": c.lambda1,
-            "lambda2": c.lambda2,
-            "dim": weyl_dimension(args.n, c),
-        }
-        for c in decomposition.components
-    ]
-    result = _stringify(
-        {
-            "A": args.A,
-            "B": args.B,
-            "rank_n": args.n,
-            "components": components,
-            "total_dim": decomposition.dimension(),
-        }
-    )
-    params = {"n": args.n, "A": args.A, "B": args.B, "seed": args.seed, "size_cap": args.size_cap}
-    table = [f"Sym^{args.A} (x) Sym^{args.B} for SL({args.n + 1}):"]
-    table += [f"  ({c['lambda1']}, {c['lambda2']})  dim {c['dim']}" for c in components]
-    table.append(f"total = {decomposition.dimension()}")
-    _emit(args, "decompose", params, result, table)
+    header = sorted(result)
+    _emit(args.format, args.command, envelope, result,
+          header, [[result[k] for k in header]], entry.table(params, result))
     return 0
 
 
@@ -345,15 +350,10 @@ def cmd_series(args) -> int:
                 seed=args.seed, size_cap=args.size_cap,
             )
         ]
-    result = _stringify({"rows": rows})
-    if args.format == "csv":
-        header = list(rows[0])
-        _emit_csv_rows(header, [[_csv_cell(r[k]) for k in header] for r in result["rows"]])
-    elif args.format == "json":
-        _emit_json("series", params, result)
-    else:
-        for row in rows:
-            print("  ".join(f"{k}={v}" for k, v in row.items()))
+    header = list(rows[0])
+    _emit(args.format, "series", params, _stringify({"rows": rows}),
+          header, [[row[k] for k in header] for row in rows],
+          ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows])
     return 0
 
 
@@ -367,7 +367,7 @@ def cmd_scan(args) -> int:
     header.append("verdict")
     rows = []
     impure = []
-    for (a1, a2), (divisor, label, vector) in zip(grid, records):
+    for (a1, a2), (_, label, vector) in zip(grid, records):
         row = [args.n, args.k, a1, a2, label.kind]
         row += [str(Fraction(v)) for v in vector.values]
         row.append(str(vector.purity))
@@ -376,25 +376,19 @@ def cmd_scan(args) -> int:
             impure.append((a1, a2))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            _emit_csv_rows(header, rows, stream=handle)
+            _write_csv(handle, header, rows)
     params = {
         "n": args.n, "k": args.k, "a1": args.a1, "a2": args.a2,
         "seed": args.seed, "size_cap": args.size_cap,
     }
-    if args.format == "json":
-        result = _stringify(
-            {"header": header, "rows": rows, "total": len(rows), "impure": impure}
-        )
-        _emit_json("scan", params, result)
-    elif args.format == "csv" and not args.out:
-        _emit_csv_rows(header, rows)
-    else:
-        counts: dict[str, int] = {}
-        for _, _, vector in records:
-            counts[vector.purity.kind] = counts.get(vector.purity.kind, 0) + 1
-        summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        destination = f" -> {args.out}" if args.out else ""
-        print(f"{len(rows)} rows ({summary}){destination}")
+    result = {"header": header, "rows": rows, "total": len(rows), "impure": impure}
+    counts = Counter(vector.purity.kind for _, _, vector in records)
+    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    destination = f" -> {args.out}" if args.out else ""
+    # CSV written to --out leaves stdout the summary line
+    fmt = "table" if args.out and args.format == "csv" else args.format
+    _emit(fmt, "scan", params, _stringify(result),
+          header, rows, [f"{len(rows)} rows ({summary}){destination}"])
     if impure:
         print(f"error: impure verdicts at {impure}", file=sys.stderr)
         return 1
@@ -443,10 +437,15 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def _add_operator_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--operator", default="special")
+    p.add_argument("--operator-file", default=None)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    common.add_argument("--cache", metavar="PATH", default=None)
     common.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--verbose", action="store_true")
@@ -457,38 +456,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bott", parents=[common], help="cohomology of O(d) on P^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=cmd_cached)
-
-    p = sub.add_parser("product", parents=[common], help="cohomology of O(a1, a2) on P^n x P^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.set_defaults(handler=cmd_cached)
-
-    p = sub.add_parser("decompose", parents=[common], help="Pieri decomposition of Sym^A (x) Sym^B")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.set_defaults(handler=cmd_decompose)
-
-    p = sub.add_parser("predict", parents=[common], help="predicted kernel/cokernel of the contraction")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.set_defaults(handler=cmd_cached)
-
-    p = sub.add_parser("oracle", parents=[common], help="exact matrix rank of a contraction operator")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", type=int, required=True)
-    p.add_argument("--B", type=int, required=True)
-    p.add_argument("--operator", default="special")
-    p.add_argument("--operator-file", default=None)
-    p.set_defaults(handler=cmd_cached)
+    for command, entry in CACHED.items():
+        p = sub.add_parser(command, parents=[common], help=entry.help)
+        for field in entry.fields:
+            if field == "op":
+                _add_operator_flags(p)
+            else:
+                p.add_argument(f"--{field}", type=int, required=True)
+        p.add_argument("--cache", metavar="PATH", default=None)
+        p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("series", parents=[common], help="kernel/cokernel series over a range of multiples")
     p.add_argument("--n", type=int, required=True)
@@ -497,16 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--m", required=True, help="range, e.g. 2..8")
     p.add_argument("--engine", choices=("rep", "oracle"), default="rep")
-    p.add_argument("--operator", default="special")
-    p.add_argument("--operator-file", default=None)
+    _add_operator_flags(p)
     p.set_defaults(handler=cmd_series)
-
-    p = sub.add_parser("asymptotics", parents=[common], help="asymptotic cohomology on the special fiber")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.set_defaults(handler=cmd_cached)
 
     p = sub.add_parser("scan", parents=[common], help="purity scan over a coefficient grid (CSV)")
     p.add_argument("--n", type=int, required=True)
@@ -518,6 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="cross-check the engines and any cache")
     p.add_argument("--suite", choices=("small", "full"), default="small")
+    p.add_argument("--cache", metavar="PATH", default=None, help="cache file to audit")
     p.set_defaults(handler=cmd_verify)
 
     return parser

@@ -172,13 +172,28 @@ class ContractionOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContractionOperator":
-        """The operator of a to_json_dict document; ValueError if malformed."""
+        """The operator of a to_json_dict document; ValueError if malformed.
+
+        n, k and coeff must be JSON integers and alpha, beta lists of them:
+        a float, a bool or a string is refused, never truncated or iterated.
+        """
+
+        def integer(value) -> int:
+            if type(value) is not int:  # bool is a subclass of int
+                raise ValueError(f"expected a JSON integer, got {value!r}")
+            return value
+
+        def integers(value) -> Monomial:
+            if type(value) is not list:
+                raise ValueError(f"expected a list of JSON integers, got {value!r}")
+            return tuple(integer(e) for e in value)
+
         try:
             terms = tuple(
-                (int(t["coeff"]), tuple(int(e) for e in t["alpha"]), tuple(int(e) for e in t["beta"]))
+                (integer(t["coeff"]), integers(t["alpha"]), integers(t["beta"]))
                 for t in data["terms"]
             )
-            return cls(int(data["n"]), int(data["k"]), terms)
+            return cls(integer(data["n"]), integer(data["k"]), terms)
         except KeyError as exc:
             raise ValueError(f"operator document missing field {exc}") from exc
         except TypeError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -134,6 +135,34 @@ class TestExitCodes:
         assert code == 2
         assert "B" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4"],
+        ["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "0..2"],
+    ], ids=["series", "scan"])
+    def test_cache_flag_on_an_uncached_command_exits_2(self, tmp_path, argv):
+        cache = tmp_path / "cache.jsonl"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--cache", str(cache)])
+        assert err.value.code == 2
+        assert not cache.exists()
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        from asympure import cli
+
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        run(capsys, "bott", "--n", "2", "--d", "-4")
+        first = len(built)
+        run(capsys, "predict", "--n", "2", "--k", "1", "--A", "9", "--B", "3")
+        assert first > 1 and len(built) == first
+
     def test_size_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "200",
                            "--B", "200", "--size-cap", "1000")
@@ -144,7 +173,10 @@ class TestExitCodes:
         "",  # what /dev/null holds
         "[]",
         '{"n": 2, "k": 1, "terms": [{"coeff": 1, "alpha": [1, 0, 0], "beta": null}]}',
-    ], ids=["empty", "list", "null_beta"])
+        '{"n": 2, "k": 1, "terms": [{"coeff": 1.5, "alpha": [1, 0, 0], "beta": [1, 0, 0]}]}',
+        '{"n": 2, "k": 1, "terms": [{"coeff": 1, "alpha": "100", "beta": [1, 0, 0]}]}',
+        '{"n": 2, "k": 1, "terms": [{"coeff": true, "alpha": [1, 0, 0], "beta": [1, 0, 0]}]}',
+    ], ids=["empty", "list", "null_beta", "float_coeff", "string_alpha", "bool_coeff"])
     def test_unreadable_operator_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "op.json"
         path.write_text(text)
@@ -277,6 +309,7 @@ FORMATS = ("json", "csv", "table")
 CACHED_CALLS = {
     "bott": (["bott", "--n", "2", "--d", "-4"], "bott:n=2,d=-4"),
     "product": (["product", "--n", "2", "--a1", "2", "--a2", "-4"], "product:n=2,a1=2,a2=-4"),
+    "decompose": (["decompose", "--n", "2", "--A", "9", "--B", "3"], "decompose:n=2,A=9,B=3"),
     "predict": (["predict", "--n", "2", "--k", "1", "--A", "9", "--B", "3"],
                 "predict:n=2,k=1,A=9,B=3"),
     "oracle": (["oracle", "--n", "2", "--k", "1", "--A", "4", "--B", "3"],
@@ -289,7 +322,7 @@ CACHED_CALLS = {
 LAYER_FUNCTIONS = (
     "bott_cohomology", "kunneth_cohomology", "euler_characteristic",
     "predict_map_analysis", "source_target_dims", "build_matrix", "exact_rank",
-    "classify", "asymptotic_special_fiber",
+    "classify", "asymptotic_special_fiber", "pieri_decompose", "weyl_dimension",
 )
 
 
@@ -326,6 +359,16 @@ class TestCachedCommands:
         for fmt in FORMATS:
             assert run(capsys, *argv, "--format", fmt) == expected[fmt]
 
+    def test_every_cached_record_verifies(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        for argv, _ in CACHED_CALLS.values():
+            assert run(capsys, *argv, "--cache", str(cache))[0] == 0
+        assert cache_keys(cache) == [key for _, key in CACHED_CALLS.values()]
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 0
+        for _, key in CACHED_CALLS.values():
+            assert f"PASS - cache key {key}" in out
+
     def test_operator_file_record_verifies(self, capsys, tmp_path):
         path = tmp_path / "op.json"
         path.write_text(json.dumps({"n": 2, "k": 1, "terms": [
@@ -353,7 +396,7 @@ class TestCachedCommands:
 
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path)
-        keys = ["decompose:n=2,A=9,B=3", "bott:n=2", "oracle:n=2,k=1,A=2,B=1,op=n2k1:zz"]
+        keys = ["scan:n=2", "bott:n=2", "oracle:n=2,k=1,A=2,B=1,op=n2k1:zz"]
         for key in keys:
             cache.put(key, {"rank": "0"})
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(path))

@@ -336,6 +336,10 @@ def cmd_series(args) -> int:
         "seed": args.seed, "size_cap": args.size_cap,
     }
     if args.engine == "rep":
+        if args.operator_file or args.operator != "special":
+            flag = "--operator-file" if args.operator_file else f"--operator {args.operator!r}"
+            raise ValueError("the rep engine predicts only the special operator; "
+                             f"drop {flag} or use --engine oracle")
         rows = [
             {"m": m, "kernel_dim": kd, "cokernel_dim": cd}
             for m, kd, cd in kernel_series_rep(args.n, args.k, args.a1, args.a2, span)
@@ -494,10 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(name)s: %(message)s",
-    )
+    # basicConfig acts only once per process, so the level is set on every call
+    logging.basicConfig(format="%(name)s: %(message)s")
+    logging.getLogger("asympure").setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.handler(args)
     except SizeCapError as exc:

@@ -14,8 +14,8 @@ their ranks, so build_matrix records one representative block per orbit
 with the orbit's size, and exact_rank eliminates each representative once.
 Operators that do not preserve weight fall back to the connected components
 of the sparsity pattern.  Every block is eliminated modulo one prime p1
-above 2^30 drawn from random.Random(seed), with Python lists if the block is
-narrow and numpy if it is wide.  Modular rank can only undershoot the rank
+above 2^30 drawn from random.Random(seed), in pure Python with each row packed
+into one integer (see _rank_mod_p).  Modular rank can only undershoot the rank
 over Q, so a block of full rank modulo p1 (rank min(rows, cols)) is proven
 by that one elimination.  A block that is rank-deficient modulo p1 is proven
 exactly by fraction-free (Bareiss) elimination when neither of its sides
@@ -42,8 +42,6 @@ from math import factorial, prod
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .projspace import series_exponents, sym_dim
 
 logger = logging.getLogger(__name__)
@@ -61,13 +59,8 @@ DEFAULT_SIZE_CAP = 200_000
 DEFAULT_EXACT_LIMIT = 40
 
 _PRIME_LOW = 2**30 + 1
-_PRIME_HIGH = 2**31  # (p-1)^2 < 2^62 keeps int64 elimination overflow-free
+_PRIME_HIGH = 2**31
 _MAX_PRIMES = 8  # primes one call may use before it gives up certifying
-# Blocks narrower than this are eliminated modulo p with Python lists, wider
-# ones with numpy, whose per-call overhead pays off only on large blocks.  On
-# the special operator's blocks the two break even at about 50 wide (0.6-0.9
-# ms a block); at 20-39 wide the lists take 0.2 ms and numpy 0.47 ms.
-_NUMPY_WIDTH = 50
 
 
 class SizeCapError(ValueError):
@@ -540,69 +533,57 @@ def _component_entries(
 def _rank_mod_p(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
 ) -> int:
-    """Rank of the block modulo the prime p: lists if narrow, numpy if wide."""
-    if nrows == 0 or ncols == 0:
-        return 0
-    if max(nrows, ncols) < _NUMPY_WIDTH:
-        return _rank_mod_p_lists(entries, nrows, ncols, p)
-    return _rank_mod_p_numpy(entries, nrows, ncols, p)
+    """Rank of the block modulo the prime p, by elimination on packed rows.
 
-
-def _rank_mod_p_lists(
-    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
-) -> int:
-    # The shorter side is taken as the rows (rank is that of the transpose),
-    # so each pivot updates fewer, longer rows.
+    entries are (row, column, value) at distinct positions.  The shorter
+    side is taken as the rows (rank is that of the transpose), and each row
+    is one Python int: its entries modulo p sit in slots of W bits,
+    W = (nrows * p * p).bit_length(), column j in slot j.  After each
+    column every row shifts right by W, so the current column is always
+    the lowest slot.  Only the pivot row is reduced mod p, slot by slot;
+    every other row is updated by one big-integer multiply-add,
+    row += lead * (-1/pivot mod p) * pivot_row, and keeps unreduced slots.
+    Every slot stays below nrows * p * p < 2**W, so none carries into the
+    next.
+    """
     if nrows > ncols:
         entries = [(j, i, val) for i, j, val in entries]
         nrows, ncols = ncols, nrows
-    rows = [[0] * ncols for _ in range(nrows)]
+    if nrows == 0:
+        return 0
+    # The slot bound: a slot starts below p, and each of the at most
+    # nrows - 1 pivots that update its row adds a product of two residues,
+    # below p * p, so it stays below nrows * p * p.
+    width = (nrows * p * p).bit_length()
+    mask = (1 << width) - 1
+    rows = [0] * nrows
     for i, j, val in entries:
-        rows[i][j] = val % p
+        rows[i] += val % p << j * width
     rank = 0
-    for c in range(ncols):
+    for _ in range(ncols):
         for i, row in enumerate(rows):
-            if row[c]:
+            lead = (row & mask) % p
+            if lead:
                 break
         else:
+            rows = [row >> width for row in rows]
             continue
-        pivot = rows.pop(i)
         rank += 1
-        # Every remaining row is zero left of column c, so only tails change.
-        minus_inv = p - pow(pivot[c], -1, p)
-        tail = pivot[c:]
+        pivot = rows.pop(i)
+        pivot = sum((pivot >> s & mask) % p << s for s in range(0, pivot.bit_length(), width))
+        minus_inv = p - pow(lead, -1, p)
+        remaining = []
         for row in rows:
-            if row[c]:
-                f = row[c] * minus_inv % p
-                row[c:] = [(x + f * y) % p for x, y in zip(row[c:], tail)]
-    return rank
-
-
-def _rank_mod_p_numpy(
-    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
-) -> int:
-    a = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, j, val in entries:
-        a[i, j] = val % p
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+            lead = (row & mask) % p
+            if lead:
+                row += lead * minus_inv % p * pivot
+            row >>= width
+            if row:  # a zero row can never pivot
+                remaining.append(row)
+        rows = remaining
+        if not rows:
             break
-        nonzero = np.nonzero(a[r:, c])[0]
-        if nonzero.size == 0:
-            continue
-        piv = r + int(nonzero[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        factors = a[r + 1 :, c]
-        hot = np.nonzero(factors)[0]
-        if hot.size:
-            block = a[r + 1 :, c:]
-            block[hot] = (block[hot] - factors[hot, None] * a[r, c:]) % p
-        r += 1
-    return r
+    return rank
 
 
 def _rank_bareiss(

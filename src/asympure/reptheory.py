@@ -10,11 +10,13 @@ image), so only the unshared components survive.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 from typing import Iterable
 
 from .projspace import series_exponents, sym_dim
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,8 @@ def kernel_series_rep(
     """Predicted (m, kernel_dim, cokernel_dim) rows over a range of multiples.
 
     Multiples whose exponents are not yet feasible (A < 0 or B < k) are
-    dropped with a warning; an empty result after filtering is an error.
+    dropped and logged as a warning; an empty result after filtering is an
+    error.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
@@ -197,10 +200,9 @@ def kernel_series_rep(
         analysis = predict_map_analysis(n, k, A, B)
         rows.append((m, analysis.kernel_dim, analysis.cokernel_dim))
     if dropped:
-        warnings.warn(
-            f"dropped m={dropped}: exponents not feasible for n={n}, k={k}, "
-            f"divisor ({a1}, {a2})",
-            stacklevel=2,
+        logger.warning(
+            "dropped m=%s: exponents not feasible for n=%d, k=%d, divisor (%d, %d)",
+            dropped, n, k, a1, a2,
         )
     if not rows:
         raise ValueError("no feasible multiple m in the requested range")

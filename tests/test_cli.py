@@ -3,9 +3,12 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import asympure
 from asympure.cli import main
 
 
@@ -73,6 +76,36 @@ class TestBasicCommands:
                            "--format", "json")
         rows = json.loads(out)["result"]["rows"]
         assert rows[0] == {"m": "5", "kernel_dim": "154", "cokernel_dim": "0"}
+
+    @pytest.mark.parametrize("flag", ["--operator-file", "--operator"])
+    def test_series_rep_refuses_other_operators(self, capsys, tmp_path, flag):
+        # the rep engine predicts the special operator; the one-term corner
+        # has kernels 12 and 30 at m = 3 and 4, not the special 8 and 15
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(
+            {"n": 2, "k": 1,
+             "terms": [{"coeff": 1, "alpha": [1, 0, 0], "beta": [1, 0, 0]}]}
+        ))
+        value = str(path) if flag == "--operator-file" else "bogus"
+        argv = ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4"]
+        code, out, err = run(capsys, *argv, "--engine", "rep", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the rep engine predicts only the special operator")
+        assert flag in err
+        code, out, _ = run(capsys, *argv, "--engine", "rep", "--operator", "special")
+        assert code == 0 and "kernel_dim=15" in out
+        if flag == "--operator-file":
+            code, out, _ = run(capsys, *argv, "--engine", "oracle", flag, value,
+                               "--format", "json")
+            kernels = [r["kernel_dim"] for r in json.loads(out)["result"]["rows"]]
+            assert (code, kernels) == (0, ["12", "30"])
+
+    def test_series_rep_logs_dropped_multiples(self, capsys, caplog):
+        code, out, err = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "2",
+                             "--a2", "1", "--m", "2..6")
+        assert code == 0 and "UserWarning" not in err
+        assert [r.getMessage()[:13] for r in caplog.records
+                if r.name == "asympure.reptheory"] == ["dropped m=[2]"]
 
     def test_series_oracle(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "1",
@@ -162,6 +195,23 @@ class TestExitCodes:
         first = len(built)
         run(capsys, "predict", "--n", "2", "--k", "1", "--A", "9", "--B", "3")
         assert first > 1 and len(built) == first
+
+    def test_verbose_is_honoured_on_every_in_process_call(self, capsys, caplog):
+        argv = ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "2"]
+        lines = []
+        for flags in ([], ["--verbose"], []):
+            caplog.clear()
+            assert main(argv + flags) == 0
+            lines.append([r.getMessage() for r in caplog.records if r.name == "asympure.oracle"])
+        assert lines[0] == lines[2] == []
+        assert len(lines[1]) == 1 and lines[1][0].startswith("rank 45 of 45x60 matrix: ")
+
+    def test_import_loads_no_numpy(self):
+        # a fresh interpreter: the package and its CLI need no third-party module
+        src = os.path.dirname(os.path.dirname(asympure.__file__))
+        script = "import sys, asympure, asympure.cli; sys.exit('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
     def test_size_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "200",

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -316,35 +317,38 @@ class TestExactRank:
 
 
 class TestModularElimination:
-    """The list and numpy eliminations on each side of the width switch."""
+    """The packed-row elimination against exact ranks, up to blocks wider than oracle_large's."""
 
     P = 2**31 - 1  # a prime in the range the oracle draws from
+    WIDTHS = [49, 50, 160]  # the widest oracle_large block is 153x154
 
     @staticmethod
-    def ranks(entries, nrows, ncols, p):
-        implementations = (oracle._rank_mod_p, oracle._rank_mod_p_lists, oracle._rank_mod_p_numpy)
-        return [rank_mod_p(entries, nrows, ncols, p) for rank_mod_p in implementations]
-
-    @pytest.mark.parametrize("width", [oracle._NUMPY_WIDTH - 1, oracle._NUMPY_WIDTH])
-    @pytest.mark.parametrize("tall", [True, False])
-    def test_planted_dependent_row(self, width, tall):
+    @functools.cache
+    def planted(width):
+        # width x (width - 7) with 10 rows planted as combinations of others;
+        # the rank over Q is that of its transpose, so one Bareiss serves both
         rng = random.Random(width)
         nrows, ncols = width, width - 7
         dense = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(nrows - 10)]
         dense += [[a - 3 * b for a, b in zip(dense[i], dense[i + 1])] for i in range(10)]
         entries = [(i, j, v) for i, row in enumerate(dense) for j, v in enumerate(row) if v]
+        return entries, nrows, ncols, oracle._rank_bareiss(entries, nrows, ncols)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("tall", [True, False])
+    def test_planted_dependent_row(self, width, tall):
+        entries, nrows, ncols, want = self.planted(width)
+        assert want == width - 10
         if not tall:
             entries = [(j, i, v) for i, j, v in entries]
             nrows, ncols = ncols, nrows
-        want = oracle._rank_bareiss(entries, nrows, ncols)
-        assert want == width - 10
-        assert self.ranks(entries, nrows, ncols, self.P) == [want] * 3
+        assert oracle._rank_mod_p(entries, nrows, ncols, self.P) == want
 
-    @pytest.mark.parametrize("width", [oracle._NUMPY_WIDTH - 1, oracle._NUMPY_WIDTH])
+    @pytest.mark.parametrize("width", WIDTHS)
     def test_entry_equal_to_p(self, width):
         # the identity with one diagonal entry p: full rank over Q, not mod p
         entries = [(i, i, self.P if i == width // 2 else 1) for i in range(width)]
-        assert self.ranks(entries, width, width, self.P) == [width - 1] * 3
+        assert oracle._rank_mod_p(entries, width, width, self.P) == width - 1
         assert oracle._rank_bareiss(entries, width, width) == width
 
 

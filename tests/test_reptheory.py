@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from asympure import (
@@ -175,15 +173,17 @@ class TestKernelSeries:
         rows = kernel_series_rep(2, 1, 2, 1, [5])
         assert rows == [(5, 154, 0)]
 
-    def test_drops_infeasible_with_warning(self):
-        with pytest.warns(UserWarning, match="dropped"):
-            rows = kernel_series_rep(2, 1, 2, 1, range(1, 6))
+    def test_drops_infeasible_with_warning(self, caplog):
+        rows = kernel_series_rep(2, 1, 2, 1, range(1, 6))
         assert [m for m, _, _ in rows] == [3, 4, 5]
+        assert [(r.name, r.levelname) for r in caplog.records] == [
+            ("asympure.reptheory", "WARNING")]
+        assert caplog.records[0].getMessage().startswith("dropped m=[1, 2]: ")
 
-    def test_empty_range_raises(self):
-        with pytest.raises(ValueError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    def test_empty_range_raises(self, caplog):
+        with pytest.raises(ValueError):
             kernel_series_rep(2, 1, 1, 1, [1, 2])
+        assert "dropped m=[1, 2]: " in caplog.text
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):

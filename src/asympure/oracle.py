@@ -10,10 +10,13 @@ every term of the operator has the same shift alpha - beta, the operator
 preserves the weight u + v of a basis pair x^u (x) y^v, so the matrix is
 block diagonal by weight.  The transpositions of coordinates that map the
 operator's own term set to itself permute those blocks without changing
-their ranks, so build_matrix records one representative block per orbit
-with the orbit's size, and exact_rank eliminates each representative once.
-Operators that do not preserve weight fall back to the connected components
-of the sparsity pattern.  Every block is eliminated modulo one prime p1
+their ranks, so build_matrix builds only one representative block per
+orbit, with the orbit's size, straight from per-monomial index tables, and
+exact_rank eliminates each representative once.  The full column list is
+built from the same tables only when something reads matrix.columns: the
+golden layout, to_dense, nnz, equality, and operators that do not preserve
+weight, which fall back to the connected components of the sparsity
+pattern.  Every block is eliminated modulo one prime p1
 above 2^30 drawn from random.Random(seed), in pure Python with each row packed
 into one integer (see _rank_mod_p).  Modular rank can only undershoot the rank
 over Q, so a block of full rank modulo p1 (rank min(rows, cols)) is proven
@@ -36,11 +39,11 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .projspace import series_exponents, sym_dim
 
@@ -48,6 +51,10 @@ logger = logging.getLogger(__name__)
 
 # Exponent tuple of a monomial; its degree is the sum of the entries.
 Monomial = tuple[int, ...]
+# One block of a matrix in its own indices: (row, column, value) entries,
+# (rows, cols) counting nonempty ones only, and how many blocks of the same
+# rank it stands for.
+Block = tuple[list[tuple[int, int, int]], tuple[int, int], int]
 
 DEFAULT_SIZE_CAP = 200_000
 # The widest block, rank-deficient modulo p1, that Bareiss elimination proves
@@ -245,23 +252,41 @@ def apply_term(
     )
 
 
-@dataclass(frozen=True)
 class SparseIntMatrix:
     """Column-major sparse matrix with exact integer entries.
 
-    shape is (rows, cols) = (dim_target, dim_source); column j holds the
-    image of the j-th source basis pair.  blocks, when set, lists one
-    (rows, cols, multiplicity) per orbit of weight blocks: the representative
-    block's sorted row and column indices and the number of blocks in its
-    orbit, all of the same rank.  Blocks share no rows, and the orbits cover
-    every nonempty column; None means the block structure is unknown.
+    shape is (rows, cols) = (dim_target, dim_source); columns[j] holds the
+    image of the j-th source basis pair as (row, value) pairs.  columns may
+    be passed as a function of no arguments that returns them: it is called
+    the first time columns is read, and its result kept.  build_matrix
+    passes one, so a rank taken on the blocks never builds the columns.
+    blocks, when set, holds one Block per orbit of weight blocks: the
+    representative block and the number of blocks in its orbit, all of the
+    same rank.  Blocks share no rows, and the orbits cover every
+    nonempty column; None means the block structure is unknown.  Equality
+    compares shape and columns only.
     """
 
-    shape: tuple[int, int]
-    columns: tuple[tuple[tuple[int, int], ...], ...]
-    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        columns: tuple[tuple[tuple[int, int], ...], ...] | Callable,
+        blocks: tuple[Block, ...] | None = None,
+    ):
+        self.shape = shape
+        self._columns = columns
+        self.blocks = blocks
+
+    @property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if callable(self._columns):
+            self._columns = self._columns()
+        return self._columns
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseIntMatrix):
+            return NotImplemented
+        return (self.shape, self.columns) == (other.shape, other.columns)
 
     @property
     def nnz(self) -> int:
@@ -283,9 +308,11 @@ def build_matrix(
 
     B in [0, k) is allowed and yields a matrix with zero rows (the target
     space is zero); that case carries real content for small multiples in
-    series scans.  Bases follow the graded-lex contract.  When op preserves
-    weight, the matrix also carries its orbit representative weight blocks
-    (see SparseIntMatrix.blocks).
+    series scans.  Bases follow the graded-lex contract, and the size cap
+    applies to the full bases.  When op preserves weight, only its orbit
+    representative weight blocks are built here (see SparseIntMatrix.blocks);
+    the full column list is built from the same index tables the first time
+    matrix.columns is read.
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -322,15 +349,21 @@ def build_matrix(
         hits_by_v.append(
             tuple((a, vrow, val) for (a, vrow), val in sorted(image.items()) if val != 0)
         )
-    columns = tuple(
+    return SparseIntMatrix(
+        (dim_target, dim_source),
+        lambda: _build_columns(offsets, hits_by_v),
+        _representative_blocks(op, A, B, offsets, hits_by_v),
+    )
+
+
+def _build_columns(
+    offsets: list[tuple[int, ...]], hits_by_v: list[tuple[tuple[int, int, int], ...]]
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every column in graded-lex order, first-factor-major, from the index tables."""
+    return tuple(
         tuple([(offset[a] + vrow, val) for a, vrow, val in hits])
         for offset in offsets
         for hits in hits_by_v
-    )
-    return SparseIntMatrix(
-        (dim_target, dim_source),
-        columns,
-        _weight_blocks(op, source_u, source_v, columns),
     )
 
 
@@ -362,12 +395,13 @@ def _interchangeable_classes(op: ContractionOperator) -> list[list[int]]:
     return classes
 
 
-def _weight_blocks(
+def _representative_blocks(
     op: ContractionOperator,
-    source_u: tuple[Monomial, ...],
-    source_v: tuple[Monomial, ...],
-    columns: tuple[tuple[tuple[int, int], ...], ...],
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...] | None:
+    A: int,
+    B: int,
+    offsets: list[tuple[int, ...]],
+    hits_by_v: list[tuple[tuple[int, int, int], ...]],
+) -> tuple[Block, ...] | None:
     """Orbit representative weight blocks of op's matrix, or None.
 
     Every term maps weight w = u + v to w + alpha - beta, so with a single
@@ -376,35 +410,45 @@ def _weight_blocks(
     of weight w to that of the permuted w by a permutation of rows and
     columns.  The representative of an orbit has w non-increasing within
     each class of interchangeable coordinates; the multiplicity counts the
-    distinct rearrangements of w within the classes.
+    distinct rearrangements of w within the classes.  The block of weight w
+    is built from the index tables alone: its columns are the source pairs
+    (u, w - u) with u <= w, in graded-lex order of u, less the empty ones.
     """
     if len({tuple(a - b for a, b in zip(alpha, beta)) for _, alpha, beta in op.terms}) > 1:
         return None
+    n = op.n
     classes = _interchangeable_classes(op)
-    # Weights are coded in mixed radix so that a column's weight is one add.
-    base = sum(source_u[0]) + sum(source_v[0]) + 1
-    radix = [base**c for c in range(op.n + 1)]
-    u_code = [sum(e * r for e, r in zip(u, radix)) for u in source_u]
-    v_code = [sum(e * r for e, r in zip(v, radix)) for v in source_v]
-    keys = [cu + cv for cu in u_code for cv in v_code]
-    representatives: dict[int, Monomial] = {}
-    for key in set(keys):
-        w = tuple(key // r % base for r in radix)
-        if all(w[a] >= w[b] for cls in classes for a, b in zip(cls, cls[1:])):
-            representatives[key] = w
-    groups: dict[int, list[int]] = {}
-    for col, key in enumerate(keys):
-        if key in representatives and columns[col]:
-            groups.setdefault(key, []).append(col)
+    # Exponents are coded in mixed radix with a base above every exponent, so
+    # the code of v = w - u is one subtraction.  A coordinate of w - u below
+    # zero forces a borrow, and each borrow adds base - 1 to the digit sum;
+    # so the difference is the code of a degree-B source v exactly when u <= w.
+    base = A + B + 1
+    radix = [base**c for c in range(n + 1)]
+    u_codes = [sum(e * r for e, r in zip(u, radix)) for u in monomial_basis(n, A)]
+    hits_by_code = {
+        sum(e * r for e, r in zip(v, radix)): hits_by_v[j]
+        for j, v in enumerate(monomial_basis(n, B))
+    }
     blocks = []
-    for key, cols in groups.items():
-        w = representatives[key]
-        multiplicity = 1
-        for cls in classes:
-            counts = Counter(w[c] for c in cls).values()
-            multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
-        rows = sorted({r for c in cols for r, _ in columns[c]})
-        blocks.append((tuple(rows), tuple(cols), multiplicity))
+    for w in monomial_basis(n, A + B):
+        if any(w[a] < w[b] for cls in classes for a, b in zip(cls, cls[1:])):
+            continue
+        w_code = sum(e * r for e, r in zip(w, radix))
+        rows: dict[int, int] = {}
+        entries = []
+        col = 0
+        for offset, u_code in zip(offsets, u_codes):
+            hits = hits_by_code.get(w_code - u_code)
+            if hits:
+                for a, vrow, val in hits:
+                    entries.append((rows.setdefault(offset[a] + vrow, len(rows)), col, val))
+                col += 1
+        if col:
+            multiplicity = 1
+            for cls in classes:
+                counts = Counter(w[c] for c in cls).values()
+                multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
+            blocks.append((entries, (len(rows), col), multiplicity))
     return tuple(blocks)
 
 
@@ -519,15 +563,14 @@ def _connected_components(
     return [(sorted(rows), cols) for rows, cols in groups.values()]
 
 
-def _component_entries(
-    matrix: SparseIntMatrix, rows: list[int], cols: list[int]
-) -> list[tuple[int, int, int]]:
-    rmap = {r: i for i, r in enumerate(rows)}
-    return [
-        (rmap[r], j, val)
-        for j, ci in enumerate(cols)
-        for r, val in matrix.columns[ci]
-    ]
+def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
+    """The connected components as blocks, each of multiplicity one."""
+    columns, blocks = matrix.columns, []
+    for rows, cols in _connected_components(matrix):
+        local = {r: i for i, r in enumerate(rows)}
+        entries = [(local[r], j, val) for j, c in enumerate(cols) for r, val in columns[c]]
+        blocks.append((entries, (len(rows), len(cols)), 1))
+    return blocks
 
 
 def _rank_mod_p(
@@ -627,9 +670,10 @@ def exact_rank(
     """Rank of the matrix over the rationals, with kernel/cokernel dimensions.
 
     The matrix is split into blocks that share no rows: the orbit
-    representative weight blocks build_matrix recorded in matrix.blocks,
-    each counted with its orbit's multiplicity, or else the connected
-    components of the sparsity pattern.  The rank is the sum of
+    representative weight blocks build_matrix built in matrix.blocks, each
+    counted with its orbit's multiplicity and read without building
+    matrix.columns, or else the connected components of the sparsity
+    pattern, found from matrix.columns.  The rank is the sum of
     multiplicity x block rank.  Every block is eliminated modulo a prime
     p1 > 2^30, the first of the primes random.Random(seed) draws.  Modular
     rank can only undershoot, so a block whose rank mod p1 is
@@ -644,15 +688,15 @@ def exact_rank(
     dim_target, dim_source = matrix.shape
     blocks = matrix.blocks
     if blocks is None:
-        blocks = [(rows, cols, 1) for rows, cols in _connected_components(matrix)]
+        blocks, built = _component_blocks(matrix), dim_source
+    else:
+        built = sum(nc for _, (_, nc), _ in blocks)
     stream = _seeded_primes(seed)
     rank = voted_rank = proven = 0
     voted = []
     largest = (0, 0)
-    for rows, cols, multiplicity in blocks:
-        nr, nc = len(rows), len(cols)
+    for entries, (nr, nc), multiplicity in blocks:
         largest = max(largest, (nr, nc), key=prod)
-        entries = _component_entries(matrix, rows, cols)
         block_rank = _rank_mod_p(entries, nr, nc, stream[0])
         if block_rank == min(nr, nc):
             rank += multiplicity * block_rank
@@ -675,7 +719,7 @@ def exact_rank(
     primes = stream[: len(seen)] if blocks else ()
     logger.debug(
         "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d rank-deficient "
-        "(%d by Bareiss, %d by vote), primes %s",
+        "(%d by Bareiss, %d by vote), built %d of %d columns, primes %s",
         rank,
         dim_target,
         dim_source,
@@ -684,6 +728,8 @@ def exact_rank(
         proven + len(voted),
         proven,
         len(voted),
+        built,
+        dim_source,
         list(primes),
     )
     return RankResult(

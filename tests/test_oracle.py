@@ -266,10 +266,9 @@ class TestExactRank:
         matrix = build_matrix(corner_operator(2), 9, 8)
         p1 = exact_rank(matrix).primes[0]
         deficient = 0
-        for rows, cols, _ in matrix.blocks:
-            entries = oracle._component_entries(matrix, rows, cols)
-            if oracle._rank_mod_p(entries, len(rows), len(cols), p1) < min(len(rows), len(cols)):
-                assert max(len(rows), len(cols)) <= oracle.DEFAULT_EXACT_LIMIT
+        for entries, (nrows, ncols), _ in matrix.blocks:
+            if oracle._rank_mod_p(entries, nrows, ncols, p1) < min(nrows, ncols):
+                assert max(nrows, ncols) <= oracle.DEFAULT_EXACT_LIMIT
                 deficient += 1
         calls = []
         bareiss = oracle._rank_bareiss
@@ -290,17 +289,42 @@ class TestExactRank:
     def test_debug_line_reports_blocks_and_primes(self, caplog):
         # blocks {row 0} x {col 0} and {rows 1, 2} x {cols 1, 2}, the second of rank 1
         matrix = SparseIntMatrix((3, 3), (((0, 1),), ((1, 2), (2, 4)), ((1, 1), (2, 2))))
+        # Sym^1 (x) Sym^1 on P^2: weights 2e_i (one column each) and e_i + e_j
+        # (two columns, one row each); the representatives are 2e_0 and e_0 + e_1
+        weights = build_matrix(special_fiber_operator(2, 1), 1, 1)
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             proven = exact_rank(matrix)
             voted = exact_rank(matrix, exact_limit=0)
+            blocked = exact_rank(weights)
         assert [r.getMessage() for r in caplog.records] == [
             "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 rank-deficient "
-            f"(1 by Bareiss, 0 by vote), primes {list(proven.primes)}",
+            f"(1 by Bareiss, 0 by vote), built 3 of 3 columns, primes {list(proven.primes)}",
             "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 rank-deficient "
-            f"(0 by Bareiss, 1 by vote), primes {list(voted.primes)}",
+            f"(0 by Bareiss, 1 by vote), built 3 of 3 columns, primes {list(voted.primes)}",
+            "rank 6 of 6x9 matrix: 2 blocks, largest 1x2, 0 rank-deficient "
+            f"(0 by Bareiss, 0 by vote), built 3 of 9 columns, primes {list(blocked.primes)}",
         ]
         assert proven.rank == voted.rank == 2
         assert (len(proven.primes), len(voted.primes)) == (1, 2)
+
+    def test_rank_never_builds_the_column_list(self, monkeypatch):
+        def refuse(*tables):
+            raise AssertionError("the full column list was built")
+
+        monkeypatch.setattr(oracle, "_build_columns", refuse)
+        result = exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
+        predicted = predict_map_analysis(2, 1, 20, 20)
+        assert (result.kernel_dim, result.cokernel_dim) == (
+            predicted.kernel_dim,
+            predicted.cokernel_dim,
+        )
+        assert result.certified
+
+    def test_columns_read_after_the_rank_keep_the_golden_layout(self):
+        matrix = build_matrix(special_fiber_operator(1, 1), 1, 1)
+        assert exact_rank(matrix).rank == 3
+        assert matrix.columns == (((0, 1),), ((1, 1),), ((1, 1),), ((2, 1),))
+        assert matrix.columns is matrix.columns
 
     def test_rank_nullity_everywhere(self):
         for A in range(4):
@@ -487,6 +511,21 @@ class TestReferenceRanks:
             op = REFERENCE_OPERATORS[name]
             blocks = build_matrix(op, 4, 4).blocks
             assert len(blocks) * ratio < nonempty_weight_classes(op, 4, 4)
+
+    @pytest.mark.parametrize("name", ["special_k1", "special_k2", "corner_one_term",
+                                      "corner_two_terms", "unequal_coefficients"])
+    def test_blocks_agree_with_the_built_columns(self, name):
+        # each orbit's blocks hold as many nonempty columns and entries as its
+        # representative, so the weighted sums count the whole matrix
+        op = REFERENCE_OPERATORS[name]
+        for A in range(7):
+            for B in range(7 - A):
+                matrix = build_matrix(op, A, B)
+                blocks = matrix.blocks
+                nonempty = sum(mult * ncols for _, (_, ncols), mult in blocks)
+                nnz = sum(mult * len(entries) for entries, _, mult in blocks)
+                assert nonempty == sum(1 for col in matrix.columns if col), (A, B)
+                assert nnz == matrix.nnz, (A, B)
 
     def test_weight_changing_operator_has_no_blocks(self):
         op = weight_changing_operator()

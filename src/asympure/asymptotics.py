@@ -218,7 +218,7 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
         sign = 1 if a2 == 0 else -1  # chi picks up (-1)^(2n-1) at the top index
         start = 1
         if a2 > 0:
-            start = max(start, _ceil_div(n + 1, a2), _ceil_div(max(0, n + 1 - k), a2))
+            start = max(start, _ceil_div(n + 1, a2))
         if a1 > 0:
             start = max(start, _ceil_div(k, a1))
         series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in range(start, start + dim + 3)]

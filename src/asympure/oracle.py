@@ -11,20 +11,21 @@ preserves the weight u + v of a basis pair x^u (x) y^v, so the matrix is
 block diagonal by weight.  The transpositions of coordinates that map the
 operator's own term set to itself permute those blocks without changing
 their ranks, so build_matrix builds only one representative block per
-orbit, with the orbit's size, straight from per-monomial index tables, and
-exact_rank eliminates each representative once.  The full column list is
-built from the same tables only when something reads matrix.columns: the
-golden layout, to_dense, nnz, equality, and operators that do not preserve
-weight, which fall back to the connected components of the sparsity
-pattern.  Every block is eliminated modulo one prime p1
-above 2^30 drawn from random.Random(seed), in pure Python with each row packed
-into one integer (see _rank_mod_p).  Modular rank can only undershoot the rank
-over Q, so a block of full rank modulo p1 (rank min(rows, cols)) is proven
-by that one elimination.  A block that is rank-deficient modulo p1 is proven
-exactly by fraction-free (Bareiss) elimination when neither of its sides
-exceeds exact_limit; only wider deficient blocks are eliminated modulo
-further primes, and their total is certified when two primes agree on the
-maximum.  The primes the call used are logged for audit.
+orbit, with the orbit's size, from one table of hits per source monomial,
+all monomials coded as integers, and exact_rank eliminates each
+representative once.  The full column list is built from the same table
+only when something reads matrix.columns: the golden layout, to_dense,
+nnz, equality, and operators that do not preserve weight, which fall back
+to the connected components of the sparsity pattern.  Every block is
+eliminated modulo one prime p1 above 2^30 drawn from random.Random(seed),
+in pure Python with each row packed into one integer (see _rank_mod_p).
+Modular rank can only undershoot the rank over Q, so a block of full rank
+modulo p1 (rank min(rows, cols)) is proven by that one elimination.  A
+block that is rank-deficient modulo p1 is proven exactly by fraction-free
+(Bareiss) elimination when neither of its sides exceeds exact_limit; only
+wider deficient blocks are eliminated modulo further primes, and their
+total is certified when two primes agree on the maximum.  The primes the
+call used are logged for audit.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -41,7 +42,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
+from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -55,6 +57,9 @@ Monomial = tuple[int, ...]
 # (rows, cols) counting nonempty ones only, and how many blocks of the same
 # rank it stands for.
 Block = tuple[list[tuple[int, int, int]], tuple[int, int], int]
+# A monomial's code, and the per-source-v table of hits; see build_matrix.
+Coder = Callable[[Monomial], int]
+HitTable = dict[int, list[tuple[int, int, int]]]
 
 DEFAULT_SIZE_CAP = 200_000
 # The widest block, rank-deficient modulo p1, that Bareiss elimination proves
@@ -311,8 +316,8 @@ def build_matrix(
     series scans.  Bases follow the graded-lex contract, and the size cap
     applies to the full bases.  When op preserves weight, only its orbit
     representative weight blocks are built here (see SparseIntMatrix.blocks);
-    the full column list is built from the same index tables the first time
-    matrix.columns is read.
+    the full column list is built from the same per-source table the first
+    time matrix.columns is read.
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -321,49 +326,55 @@ def build_matrix(
     dim_target = sym_dim(n, A + k) * sym_dim(n, B - k)
     if dim_source > size_cap or dim_target > size_cap:
         raise SizeCapError(dim_source, dim_target, size_cap)
-    source_u, source_v = monomial_basis(n, A), monomial_basis(n, B)
-    target_u = {u: i for i, u in enumerate(monomial_basis(n, A + k))}
-    target_v = {v: i for i, v in enumerate(monomial_basis(n, B - k))}
-    width = len(target_v)
-    zero = (0,) * (n + 1)
-    # Index tables.  Graded-lex order is descending lex order, which adding u
-    # preserves, so for every source u the rows of u + alpha come in the
-    # order of alpha.  Hence one table per source u (the row offset of
-    # u + alpha for each distinct alpha) and one per source v (its surviving
-    # hits as (alpha slot, index of v - beta, scale), merged and in row order
-    # for every u) give each column by integer adds alone.
-    alphas = sorted({alpha for _, alpha, _ in op.terms}, reverse=True)
-    slot = {alpha: a for a, alpha in enumerate(alphas)}
-    offsets = [
-        tuple(target_u[tuple(x + y for x, y in zip(u, alpha))] * width for alpha in alphas)
-        for u in source_u
-    ]
-    hits_by_v: list[tuple[tuple[int, int, int], ...]] = []
-    for v in source_v:
-        image: dict[tuple[int, int], int] = {}
-        for coeff, alpha, beta in op.terms:
-            hit = apply_term(coeff, alpha, beta, zero, v)
-            if hit is not None:
-                key = (slot[alpha], target_v[hit[2]])
-                image[key] = image.get(key, 0) + hit[0]
-        hits_by_v.append(
-            tuple((a, vrow, val) for (a, vrow), val in sorted(image.items()) if val != 0)
-        )
+    # Each monomial is coded once, in mixed radix with x0 the most significant
+    # digit and a base above every exponent that occurs: multiplying by x^alpha
+    # adds alpha's code, d^beta subtracts beta's, and among monomials of one
+    # degree a larger code comes earlier in graded-lex (descending lex) order.
+    radix = [(A + B + k + 1) ** (n - c) for c in range(n + 1)]
+
+    def code(e: Monomial) -> int:
+        return sum(map(mul, e, radix))
+
+    # Per source v, the terms that survive on y^v (a falling factorial is zero
+    # when d^beta kills it), alpha descending, then beta ascending: for every
+    # source u that is the row order of the column of (u, v), since a larger
+    # alpha gives an earlier u + alpha and a smaller beta an earlier v - beta.
+    # Terms are distinct, so no two of them hit one target pair.
+    terms = [(code(alpha), code(beta), coeff, beta) for coeff, alpha, beta in op.terms]
+    terms.sort(key=lambda t: (-t[0], t[1]))
+    hits_by_v = {
+        code(v): [(a, b, c * f) for a, b, c, beta in terms if (f := prod(map(perm, v, beta)))]
+        for v in monomial_basis(n, B)
+    }
+    u_codes = [code(u) for u in monomial_basis(n, A)]
     return SparseIntMatrix(
         (dim_target, dim_source),
-        lambda: _build_columns(offsets, hits_by_v),
-        _representative_blocks(op, A, B, offsets, hits_by_v),
+        lambda: _build_columns(op, A, B, code, u_codes, hits_by_v),
+        _representative_blocks(op, A, B, code, u_codes, hits_by_v),
     )
 
 
 def _build_columns(
-    offsets: list[tuple[int, ...]], hits_by_v: list[tuple[tuple[int, int, int], ...]]
+    op: ContractionOperator, A: int, B: int, code: Coder, u_codes: list[int], hits_by_v: HitTable
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every column in graded-lex order, first-factor-major, from the index tables."""
+    """Every column in graded-lex order, first-factor-major, from the per-v table.
+
+    The pair (u + alpha, v - beta) is row (position of u + alpha) * width +
+    (position of v - beta), so one offset per source u and alpha, and one
+    target row per hit of each v, give each column by integer adds alone.
+    """
+    n, k = op.n, op.k
+    target_u = {code(u): i for i, u in enumerate(monomial_basis(n, A + k))}
+    target_v = {code(v): i for i, v in enumerate(monomial_basis(n, B - k))}
+    width = len(target_v)
+    slot = {a: s for s, a in enumerate({code(alpha) for _, alpha, _ in op.terms})}
+    offsets = [tuple([target_u[u + a] * width for a in slot]) for u in u_codes]
+    v_rows = [[(slot[a], target_v[v - b], val) for a, b, val in hits]
+              for v, hits in hits_by_v.items()]
     return tuple(
         tuple([(offset[a] + vrow, val) for a, vrow, val in hits])
         for offset in offsets
-        for hits in hits_by_v
+        for hits in v_rows
     )
 
 
@@ -396,11 +407,7 @@ def _interchangeable_classes(op: ContractionOperator) -> list[list[int]]:
 
 
 def _representative_blocks(
-    op: ContractionOperator,
-    A: int,
-    B: int,
-    offsets: list[tuple[int, ...]],
-    hits_by_v: list[tuple[tuple[int, int, int], ...]],
+    op: ContractionOperator, A: int, B: int, code: Coder, u_codes: list[int], hits_by_v: HitTable
 ) -> tuple[Block, ...] | None:
     """Orbit representative weight blocks of op's matrix, or None.
 
@@ -411,37 +418,29 @@ def _representative_blocks(
     columns.  The representative of an orbit has w non-increasing within
     each class of interchangeable coordinates; the multiplicity counts the
     distinct rearrangements of w within the classes.  The block of weight w
-    is built from the index tables alone: its columns are the source pairs
-    (u, w - u) with u <= w, in graded-lex order of u, less the empty ones.
+    is built from the codes and the per-v table: its columns are the source
+    pairs (u, w - u) with u <= w, in graded-lex order of u, less the empty ones.
     """
     if len({tuple(a - b for a, b in zip(alpha, beta)) for _, alpha, beta in op.terms}) > 1:
         return None
-    n = op.n
     classes = _interchangeable_classes(op)
-    # Exponents are coded in mixed radix with a base above every exponent, so
-    # the code of v = w - u is one subtraction.  A coordinate of w - u below
-    # zero forces a borrow, and each borrow adds base - 1 to the digit sum;
-    # so the difference is the code of a degree-B source v exactly when u <= w.
-    base = A + B + 1
-    radix = [base**c for c in range(n + 1)]
-    u_codes = [sum(e * r for e, r in zip(u, radix)) for u in monomial_basis(n, A)]
-    hits_by_code = {
-        sum(e * r for e, r in zip(v, radix)): hits_by_v[j]
-        for j, v in enumerate(monomial_basis(n, B))
-    }
     blocks = []
-    for w in monomial_basis(n, A + B):
+    for w in monomial_basis(op.n, A + B):
         if any(w[a] < w[b] for cls in classes for a, b in zip(cls, cls[1:])):
             continue
-        w_code = sum(e * r for e, r in zip(w, radix))
+        # A coordinate of w - u below zero forces a borrow, which adds the base
+        # less one to the digit sum, so w_code - u_code is the code of a
+        # degree-B source v exactly when u <= w.  In one block the target
+        # u + alpha fixes the target pair, so its code keys the row.
+        w_code = code(w)
         rows: dict[int, int] = {}
         entries = []
         col = 0
-        for offset, u_code in zip(offsets, u_codes):
-            hits = hits_by_code.get(w_code - u_code)
+        for u_code in u_codes:
+            hits = hits_by_v.get(w_code - u_code)
             if hits:
-                for a, vrow, val in hits:
-                    entries.append((rows.setdefault(offset[a] + vrow, len(rows)), col, val))
+                for a, _, val in hits:
+                    entries.append((rows.setdefault(u_code + a, len(rows)), col, val))
                 col += 1
         if col:
             multiplicity = 1

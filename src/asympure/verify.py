@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .asymptotics import fit_leading_coefficient, purity_report
+from .asymptotics import fit_leading_coefficient, purity_report, stable_start
 from .oracle import (
     ContractionOperator,
     build_matrix,
@@ -27,6 +27,8 @@ from .projspace import (
     series_exponents,
 )
 from .reptheory import (
+    IrrepLabel,
+    kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
     source_target_dims,
@@ -191,34 +193,30 @@ def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
     return True, f"k <= {k_max}, a1, a2 in [0, {a_max}]"
 
 
-def _check_growth_degrees_rank3() -> tuple[bool, str]:
-    # Prediction-only identities at n = 3: dimension sums and kernel growth.
-    from .asymptotics import stable_start
-    from .reptheory import kernel_series_rep
-
-    n = 3
+def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, str]:
+    # Prediction-only growth laws at k = 1, 2: the kernel (a1 > a2) or cokernel
+    # (a1 < a2) grows in degree 2n - 1, the other side is zero; for a1 = a2 neither.
     for k in (1, 2):
-        for a1, a2 in ((2, 1), (1, 2), (1, 1)):
+        for a1, a2 in pairs:
             start = stable_start(n, k, a1, a2)
-            window = range(start, start + 2 * n + 3)
-            rows = kernel_series_rep(n, k, a1, a2, window)
+            rows = kernel_series_rep(n, k, a1, a2, range(start, start + 2 * n + 3))
             for side, series in (
                 ("kernel", [(m, kd) for m, kd, _ in rows]),
                 ("cokernel", [(m, cd) for m, _, cd in rows]),
             ):
-                surviving = (side == "kernel") == (a1 > a2)
                 lead = fit_leading_coefficient(series, 2 * n - 1)
-                if a1 == a2 or not surviving:
+                if a1 == a2:
                     if lead != 0:
                         return False, f"{side} degree too high at k={k}, ({a1}, {a2})"
+                elif (side == "kernel") != (a1 > a2):
+                    if any(value for _, value in series):
+                        return False, f"{side} is not zero at k={k}, ({a1}, {a2})"
                 elif lead <= 0:
                     return False, f"{side} does not grow at k={k}, ({a1}, {a2})"
-    return True, "n = 3 prediction-only growth laws"
+    return True, f"n = {n} prediction-only growth laws"
 
 
 def _check_weyl_goldens() -> tuple[bool, str]:
-    from .reptheory import IrrepLabel
-
     cases = [
         (2, (1, 0), 3),
         (3, (1, 1), 6),
@@ -259,7 +257,8 @@ def build_suite(suite: str, seed: int = 0) -> list[Check]:
             ("corner closed form", lambda: _check_corner_closed_form(12, seed)),
             ("corner lower bound", lambda: _check_corner_lower_bound(10, seed)),
             ("purity scan", lambda: _check_purity_scan(2, 5)),
-            ("rank-3 prediction identities", _check_growth_degrees_rank3),
+            ("rank-3 prediction identities",
+             lambda: _check_growth_degrees(3, [(2, 1), (1, 2), (1, 1)])),
         ]
     raise ValueError(f"unknown suite {suite!r}; expected 'small' or 'full'")
 

@@ -19,15 +19,13 @@ from asympure import (
     build_matrix,
     classify,
     exact_rank,
-    fit_leading_coefficient,
-    kernel_series_rep,
     special_fiber_operator,
-    stable_start,
 )
 from asympure.verify import (
     _check_corner_closed_form,
     _check_corner_lower_bound,
     _check_engine_grid,
+    _check_growth_degrees,
     _check_kunneth_duality,
     _check_pieri_sums,
     _check_purity_scan,
@@ -78,23 +76,8 @@ def test_criterion_3_engine_equivalence():
 
 def test_criterion_4_growth_orders():
     with _Budget("criterion 4: kernel/cokernel growth degrees match the case split", 30):
-        n = 2
-        degree = 2 * n - 1
-        for k in (1, 2):
-            for a1, a2 in ((2, 1), (3, 1), (1, 2), (1, 3), (1, 1), (2, 2)):
-                start = stable_start(n, k, a1, a2)
-                rows = kernel_series_rep(n, k, a1, a2, range(start, start + degree + 4))
-                kernel_lead = fit_leading_coefficient([(m, kd) for m, kd, _ in rows], degree)
-                cokernel_lead = fit_leading_coefficient([(m, cd) for m, _, cd in rows], degree)
-                tag = f"k={k}, ({a1}, {a2})"
-                if a1 > a2:
-                    assert kernel_lead > 0, tag
-                    assert all(cd == 0 for _, _, cd in rows), tag
-                elif a1 < a2:
-                    assert cokernel_lead > 0, tag
-                    assert all(kd == 0 for _, kd, _ in rows), tag
-                else:
-                    assert kernel_lead == 0 and cokernel_lead == 0, tag
+        ok, detail = _check_growth_degrees(2, [(2, 1), (3, 1), (1, 2), (1, 3), (1, 1), (2, 2)])
+        assert ok, detail
 
 
 def test_criterion_5_purity_scan():

@@ -527,6 +527,27 @@ class TestReferenceRanks:
                 assert nonempty == sum(1 for col in matrix.columns if col), (A, B)
                 assert nnz == matrix.nnz, (A, B)
 
+    @pytest.mark.parametrize("name", sorted(REFERENCE_OPERATORS))
+    def test_columns_match_a_term_by_term_build(self, name):
+        # every column, row order included, against apply_term on each basis pair
+        op = REFERENCE_OPERATORS[name]
+        for A in range(7):
+            for B in range(7 - A):
+                target_u = {u: i for i, u in enumerate(monomial_basis(op.n, A + op.k))}
+                target_v = {v: i for i, v in enumerate(monomial_basis(op.n, B - op.k))}
+                want = []
+                for u in monomial_basis(op.n, A):
+                    for v in monomial_basis(op.n, B):
+                        col: dict[int, int] = {}
+                        for coeff, alpha, beta in op.terms:
+                            hit = apply_term(coeff, alpha, beta, u, v)
+                            if hit is not None:
+                                scale, u2, v2 = hit
+                                row = target_u[u2] * len(target_v) + target_v[v2]
+                                col[row] = col.get(row, 0) + scale
+                        want.append(tuple(sorted((r, val) for r, val in col.items() if val)))
+                assert build_matrix(op, A, B).columns == tuple(want), (A, B)
+
     def test_weight_changing_operator_has_no_blocks(self):
         op = weight_changing_operator()
         for A, B in ((0, 1), (2, 2), (3, 1)):

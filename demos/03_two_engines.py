@@ -1,11 +1,10 @@
 """Walkthrough: the brute-force oracle against the prediction.
 
 The oracle builds the honest matrix of a contraction operator between
-monomial bases and computes its rank exactly, one weight block at a time:
-every block is eliminated modulo one random prime above 2^30, which proves
-the blocks of full rank modulo it; a rank-deficient block is ranked by
-fraction-free elimination, or, if wider than 40, by further primes until
-two agree.  Each result keeps the primes the call used.  Its only symmetry is the one it
+monomial bases and computes its rank exactly, one weight block at a time,
+by the rule in the exact_rank docstring: one random prime proves the blocks
+of full rank, and Bareiss elimination or a vote of primes ranks the rest.
+Each result keeps the primes the call used.  Its only symmetry is the one it
 checks on the operator's own terms; it knows nothing about representation
 theory, which is what makes the agreement meaningful.
 """

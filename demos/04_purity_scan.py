@@ -35,10 +35,13 @@ print("(index n) for a1 < a2, and the balanced case vanishes entirely.\n")
 print("=== Full purity grid, k = 1 and k = 2 ===")
 grid = [(a1, a2) for a1 in range(5) for a2 in range(5)]
 for k in (1, 2):
-    records = purity_report(2, k, grid)  # raises PurityError on any impure verdict
+    records = purity_report(2, k, grid)
     verdicts = {}
     for _, _, vec in records:
         verdicts[str(vec.purity)] = verdicts.get(str(vec.purity), 0) + 1
+    impure = [(d.a1, -d.a2) for d, _, vec in records if vec.purity.kind == "impure"]
+    if impure:
+        raise SystemExit(f"impure verdicts at k = {k}: {impure}")
     print(f"  k = {k}: {len(records)} classes, verdicts {verdicts}")
 print("Every verdict is pure or pure_zero: the purity statement holds on")
 print("the whole grid.\n")

@@ -11,7 +11,6 @@ their purity verdicts.
 from .asymptotics import (
     AsymptoticVector,
     CaseLabel,
-    PurityError,
     PurityVerdict,
     SeriesNotStabilized,
     asymptotic_product,
@@ -49,7 +48,6 @@ from .reptheory import (
     IrrepLabel,
     MapAnalysis,
     PieriDecomposition,
-    highest_weight_certificate,
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
@@ -69,7 +67,6 @@ __all__ = [
     "MapAnalysis",
     "Monomial",
     "PieriDecomposition",
-    "PurityError",
     "PurityVerdict",
     "RankResult",
     "SeriesNotStabilized",
@@ -85,7 +82,6 @@ __all__ = [
     "euler_characteristic",
     "exact_rank",
     "fit_leading_coefficient",
-    "highest_weight_certificate",
     "kernel_series_rep",
     "kunneth_cohomology",
     "load_operator",

@@ -23,10 +23,6 @@ class SeriesNotStabilized(ValueError):
     """The requested window is not yet in the polynomial regime."""
 
 
-class PurityError(RuntimeError):
-    """A scan produced an impure verdict where purity is expected."""
-
-
 @dataclass(frozen=True)
 class CaseLabel:
     """Sign-pattern classification of a divisor class on P^n x P^n.
@@ -234,21 +230,15 @@ def _restriction_euler(n: int, k: int, a1: int, a2: int, m: int) -> int:
 
 
 def purity_report(
-    n: int,
-    k: int,
-    divisor_list: Iterable[tuple[int, int]],
-    *,
-    strict: bool = True,
+    n: int, k: int, divisor_list: Iterable[tuple[int, int]]
 ) -> list[tuple[DivisorClass, CaseLabel, AsymptoticVector]]:
     """Classify and evaluate a batch of special-fiber divisors (a1, a2) >= 0.
 
     Entries are coefficient pairs for D = a1*H1 - a2*H2.  The zero pair is
-    reported as trivially pure_zero.  With strict=True any impure verdict
-    raises PurityError naming the offending classes instead of passing
-    silently; strict=False returns the full report for inspection.
+    reported as trivially pure_zero.  Impure verdicts are returned like the
+    others; a caller that expects purity checks the verdicts itself.
     """
     records: list[tuple[DivisorClass, CaseLabel, AsymptoticVector]] = []
-    impure: list[tuple[int, int]] = []
     for a1, a2 in divisor_list:
         divisor = DivisorClass(a1, -a2)
         label = classify(n, divisor)
@@ -256,9 +246,5 @@ def purity_report(
             vector = AsymptoticVector.from_values(2 * n - 1, [0] * (2 * n))
         else:
             vector = asymptotic_special_fiber(n, k, a1, a2)
-        if vector.purity.kind == "impure":
-            impure.append((a1, a2))
         records.append((divisor, label, vector))
-    if strict and impure:
-        raise PurityError(f"impure verdicts for (a1, a2) in {impure}")
     return records

@@ -216,6 +216,10 @@ def _oracle(p, seed, size_cap) -> dict:
         op = special_fiber_operator(p["n"], p["k"])
     else:
         op = ContractionOperator.from_canonical_key(p["op"])
+        if (op.n, op.k) != (p["n"], p["k"]):
+            raise ValueError(
+                f"operator has (n, k) = ({op.n}, {op.k}), key says ({p['n']}, {p['k']})"
+            )
     matrix = build_matrix(op, p["A"], p["B"], size_cap=size_cap)
     return _rank_payload(exact_rank(matrix, seed=seed))
 
@@ -364,7 +368,7 @@ def cmd_series(args) -> int:
 def cmd_scan(args) -> int:
     a1_span, a2_span = _parse_span(args.a1), _parse_span(args.a2)
     grid = [(a1, a2) for a1 in a1_span for a2 in a2_span]
-    records = purity_report(args.n, args.k, grid, strict=False)
+    records = purity_report(args.n, args.k, grid)
     width = 2 * args.n
     header = ["n", "k", "a1", "a2", "case"]
     header += [f"h_hat_{i}" for i in range(width)]

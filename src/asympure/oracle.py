@@ -16,16 +16,11 @@ all monomials coded as integers, and exact_rank eliminates each
 representative once.  The full column list is built from the same table
 only when something reads matrix.columns: the golden layout, to_dense,
 nnz, equality, and operators that do not preserve weight, which fall back
-to the connected components of the sparsity pattern.  Every block is
-eliminated modulo one prime p1 above 2^30 drawn from random.Random(seed),
-in pure Python with each row packed into one integer (see _rank_mod_p).
-Modular rank can only undershoot the rank over Q, so a block of full rank
-modulo p1 (rank min(rows, cols)) is proven by that one elimination.  A
-block that is rank-deficient modulo p1 is proven exactly by fraction-free
-(Bareiss) elimination when neither of its sides exceeds exact_limit; only
-wider deficient blocks are eliminated modulo further primes, and their
-total is certified when two primes agree on the maximum.  The primes the
-call used are logged for audit.
+to the connected components of the sparsity pattern.  A block of full rank
+modulo a prime p1 is proven by that elimination, a deficient one by Bareiss
+elimination or a vote of further primes; exact_rank states the rule in
+full.  Modular eliminations run in pure Python with each row packed into
+one integer (see _rank_mod_p).
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -62,12 +57,11 @@ Coder = Callable[[Monomial], int]
 HitTable = dict[int, list[tuple[int, int, int]]]
 
 DEFAULT_SIZE_CAP = 200_000
-# The widest block, rank-deficient modulo p1, that Bareiss elimination proves
-# exactly; wider deficient blocks go to the vote of further primes.  Bareiss
-# slows as the entries grow: on the deficient blocks of the two-term corner
-# operator it takes about 1.5 ms at 30-39 wide, where one modular elimination
-# takes 0.16 ms, and 20 ms at 80-89 wide.  40 covers every deficient block of
-# the corner check at m <= 10 (the widest is 33).
+# The widest rank-deficient block that Bareiss elimination ranks (the rule is
+# in exact_rank).  Bareiss slows as the entries grow: on the deficient blocks
+# of the two-term corner operator it takes about 1.5 ms at 30-39 wide, where
+# one modular elimination takes 0.16 ms, and 20 ms at 80-89 wide.  40 covers
+# every deficient block of the corner check at m <= 10 (the widest is 33).
 DEFAULT_EXACT_LIMIT = 40
 
 _PRIME_LOW = 2**30 + 1
@@ -455,13 +449,9 @@ def _representative_blocks(
 class RankResult:
     """Exact rank data for one contraction matrix.
 
-    Every block is eliminated modulo the first prime.  certified is True
-    when every block is proven: a block of full rank modulo the first prime
-    by that elimination, a rank-deficient block no wider than exact_limit by
-    Bareiss elimination, and the wider rank-deficient blocks by two primes
-    agreeing on the maximum of their total rank.  primes are the primes the
-    call used, retained for audit: none for a matrix without blocks, one
-    when no block went to the vote.
+    certified is True when every block is proven by the rule exact_rank
+    states.  primes are the primes the call used, retained for audit: none
+    for a matrix without blocks, one when no block went to the vote.
     """
 
     dim_source: int
@@ -681,8 +671,9 @@ def exact_rank(
     max(rows, cols) <= exact_limit.  Only the wider rank-deficient blocks
     are eliminated modulo the next primes drawn from the seed, until the
     maximum of their totals is seen twice (at most 8 primes in all);
-    certified is False if it never is.  exact_limit=0 sends every rank-deficient block
-    to that vote.  primes lists the primes the call used, in the order drawn.
+    certified is False if it never is.  exact_limit=0 sends every
+    rank-deficient block to that vote.  primes lists the primes the call
+    used, in the order drawn.
     """
     dim_target, dim_source = matrix.shape
     blocks = matrix.blocks

@@ -45,14 +45,11 @@ class DivisorClass:
     """Integer class a1*H1 + a2*H2 in the Neron-Severi lattice of P^n x P^n.
 
     H1 and H2 are the two hyperplane pullbacks.  Coefficients are
-    unrestricted integers; negation and integer scaling stay in the lattice.
+    unrestricted integers; integer scaling stays in the lattice.
     """
 
     a1: int
     a2: int
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a1, -self.a2)
 
     def __mul__(self, scale: int) -> "DivisorClass":
         return DivisorClass(scale * self.a1, scale * self.a2)

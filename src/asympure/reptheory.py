@@ -3,9 +3,10 @@
 Decomposes Sym^A (x) Sym^B into two-row SL(n+1) irreducibles via the Pieri
 rule, evaluates exact Weyl dimensions, and predicts the kernel/cokernel of
 the equivariant contraction (sum_i x_i (x) d_i)^k as a multiset difference
-of the source and target decompositions: every component shared by both
-sides maps isomorphically (certified by a nonvanishing highest-weight
-image), so only the unshared components survive.
+of the source and target decompositions.  By Schur, a component shared by
+both sides maps either isomorphically or to zero; the prediction assumes
+"isomorphically", so only the unshared components survive.  The exact-rank
+oracle is what tests that assumption.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ logger = logging.getLogger(__name__)
 class IrrepLabel:
     """Two-row partition (lambda1, lambda2) labeling an SL(n+1) irreducible.
 
-    Rows 3..n+1 are implicitly zero.  In fundamental-weight coordinates
-    (c1, c2) the same representation is the partition (c1+c2, c2); the
-    conversion happens once, at construction, so the dimension formula
-    covers n = 1 uniformly.
+    Rows 3..n+1 are implicitly zero.
     """
 
     lambda1: int
@@ -40,11 +38,6 @@ class IrrepLabel:
             raise ValueError(
                 f"need lambda1 >= lambda2 >= 0, got ({self.lambda1}, {self.lambda2})"
             )
-
-    @classmethod
-    def from_fundamental(cls, n: int, c1: int, c2: int) -> "IrrepLabel":
-        """Label from fundamental-weight coordinates (c1, c2, 0, ..., 0)."""
-        return cls(c1 + c2, c2, n)
 
 
 def weyl_dimension(n: int, label: IrrepLabel) -> int:
@@ -119,37 +112,15 @@ class MapAnalysis:
     cokernel_labels: tuple[IrrepLabel, ...]
 
 
-def highest_weight_certificate(n: int, k: int, B: int, i: int) -> int:
-    """Coefficient of the highest-weight image on the shared component i.
-
-    Equals the falling factorial (B-i)(B-i-1)...(B-k-i+1), i.e.
-    (B-i)!/(B-k-i)!, and 0 when B-k-i < 0 -- the semantically correct
-    "component not shared" answer rather than an error.  A nonzero value
-    certifies that the contraction is injective on that component.
-
-    >>> highest_weight_certificate(2, 1, 3, 0)
-    3
-    >>> highest_weight_certificate(2, 2, 3, 2)
-    0
-    """
-    if not 0 <= i <= B:
-        raise ValueError(f"index i must lie in [0, {B}], got {i}")
-    if B - k - i < 0:
-        return 0
-    product = 1
-    for j in range(k):
-        product *= B - i - j
-    return product
-
-
 def predict_map_analysis(n: int, k: int, A: int, B: int) -> MapAnalysis:
     """Kernel/cokernel of Sym^A (x) Sym^B -> Sym^(A+k) (x) Sym^(B-k).
 
     The map is multiplication by the contraction (sum_i x_i (x) d_i)^k.
     Source components run over i in [0, min(A, B)], target components over
-    i in [0, min(A+k, B-k)]; the shared range maps isomorphically (Schur
-    plus the highest-weight certificates), so the analysis is the multiset
-    difference of the two index ranges.
+    i in [0, min(A+k, B-k)].  By Schur each shared component maps either
+    isomorphically or to zero; the prediction takes "isomorphically", so the
+    analysis is the multiset difference of the two index ranges.  The
+    exact-rank oracle cross-check is what tests that assumption.
 
     >>> predict_map_analysis(2, 1, 9, 3).kernel_dim
     154

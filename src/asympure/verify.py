@@ -9,6 +9,7 @@ grid, and rank-3 prediction-only identities.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .asymptotics import fit_leading_coefficient, purity_report, stable_start
@@ -182,7 +183,7 @@ def _check_corner_lower_bound(m_max: int, seed: int) -> tuple[bool, str]:
 def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
     grid = [(a1, a2) for a1 in range(a_max + 1) for a2 in range(a_max + 1)]
     for k in range(1, k_max + 1):
-        records = purity_report(2, k, grid, strict=False)
+        records = purity_report(2, k, grid)
         bad = [
             (d.a1, -d.a2)
             for d, _, vec in records
@@ -230,37 +231,37 @@ def _check_weyl_goldens() -> tuple[bool, str]:
     return True, f"{len(cases)} spot values"
 
 
+_SEED = object()  # stands for the run's seed in an argument tuple
+
+# Each check once, in run order: name, function, its arguments in the small
+# suite and in the full suite (None: the check is not in that suite).
+_CHECKS = (
+    ("bott goldens", _check_bott_goldens, (), ()),
+    ("Serre duality", _check_serre_duality, (3, 12), (5, 30)),
+    ("Kunneth duality", _check_kunneth_duality, (2, 8), (3, 10)),
+    ("Weyl goldens", _check_weyl_goldens, (), ()),
+    ("Pieri dimension sums", _check_pieri_sums, (2, 12), (4, 30)),
+    ("Euler consistency", _check_euler_consistency, ([1, 2], 2, 8), ([1, 2, 3], 2, 12)),
+    ("engine equivalence (series)", _check_engine_series, (8, _SEED), (12, _SEED)),
+    ("engine equivalence (grid)", _check_engine_grid, None, ([1, 2], 2, 12, _SEED)),
+    ("corner closed form", _check_corner_closed_form, (8, _SEED), (12, _SEED)),
+    ("corner lower bound", _check_corner_lower_bound, (8, _SEED), (10, _SEED)),
+    ("purity scan", _check_purity_scan, (1, 3), (2, 5)),
+    ("rank-3 prediction identities", _check_growth_degrees,
+     None, (3, [(2, 1), (1, 2), (1, 1)])),
+)
+
+
 def build_suite(suite: str, seed: int = 0) -> list[Check]:
-    if suite == "small":
-        return [
-            ("bott goldens", _check_bott_goldens),
-            ("Serre duality", lambda: _check_serre_duality(3, 12)),
-            ("Kunneth duality", lambda: _check_kunneth_duality(2, 8)),
-            ("Weyl goldens", _check_weyl_goldens),
-            ("Pieri dimension sums", lambda: _check_pieri_sums(2, 12)),
-            ("Euler consistency", lambda: _check_euler_consistency([1, 2], 2, 8)),
-            ("engine equivalence (series)", lambda: _check_engine_series(8, seed)),
-            ("corner closed form", lambda: _check_corner_closed_form(8, seed)),
-            ("corner lower bound", lambda: _check_corner_lower_bound(8, seed)),
-            ("purity scan", lambda: _check_purity_scan(1, 3)),
-        ]
-    if suite == "full":
-        return [
-            ("bott goldens", _check_bott_goldens),
-            ("Serre duality", lambda: _check_serre_duality(5, 30)),
-            ("Kunneth duality", lambda: _check_kunneth_duality(3, 10)),
-            ("Weyl goldens", _check_weyl_goldens),
-            ("Pieri dimension sums", lambda: _check_pieri_sums(4, 30)),
-            ("Euler consistency", lambda: _check_euler_consistency([1, 2, 3], 2, 12)),
-            ("engine equivalence (series)", lambda: _check_engine_series(12, seed)),
-            ("engine equivalence (grid)", lambda: _check_engine_grid([1, 2], 2, 12, seed)),
-            ("corner closed form", lambda: _check_corner_closed_form(12, seed)),
-            ("corner lower bound", lambda: _check_corner_lower_bound(10, seed)),
-            ("purity scan", lambda: _check_purity_scan(2, 5)),
-            ("rank-3 prediction identities",
-             lambda: _check_growth_degrees(3, [(2, 1), (1, 2), (1, 1)])),
-        ]
-    raise ValueError(f"unknown suite {suite!r}; expected 'small' or 'full'")
+    if suite not in ("small", "full"):
+        raise ValueError(f"unknown suite {suite!r}; expected 'small' or 'full'")
+    checks: list[Check] = []
+    for name, check, small, full in _CHECKS:
+        args = small if suite == "small" else full
+        if args is not None:
+            args = tuple(seed if arg is _SEED else arg for arg in args)
+            checks.append((name, partial(check, *args)))
+    return checks
 
 
 def run_suite(suite: str, seed: int = 0) -> int:

@@ -6,7 +6,6 @@ import pytest
 from asympure import (
     AsymptoticVector,
     DivisorClass,
-    PurityError,
     SeriesNotStabilized,
     asymptotic_product,
     asymptotic_special_fiber,
@@ -191,15 +190,14 @@ class TestPurityReport:
         assert str(vec.purity) == "pure_zero"
         assert label.kind == "boundary"
 
-    def test_strict_raises_on_impure(self, monkeypatch):
+    def test_impure_class_is_reported(self, monkeypatch):
         import asympure.asymptotics as asym
 
         fake = AsymptoticVector.from_values(3, [1, 2, 0, 0])
         monkeypatch.setattr(asym, "asymptotic_special_fiber", lambda *a: fake)
-        with pytest.raises(PurityError, match=r"\(1, 1\)"):
-            asym.purity_report(2, 1, [(1, 1)])
-        records = asym.purity_report(2, 1, [(1, 1)], strict=False)
-        assert records[0][2].purity.kind == "impure"
+        (divisor, _, vec), = asym.purity_report(2, 1, [(1, 1)])
+        assert (divisor.a1, divisor.a2) == (1, -1)
+        assert vec.purity.kind == "impure"
 
 
 class TestAsymptoticVector:

@@ -352,6 +352,21 @@ class TestVerify:
         assert "all checks passed" in out
         assert out.count("PASS") >= 10
 
+    def test_suite_check_names(self):
+        from asympure.verify import build_suite
+
+        small = [
+            "bott goldens", "Serre duality", "Kunneth duality", "Weyl goldens",
+            "Pieri dimension sums", "Euler consistency", "engine equivalence (series)",
+            "corner closed form", "corner lower bound", "purity scan",
+        ]
+        full = small[:7] + ["engine equivalence (grid)"] + small[7:]
+        full.append("rank-3 prediction identities")
+        assert [name for name, _ in build_suite("small")] == small
+        assert [name for name, _ in build_suite("full")] == full
+        with pytest.raises(ValueError, match="unknown suite"):
+            build_suite("medium")
+
 
 FORMATS = ("json", "csv", "table")
 
@@ -446,7 +461,9 @@ class TestCachedCommands:
 
         path = tmp_path / "cache.jsonl"
         cache = ResultCache(path)
-        keys = ["scan:n=2", "bott:n=2", "oracle:n=2,k=1,A=2,B=1,op=n2k1:zz"]
+        n2_operator = asympure.special_fiber_operator(2, 1).canonical_key()
+        keys = ["scan:n=2", "bott:n=2", "oracle:n=2,k=1,A=2,B=1,op=n2k1:zz",
+                f"oracle:n=3,k=1,A=2,B=2,op={n2_operator}"]
         for key in keys:
             cache.put(key, {"rank": "0"})
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(path))

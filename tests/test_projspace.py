@@ -130,7 +130,7 @@ class TestEuler:
 class TestDivisorClass:
     def test_negation_and_scaling(self):
         d = DivisorClass(2, -3)
-        assert -d == DivisorClass(-2, 3)
+        assert -1 * d == DivisorClass(-2, 3)
         assert 4 * d == DivisorClass(8, -12)
         assert d * 0 == DivisorClass(0, 0)
 

@@ -3,7 +3,6 @@ import pytest
 from asympure import (
     IrrepLabel,
     binomial,
-    highest_weight_certificate,
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
@@ -19,11 +18,6 @@ class TestIrrepLabel:
             IrrepLabel(1, 2, 2)
         with pytest.raises(ValueError):
             IrrepLabel(3, -1, 2)
-
-    def test_fundamental_weight_conversion(self):
-        # weight coordinates (c1, c2) are the partition (c1+c2, c2)
-        label = IrrepLabel.from_fundamental(2, 6, 3)
-        assert (label.lambda1, label.lambda2) == (9, 3)
 
 
 class TestWeylDimension:
@@ -94,29 +88,6 @@ class TestPieri:
     def test_multiplicity_one(self):
         labels = pieri_decompose(2, 7, 5).components
         assert len(set(labels)) == len(labels)
-
-
-class TestCertificate:
-    @pytest.mark.parametrize(
-        "k,B,i,expected",
-        [(1, 3, 0, 3), (1, 3, 2, 1), (2, 3, 2, 0), (2, 5, 1, 12), (3, 3, 0, 6)],
-    )
-    def test_examples(self, k, B, i, expected):
-        assert highest_weight_certificate(2, k, B, i) == expected
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            highest_weight_certificate(2, 1, 3, 4)
-
-    def test_coverage_on_shared_components(self):
-        # every index shared by source and target decompositions certifies
-        for n in (1, 2):
-            for k in (1, 2):
-                for A in range(10):
-                    for B in range(k, 10):
-                        shared_top = min(min(A, B), min(A + k, B - k))
-                        for i in range(shared_top + 1):
-                            assert highest_weight_certificate(n, k, B, i) > 0
 
 
 class TestPredict:

@@ -41,14 +41,14 @@ E0, E1 = (1, 0, 0), (0, 1, 0)
 one_term = ContractionOperator(2, 1, ((1, E0, E0),))
 two_term = ContractionOperator(2, 1, ((1, E0, E0), (1, E1, E1)))
 print("one-term operator x0 (x) d0 (a singular bidegree-(1,1) form):")
-for m, r in oracle_series(one_term, 2, 1, 1, 1, range(2, 9)):
+for m, r in oracle_series(one_term, 1, 1, range(2, 9)):
     closed = (m**3 - m) // 2
     print(f"  m = {m}: kernel {r.kernel_dim}  vs closed form (m^3-m)/2 = {closed}")
 print("cubic kernel growth on a threefold whose top self-intersection is 0:")
 print("this class cannot be asymptotically pure.\n")
 
 print("two-term operator x0 (x) d0 + x1 (x) d1:")
-for m, r in oracle_series(two_term, 2, 1, 1, 1, range(2, 9)):
+for m, r in oracle_series(two_term, 1, 1, range(2, 9)):
     print(f"  m = {m}: kernel {r.kernel_dim}")
 print("still cubic (the alternating-sum syzygies), so again not pure;")
 print("only the full-rank three-term form -- the smooth member -- is clean.")

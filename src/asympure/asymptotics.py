@@ -37,40 +37,44 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class PurityVerdict:
-    kind: str  # "pure" | "pure_zero" | "impure"
+    """The nonzero h-hat indices of one class; its kind is derived from them."""
+
     indices: tuple[int, ...]
 
-    def __str__(self) -> str:
-        if self.kind == "pure_zero":
+    @property
+    def kind(self) -> str:
+        """pure_zero with no index, pure with one, impure with more."""
+        if not self.indices:
             return "pure_zero"
+        return "pure" if len(self.indices) == 1 else "impure"
+
+    def __str__(self) -> str:
+        if not self.indices:
+            return self.kind
         return f"{self.kind}({','.join(map(str, self.indices))})"
 
 
 @dataclass(frozen=True)
 class AsymptoticVector:
-    """Values of h-hat^0..h-hat^dim for one divisor class, plus the verdict."""
+    """Values of h-hat^0..h-hat^dim for one divisor class.
 
-    dim: int
+    The dimension (len(values) - 1) and the purity verdict (from the nonzero
+    indices) are derived from the values, never stored beside them.
+    """
+
     values: tuple[Fraction, ...]
-    purity: PurityVerdict
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.dim + 1:
-            raise ValueError(f"need {self.dim + 1} values, got {len(self.values)}")
         if any(v < 0 for v in self.values):
             raise ValueError("asymptotic cohomology values must be nonnegative")
 
-    @classmethod
-    def from_values(cls, dim: int, values: Sequence[Fraction | int]) -> "AsymptoticVector":
-        vals = tuple(Fraction(v) for v in values)
-        support = tuple(i for i, v in enumerate(vals) if v)
-        if not support:
-            verdict = PurityVerdict("pure_zero", ())
-        elif len(support) == 1:
-            verdict = PurityVerdict("pure", support)
-        else:
-            verdict = PurityVerdict("impure", support)
-        return cls(dim, vals, verdict)
+    @property
+    def dim(self) -> int:
+        return len(self.values) - 1
+
+    @property
+    def purity(self) -> PurityVerdict:
+        return PurityVerdict(tuple(i for i, v in enumerate(self.values) if v))
 
 
 def classify(n: int, divisor: DivisorClass) -> CaseLabel:
@@ -157,7 +161,7 @@ def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:
         window = range(start, start + dim + 2)
         series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in window]
         values[index] = fit_leading_coefficient(series, dim) * factorial(dim)
-    return AsymptoticVector.from_values(dim, values)
+    return AsymptoticVector(tuple(values))
 
 
 def _ceil_div(num: int, den: int) -> int:
@@ -188,7 +192,9 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     coefficient is zero the class is nef or anti-nef; only index 0 or 2n-1
     is allowed, with the value read off the leading term of the restriction
     Euler characteristic chi(mD) - chi(mD - Y); vanishing at the remaining
-    indices is classification, not recomputation.
+    indices is classification, not recomputation.  That Euler characteristic
+    is a polynomial in m at every m, because chi(O(d)) on P^n equals the
+    polynomial C(d + n, n) at every integer d, so its fit starts at m = 1.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     Fraction(6, 1)
@@ -212,14 +218,9 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     else:
         index = 0 if a2 == 0 else dim
         sign = 1 if a2 == 0 else -1  # chi picks up (-1)^(2n-1) at the top index
-        start = 1
-        if a2 > 0:
-            start = max(start, _ceil_div(n + 1, a2))
-        if a1 > 0:
-            start = max(start, _ceil_div(k, a1))
-        series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in range(start, start + dim + 3)]
+        series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in range(1, dim + 4)]
         values[index] = sign * fit_leading_coefficient(series, dim) * scale
-    return AsymptoticVector.from_values(dim, values)
+    return AsymptoticVector(tuple(values))
 
 
 def _restriction_euler(n: int, k: int, a1: int, a2: int, m: int) -> int:
@@ -243,7 +244,7 @@ def purity_report(
         divisor = DivisorClass(a1, -a2)
         label = classify(n, divisor)
         if a1 == 0 and a2 == 0:
-            vector = AsymptoticVector.from_values(2 * n - 1, [0] * (2 * n))
+            vector = AsymptoticVector((Fraction(0),) * (2 * n))
         else:
             vector = asymptotic_special_fiber(n, k, a1, a2)
         records.append((divisor, label, vector))

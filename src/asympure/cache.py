@@ -5,10 +5,12 @@ One record per line: {"key": <canonical parameter string>, "version": <tag>,
 for the same key win.  Desk-scale volumes only; no database.
 
 Each record is appended by a single write on an O_APPEND descriptor, so an
-interrupted writer can only leave a torn final line.  Loading skips such a
-line with a warning naming file:line, and the next put cuts it off (or ends
-a final line left without its newline) before appending; a malformed line
-anywhere else is corruption and raises ValueError naming file:line.
+interrupted writer can only leave a torn final line.  A line is malformed if
+it is not JSON or its record's key is not a string or its value not an
+object.  Loading skips a malformed final line with a warning naming
+file:line, and the next put cuts it off (or ends a final line left without
+its newline) before appending; a malformed line anywhere else is corruption
+and raises ValueError naming file:line.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ class ResultCache:
                 try:
                     record = json.loads(line.decode("utf-8"))
                     if record.get("version") == CACHE_VERSION:
-                        self._records[record["key"]] = record["value"]
+                        key, value = record["key"], record["value"]
+                        if not isinstance(key, str) or not isinstance(value, dict):
+                            raise ValueError("key is not a string or value is not an object")
+                        self._records[key] = value
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     malformed = (number, start, exc)
         if malformed is not None:

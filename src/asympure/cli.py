@@ -236,7 +236,7 @@ def _asymptotics(p, seed, size_cap) -> dict:
         "dim": vector.dim,
         "case": label.kind,
         "allowed_indices": sorted(label.allowed_indices),
-        "values": [Fraction(v) for v in vector.values],
+        "values": list(vector.values),
         "verdict": str(vector.purity),
     }
 
@@ -354,8 +354,7 @@ def cmd_series(args) -> int:
         rows = [
             {"m": m, **_rank_payload(rank)}
             for m, rank in oracle_series(
-                op, args.n, args.k, args.a1, args.a2, span,
-                seed=args.seed, size_cap=args.size_cap,
+                op, args.a1, args.a2, span, seed=args.seed, size_cap=args.size_cap
             )
         ]
     header = list(rows[0])
@@ -377,7 +376,7 @@ def cmd_scan(args) -> int:
     impure = []
     for (a1, a2), (_, label, vector) in zip(grid, records):
         row = [args.n, args.k, a1, a2, label.kind]
-        row += [str(Fraction(v)) for v in vector.values]
+        row += [str(v) for v in vector.values]
         row.append(str(vector.purity))
         rows.append(row)
         if vector.purity.kind == "impure":
@@ -410,6 +409,9 @@ def _verify_cache(path: str, seed: int, size_cap: int) -> int:
         cache = ResultCache(path)
     except ValueError as exc:
         print(f"FAIL - cache file {path}: unreadable record ({exc})")
+        return 1
+    if not cache.path.exists():
+        print(f"FAIL - cache file {path}: not found")
         return 1
     audited = {"certified"}  # seed-dependent certification detail, not a result integer
     for key, value in cache.items():

@@ -735,8 +735,6 @@ def exact_rank(
 
 def oracle_series(
     op: ContractionOperator,
-    n: int,
-    k: int,
     a1: int,
     a2: int,
     m_range: Iterable[int],
@@ -746,20 +744,17 @@ def oracle_series(
 ) -> list[tuple[int, RankResult]]:
     """Per-multiple rank results for op along the special-fiber exponent schedule.
 
-    At multiple m the source exponents are series_exponents(n, k, a1, a2, m);
-    multiples where either is negative are skipped.  B in [0, k) is kept:
-    the target is the zero space there and the kernel is the whole source.
-    Each multiple's rank is exact_rank(build_matrix(op, A, B), seed=seed).
+    n and k are the operator's own.  At multiple m the source exponents are
+    series_exponents(op.n, op.k, a1, a2, m); multiples where either is
+    negative are skipped.  B in [0, k) is kept: the target is the zero space
+    there and the kernel is the whole source.  Each multiple's rank is
+    exact_rank(build_matrix(op, A, B), seed=seed).
     """
-    if op.n != n or op.k != k:
-        raise ValueError(
-            f"operator has (n, k) = ({op.n}, {op.k}), expected ({n}, {k})"
-        )
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
     out: list[tuple[int, RankResult]] = []
     for m in m_range:
-        A, B = series_exponents(n, k, a1, a2, m)
+        A, B = series_exponents(op.n, op.k, a1, a2, m)
         if A < 0 or B < 0:
             continue
         matrix = build_matrix(op, A, B, size_cap=size_cap)

@@ -61,24 +61,22 @@ class DivisorClass:
 class CohomologyVector:
     """Exact cohomology dimensions (h^0, ..., h^n_ambient) of one sheaf.
 
-    For the line bundles in scope at most one entry is ever nonzero; the
-    constructor enforces this along with nonnegativity.
+    n_ambient is derived as len(values) - 1.  For the line bundles in scope
+    at most one entry is ever nonzero; the constructor enforces this along
+    with nonnegativity.
     """
 
-    n_ambient: int
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n_ambient < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {self.n_ambient}")
-        if len(self.values) != self.n_ambient + 1:
-            raise ValueError(
-                f"need {self.n_ambient + 1} entries, got {len(self.values)}"
-            )
         if any(v < 0 for v in self.values):
             raise ValueError("cohomology dimensions must be nonnegative")
         if sum(1 for v in self.values if v) > 1:
             raise ValueError("line bundles in scope have single-index cohomology")
+
+    @property
+    def n_ambient(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, q: int) -> int:
         """h^q, with indices outside [0, n_ambient] giving 0."""
@@ -114,7 +112,7 @@ def bott_cohomology(n: int, d: int) -> CohomologyVector:
         values[0] = binomial(n + d, n)
     elif d <= -(n + 1):
         values[n] = binomial(-d - 1, n)
-    return CohomologyVector(n, tuple(values))
+    return CohomologyVector(tuple(values))
 
 
 def kunneth_cohomology(n: int, divisor: DivisorClass) -> CohomologyVector:
@@ -139,7 +137,7 @@ def kunneth_cohomology(n: int, divisor: DivisorClass) -> CohomologyVector:
         for q, y in enumerate(right):
             if y:
                 values[j + q] += x * y
-    return CohomologyVector(2 * n, tuple(values))
+    return CohomologyVector(tuple(values))
 
 
 def euler_characteristic(n: int, divisor: DivisorClass) -> int:

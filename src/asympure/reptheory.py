@@ -24,16 +24,14 @@ logger = logging.getLogger(__name__)
 class IrrepLabel:
     """Two-row partition (lambda1, lambda2) labeling an SL(n+1) irreducible.
 
-    Rows 3..n+1 are implicitly zero.
+    Rows 3..n+1 are implicitly zero.  The label carries no rank: n is given
+    once, by the caller of weyl_dimension(n, label).
     """
 
     lambda1: int
     lambda2: int
-    rank_n: int
 
     def __post_init__(self) -> None:
-        if self.rank_n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank_n}")
         if not self.lambda1 >= self.lambda2 >= 0:
             raise ValueError(
                 f"need lambda1 >= lambda2 >= 0, got ({self.lambda1}, {self.lambda2})"
@@ -46,13 +44,13 @@ def weyl_dimension(n: int, label: IrrepLabel) -> int:
     Product over 1 <= p < q <= n+1 of (lambda_p - lambda_q + q - p)/(q - p)
     with lambda = (lambda1, lambda2, 0, ..., 0); always an exact integer.
 
-    >>> weyl_dimension(2, IrrepLabel(1, 0, 2))
+    >>> weyl_dimension(2, IrrepLabel(1, 0))
     3
-    >>> weyl_dimension(2, IrrepLabel(9, 3, 2))
+    >>> weyl_dimension(2, IrrepLabel(9, 3))
     154
     """
-    if label.rank_n != n:
-        raise ValueError(f"label has rank {label.rank_n}, expected {n}")
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     lam = (label.lambda1, label.lambda2) + (0,) * (n - 1)
     num = 1
     den = 1
@@ -92,7 +90,7 @@ def pieri_decompose(n: int, A: int, B: int) -> PieriDecomposition:
         raise ValueError(f"rank must be >= 1, got {n}")
     if A < 0 or B < 0:
         raise ValueError(f"symmetric-power exponents must be >= 0, got ({A}, {B})")
-    components = tuple(IrrepLabel(A + B - i, i, n) for i in range(min(A, B) + 1))
+    components = tuple(IrrepLabel(A + B - i, i) for i in range(min(A, B) + 1))
     return PieriDecomposition(A, B, n, components)
 
 
@@ -137,10 +135,10 @@ def predict_map_analysis(n: int, k: int, A: int, B: int) -> MapAnalysis:
     target_top = min(A + k, B - k)
     total = A + B
     kernel_labels = tuple(
-        IrrepLabel(total - i, i, n) for i in range(target_top + 1, source_top + 1)
+        IrrepLabel(total - i, i) for i in range(target_top + 1, source_top + 1)
     )
     cokernel_labels = tuple(
-        IrrepLabel(total - i, i, n) for i in range(source_top + 1, target_top + 1)
+        IrrepLabel(total - i, i) for i in range(source_top + 1, target_top + 1)
     )
     return MapAnalysis(
         kernel_dim=sum(weyl_dimension(n, c) for c in kernel_labels),

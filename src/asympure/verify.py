@@ -106,7 +106,7 @@ def _check_engine_series(m_max: int, seed: int) -> tuple[bool, str]:
         for k in (1, 2):
             op = special_fiber_operator(n, k)
             for a1, a2 in ((1, 1), (2, 1), (1, 2)):
-                oracle_rows = oracle_series(op, n, k, a1, a2, range(1, m_max + 1), seed=seed)
+                oracle_rows = oracle_series(op, a1, a2, range(1, m_max + 1), seed=seed)
                 for m, result in oracle_rows:
                     A, B = series_exponents(n, k, a1, a2, m)
                     if B < k:
@@ -154,7 +154,7 @@ def _corner_operator(terms: int) -> ContractionOperator:
 
 
 def _check_corner_closed_form(m_max: int, seed: int) -> tuple[bool, str]:
-    rows = oracle_series(_corner_operator(1), 2, 1, 1, 1, range(2, m_max + 1), seed=seed)
+    rows = oracle_series(_corner_operator(1), 1, 1, range(2, m_max + 1), seed=seed)
     multiples = [m for m, _ in rows]
     if multiples != list(range(2, m_max + 1)):
         return False, f"series covers multiples {multiples}, expected 2..{m_max}"
@@ -170,7 +170,7 @@ def _check_corner_closed_form(m_max: int, seed: int) -> tuple[bool, str]:
 
 
 def _check_corner_lower_bound(m_max: int, seed: int) -> tuple[bool, str]:
-    rows = oracle_series(_corner_operator(2), 2, 1, 1, 1, range(2, m_max + 1), seed=seed)
+    rows = oracle_series(_corner_operator(2), 1, 1, range(2, m_max + 1), seed=seed)
     for m, result in rows:
         bound = sum(binomial(2 + (m - 1 - j), 2) for j in range(m - 1))
         if result.kernel_dim < bound:
@@ -225,7 +225,7 @@ def _check_weyl_goldens() -> tuple[bool, str]:
         (1, (3, 0), 4),
     ]
     for n, (l1, l2), expected in cases:
-        got = weyl_dimension(n, IrrepLabel(l1, l2, n))
+        got = weyl_dimension(n, IrrepLabel(l1, l2))
         if got != expected:
             return False, f"weyl({n}, ({l1}, {l2})) = {got}, expected {expected}"
     return True, f"{len(cases)} spot values"

@@ -193,7 +193,7 @@ class TestPurityReport:
     def test_impure_class_is_reported(self, monkeypatch):
         import asympure.asymptotics as asym
 
-        fake = AsymptoticVector.from_values(3, [1, 2, 0, 0])
+        fake = AsymptoticVector((1, 2, 0, 0))
         monkeypatch.setattr(asym, "asymptotic_special_fiber", lambda *a: fake)
         (divisor, _, vec), = asym.purity_report(2, 1, [(1, 1)])
         assert (divisor.a1, divisor.a2) == (1, -1)
@@ -202,14 +202,10 @@ class TestPurityReport:
 
 class TestAsymptoticVector:
     def test_verdict_classification(self):
-        assert str(AsymptoticVector.from_values(3, [0, 0, 0, 0]).purity) == "pure_zero"
-        assert str(AsymptoticVector.from_values(3, [0, 5, 0, 0]).purity) == "pure(1)"
-        assert str(AsymptoticVector.from_values(3, [1, 5, 0, 0]).purity) == "impure(0,1)"
+        assert str(AsymptoticVector((0, 0, 0, 0)).purity) == "pure_zero"
+        assert str(AsymptoticVector((0, 5, 0, 0)).purity) == "pure(1)"
+        assert str(AsymptoticVector((1, 5, 0, 0)).purity) == "impure(0,1)"
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            AsymptoticVector.from_values(3, [0, -1, 0, 0])
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            AsymptoticVector.from_values(3, [0, 0])
+            AsymptoticVector((0, -1, 0, 0))

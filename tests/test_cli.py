@@ -146,6 +146,14 @@ class TestScan:
         lines = out.strip().splitlines()
         assert len(lines) == 5
 
+    def test_impure_class_is_reported(self, capsys, monkeypatch):
+        import asympure.asymptotics as asym
+
+        fake = asympure.AsymptoticVector((1, 2, 0, 0))
+        monkeypatch.setattr(asym, "asymptotic_special_fiber", lambda *a: fake)
+        code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
+        assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--a1", "5..2", "--a2", "0..3"],
         ["scan", "--a1", "5..2", "--a2", "0..3", "--format", "json"],
@@ -212,6 +220,23 @@ class TestExitCodes:
         script = "import sys, asympure, asympure.cli; sys.exit('numpy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+    def test_unknown_operator_exits_2(self, capsys):
+        code, out, err = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1",
+                             "--operator", "bogus")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown operator 'bogus'; use 'special' or --operator-file\n"
+
+    def test_operator_file_of_another_n_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(
+            {"n": 2, "k": 1,
+             "terms": [{"coeff": 1, "alpha": [1, 0, 0], "beta": [1, 0, 0]}]}
+        ))
+        code, out, err = run(capsys, "oracle", "--n", "3", "--k", "1", "--A", "2", "--B", "1",
+                             "--operator-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: operator file has (n, k) = (2, 1), flags say (3, 1)\n"
 
     def test_size_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "200",
@@ -319,6 +344,41 @@ class TestCache:
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
         assert code == 1
         assert f"FAIL - cache file {cache}" in out and f"{cache}:1" in out
+
+    @pytest.mark.parametrize("record", [
+        {"key": "bott:n=2,d=1", "version": "1", "value": 5},
+        {"key": 7, "version": "1", "value": {"values": ["6", "0", "0"]}},
+    ], ids=["int_value", "int_key"])
+    def test_non_record_final_line_is_skipped_and_cut(self, capsys, caplog, tmp_path, record):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps(record) + "\n")
+        argv = ["bott", "--n", "2", "--d", "1", "--format", "json"]
+        _, cold, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (0, cold)
+        assert f"{cache}:1" in caplog.text
+        assert [json.loads(line)["key"] for line in cache.read_text().splitlines()] == [
+            "bott:n=2,d=1"]
+
+    @pytest.mark.parametrize("record", [
+        {"key": "bott:n=2,d=1", "version": "1", "value": 5},
+        {"key": 7, "version": "1", "value": {"values": ["6", "0", "0"]}},
+    ], ids=["int_value", "int_key"])
+    def test_non_record_middle_line_names_line(self, capsys, tmp_path, record):
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "bott", "--n", "2", "--d", "-4", "--cache", str(cache))
+        cache.write_text(json.dumps(record) + "\n" + cache.read_text())
+        code, out, err = run(capsys, "bott", "--n", "2", "--d", "1", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cache}:1: corrupt cache record")
+
+    def test_verify_missing_cache_file_fails(self, capsys, tmp_path):
+        cache = tmp_path / "no" / "such" / "cache.jsonl"
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 1
+        assert f"FAIL - cache file {cache}: not found" in out
+        assert out.endswith("1 check(s) failed\n")
+        assert not cache.parent.exists()
 
     def test_put_is_one_write_on_an_append_descriptor(self, monkeypatch, tmp_path):
         from asympure import cache as cache_module

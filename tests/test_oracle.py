@@ -402,15 +402,15 @@ class TestEquivariance:
 
 class TestOracleSeries:
     def test_corner_kernel_at_m3(self):
-        rows = dict(oracle_series(corner_operator(1), 2, 1, 1, 1, [3]))
+        rows = dict(oracle_series(corner_operator(1), 1, 1, [3]))
         assert rows[3].kernel_dim == 12
 
     def test_two_term_kernel_at_m3(self):
-        rows = dict(oracle_series(corner_operator(2), 2, 1, 1, 1, [3]))
+        rows = dict(oracle_series(corner_operator(2), 1, 1, [3]))
         assert rows[3].kernel_dim == 9  # 6 + 3, and the bound is attained
 
     def test_matches_prediction(self):
-        rows = oracle_series(special_fiber_operator(2, 1), 2, 1, 1, 1, range(3, 7))
+        rows = oracle_series(special_fiber_operator(2, 1), 1, 1, range(3, 7))
         for m, result in rows:
             analysis = predict_map_analysis(2, 1, m - 1, m - 2)
             assert (result.kernel_dim, result.cokernel_dim) == (
@@ -422,7 +422,7 @@ class TestOracleSeries:
         # every multiple draws p1 from the seed; m = 12 has rank-deficient
         # blocks wider than the default exact_limit, so it votes on more primes
         op = corner_operator(2)
-        rows = oracle_series(op, 2, 1, 1, 1, [3, 12], seed=9)
+        rows = oracle_series(op, 1, 1, [3, 12], seed=9)
         for m, result in rows:
             assert result == exact_rank(build_matrix(op, m - 1, m - 2), seed=9)
         (_, small), (_, large) = rows
@@ -430,22 +430,18 @@ class TestOracleSeries:
         assert small.primes[0] == large.primes[0] == oracle._random_prime(random.Random(9))
 
     def test_skips_infeasible_multiples(self):
-        rows = oracle_series(special_fiber_operator(2, 1), 2, 1, 1, 1, range(1, 5))
+        rows = oracle_series(special_fiber_operator(2, 1), 1, 1, range(1, 5))
         assert [m for m, _ in rows] == [2, 3, 4]
 
     def test_zero_target_multiple_kept(self):
         # at m = 2 the target is the zero space; kernel is the whole source
-        rows = dict(oracle_series(corner_operator(1), 2, 1, 1, 1, [2]))
+        rows = dict(oracle_series(corner_operator(1), 1, 1, [2]))
         assert rows[2].dim_target == 0
         assert rows[2].kernel_dim == rows[2].dim_source == 3
 
     def test_empty_range_raises(self):
         with pytest.raises(ValueError):
-            oracle_series(special_fiber_operator(2, 1), 2, 1, 1, 1, [1])
-
-    def test_operator_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_series(special_fiber_operator(2, 1), 2, 2, 1, 1, [3])
+            oracle_series(special_fiber_operator(2, 1), 1, 1, [1])
 
 
 def weight_changing_operator() -> ContractionOperator:

@@ -144,12 +144,8 @@ class TestCohomologyVector:
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            CohomologyVector(2, (1, -1, 0))
+            CohomologyVector((1, -1, 0))
 
     def test_rejects_multiple_support(self):
         with pytest.raises(ValueError):
-            CohomologyVector(2, (1, 0, 2))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            CohomologyVector(2, (1, 0))
+            CohomologyVector((1, 0, 2))

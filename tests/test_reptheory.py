@@ -15,9 +15,9 @@ from asympure import (
 class TestIrrepLabel:
     def test_rejects_bad_partitions(self):
         with pytest.raises(ValueError):
-            IrrepLabel(1, 2, 2)
+            IrrepLabel(1, 2)
         with pytest.raises(ValueError):
-            IrrepLabel(3, -1, 2)
+            IrrepLabel(3, -1)
 
 
 class TestWeylDimension:
@@ -33,7 +33,7 @@ class TestWeylDimension:
         ],
     )
     def test_small_cases(self, n, l1, l2, expected):
-        assert weyl_dimension(n, IrrepLabel(l1, l2, n)) == expected
+        assert weyl_dimension(n, IrrepLabel(l1, l2)) == expected
 
     def test_9_3_via_dimension_sum_difference(self):
         # independent route: (9,3) is the one component of Sym^9 (x) Sym^3
@@ -42,16 +42,16 @@ class TestWeylDimension:
         tensor_93 = binomial(11, 2) * binomial(5, 2)
         tensor_10_2 = binomial(12, 2) * binomial(4, 2)
         assert (tensor_93, tensor_10_2) == (550, 396)
-        assert weyl_dimension(2, IrrepLabel(9, 3, 2)) == tensor_93 - tensor_10_2 == 154
+        assert weyl_dimension(2, IrrepLabel(9, 3)) == tensor_93 - tensor_10_2 == 154
 
-    def test_rejects_rank_mismatch(self):
+    def test_rejects_rank_below_one(self):
         with pytest.raises(ValueError):
-            weyl_dimension(3, IrrepLabel(2, 1, 2))
+            weyl_dimension(0, IrrepLabel(1, 0))
 
     def test_sl2_closed_form(self):
         for l1 in range(12):
             for l2 in range(l1 + 1):
-                assert weyl_dimension(1, IrrepLabel(l1, l2, 1)) == l1 - l2 + 1
+                assert weyl_dimension(1, IrrepLabel(l1, l2)) == l1 - l2 + 1
 
 
 class TestPieri:

@@ -40,8 +40,10 @@ from .projspace import (
     binomial,
     bott_cohomology,
     euler_characteristic,
+    feasible_multiples,
     kunneth_cohomology,
     series_exponents,
+    source_target_dims,
     sym_dim,
 )
 from .reptheory import (
@@ -51,7 +53,6 @@ from .reptheory import (
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
-    source_target_dims,
     weyl_dimension,
 )
 
@@ -81,6 +82,7 @@ __all__ = [
     "classify",
     "euler_characteristic",
     "exact_rank",
+    "feasible_multiples",
     "fit_leading_coefficient",
     "kernel_series_rep",
     "kunneth_cohomology",

@@ -171,8 +171,8 @@ def _ceil_div(num: int, den: int) -> int:
 def stable_start(n: int, k: int, a1: int, a2: int) -> int:
     """First multiple from which the predicted kernel/cokernel series is polynomial.
 
-    Collects the breakpoints where the exponents become feasible and the
-    index-range dispatches stop switching, then adds one for safety.
+    Collects the breakpoints where the exponents reach A >= 0 and B >= k and
+    the index-range dispatches stop switching, then adds one for safety.
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")

@@ -43,14 +43,14 @@ from .oracle import (
     oracle_series,
     special_fiber_operator,
 )
-from .projspace import DivisorClass, bott_cohomology, euler_characteristic, kunneth_cohomology
-from .reptheory import (
-    kernel_series_rep,
-    pieri_decompose,
-    predict_map_analysis,
+from .projspace import (
+    DivisorClass,
+    bott_cohomology,
+    euler_characteristic,
+    kunneth_cohomology,
     source_target_dims,
-    weyl_dimension,
 )
+from .reptheory import kernel_series_rep, pieri_decompose, predict_map_analysis, weyl_dimension
 from .verify import run_suite
 
 
@@ -407,8 +407,8 @@ def _verify_cache(path: str, seed: int, size_cap: int) -> int:
     failures = 0
     try:
         cache = ResultCache(path)
-    except ValueError as exc:
-        print(f"FAIL - cache file {path}: unreadable record ({exc})")
+    except (ValueError, OSError) as exc:  # a corrupt record, or a path that is no file
+        print(f"FAIL - cache file {path}: unreadable ({exc})")
         return 1
     if not cache.path.exists():
         print(f"FAIL - cache file {path}: not found")

@@ -42,7 +42,7 @@ from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .projspace import series_exponents, sym_dim
+from .projspace import feasible_multiples, source_target_dims
 
 logger = logging.getLogger(__name__)
 
@@ -159,19 +159,9 @@ class ContractionOperator:
             for coeff, xs, ds in (term.groups() for term in terms)
         ))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "terms": [
-                {"coeff": coeff, "alpha": list(alpha), "beta": list(beta)}
-                for coeff, alpha, beta in self.terms
-            ],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ContractionOperator":
-        """The operator of a to_json_dict document; ValueError if malformed.
+        """The operator of a JSON document with fields n, k, terms; ValueError if malformed.
 
         n, k and coeff must be JSON integers and alpha, beta lists of them:
         a float, a bool or a string is refused, never truncated or iterated.
@@ -316,8 +306,7 @@ def build_matrix(
     n, k = op.n, op.k
     if A < 0 or B < 0:
         raise ValueError(f"source exponents must be >= 0, got A={A}, B={B}")
-    dim_source = sym_dim(n, A) * sym_dim(n, B)
-    dim_target = sym_dim(n, A + k) * sym_dim(n, B - k)
+    dim_source, dim_target = source_target_dims(n, k, A, B)
     if dim_source > size_cap or dim_target > size_cap:
         raise SizeCapError(dim_source, dim_target, size_cap)
     # Each monomial is coded once, in mixed radix with x0 the most significant
@@ -744,21 +733,11 @@ def oracle_series(
 ) -> list[tuple[int, RankResult]]:
     """Per-multiple rank results for op along the special-fiber exponent schedule.
 
-    n and k are the operator's own.  At multiple m the source exponents are
-    series_exponents(op.n, op.k, a1, a2, m); multiples where either is
-    negative are skipped.  B in [0, k) is kept: the target is the zero space
-    there and the kernel is the whole source.  Each multiple's rank is
+    n and k are the operator's own.  The multiples, their exponents (A, B)
+    and the errors are those of feasible_multiples; each multiple's rank is
     exact_rank(build_matrix(op, A, B), seed=seed).
     """
-    if a1 < 1 or a2 < 1:
-        raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
-    out: list[tuple[int, RankResult]] = []
-    for m in m_range:
-        A, B = series_exponents(op.n, op.k, a1, a2, m)
-        if A < 0 or B < 0:
-            continue
-        matrix = build_matrix(op, A, B, size_cap=size_cap)
-        out.append((m, exact_rank(matrix, seed=seed)))
-    if not out:
-        raise ValueError("no feasible multiple m in the requested range")
-    return out
+    return [
+        (m, exact_rank(build_matrix(op, A, B, size_cap=size_cap), seed=seed))
+        for m, A, B in feasible_multiples(op.n, op.k, a1, a2, m_range)
+    ]

@@ -9,8 +9,12 @@ scan ranges we care about, so no floats and no fixed-width ints.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from typing import Iterable
+
+logger = logging.getLogger(__name__)
 
 
 def binomial(p: int, q: int) -> int:
@@ -38,6 +42,44 @@ def series_exponents(n: int, k: int, a1: int, a2: int, m: int) -> tuple[int, int
     target exponents are (A+k, B-k) = (m*a1, m*a2 - (n+1)).
     """
     return m * a1 - k, m * a2 + k - (n + 1)
+
+
+def feasible_multiples(
+    n: int, k: int, a1: int, a2: int, m_range: Iterable[int]
+) -> list[tuple[int, int, int]]:
+    """The multiples m in m_range whose contraction map exists, as (m, A, B).
+
+    This is the one rule for which multiples a series contains, whichever
+    engine computes it.  (A, B) = series_exponents(n, k, a1, a2, m), and m is
+    kept when A >= 0 and B >= 0.  B in [0, k) is kept: the target
+    Sym^(A+k) (x) Sym^(B-k) is the zero space there, so the whole source is
+    kernel.  Dropped multiples are logged at debug level.  ValueError if a1
+    or a2 is below 1, or if no multiple is left.
+
+    >>> feasible_multiples(2, 1, 2, 1, range(1, 5))
+    [(2, 3, 0), (3, 5, 1), (4, 7, 2)]
+    """
+    if a1 < 1 or a2 < 1:
+        raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
+    kept: list[tuple[int, int, int]] = []
+    dropped: list[int] = []
+    for m in m_range:
+        A, B = series_exponents(n, k, a1, a2, m)
+        if A < 0 or B < 0:
+            dropped.append(m)
+        else:
+            kept.append((m, A, B))
+    if dropped:
+        logger.debug("dropped m=%s: exponents not feasible for n=%d, k=%d, divisor (%d, %d)",
+                     dropped, n, k, a1, a2)
+    if not kept:
+        raise ValueError("no feasible multiple m in the requested range")
+    return kept
+
+
+def source_target_dims(n: int, k: int, A: int, B: int) -> tuple[int, int]:
+    """Dimensions of the contraction's source and target (zero for a negative exponent)."""
+    return sym_dim(n, A) * sym_dim(n, B), sym_dim(n, A + k) * sym_dim(n, B - k)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,10 @@ oracle is what tests that assumption.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable
 
-from .projspace import series_exponents, sym_dim
-
-logger = logging.getLogger(__name__)
+from .projspace import feasible_multiples
 
 
 @dataclass(frozen=True)
@@ -118,7 +115,9 @@ def predict_map_analysis(n: int, k: int, A: int, B: int) -> MapAnalysis:
     i in [0, min(A+k, B-k)].  By Schur each shared component maps either
     isomorphically or to zero; the prediction takes "isomorphically", so the
     analysis is the multiset difference of the two index ranges.  The
-    exact-rank oracle cross-check is what tests that assumption.
+    exact-rank oracle cross-check is what tests that assumption.  A and B
+    range over the domain of feasible_multiples, A, B >= 0; for B in [0, k)
+    the target is zero and the whole source is kernel.
 
     >>> predict_map_analysis(2, 1, 9, 3).kernel_dim
     154
@@ -127,15 +126,13 @@ def predict_map_analysis(n: int, k: int, A: int, B: int) -> MapAnalysis:
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    if A < 0:
-        raise ValueError(f"source exponent A must be >= 0, got {A}")
-    if B < k:
-        raise ValueError(f"need B >= k so the target exponent B-k >= 0, got B={B}, k={k}")
+    if A < 0 or B < 0:
+        raise ValueError(f"source exponents must be >= 0, got A={A}, B={B}")
     source_top = min(A, B)
     target_top = min(A + k, B - k)
     total = A + B
     kernel_labels = tuple(
-        IrrepLabel(total - i, i) for i in range(target_top + 1, source_top + 1)
+        IrrepLabel(total - i, i) for i in range(max(target_top + 1, 0), source_top + 1)
     )
     cokernel_labels = tuple(
         IrrepLabel(total - i, i) for i in range(source_top + 1, target_top + 1)
@@ -153,31 +150,11 @@ def kernel_series_rep(
 ) -> list[tuple[int, int, int]]:
     """Predicted (m, kernel_dim, cokernel_dim) rows over a range of multiples.
 
-    Multiples whose exponents are not yet feasible (A < 0 or B < k) are
-    dropped and logged as a warning; an empty result after filtering is an
-    error.
+    The rows are those of feasible_multiples, which states which multiples
+    are kept and when the range is an error.
     """
-    if a1 < 1 or a2 < 1:
-        raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
     rows: list[tuple[int, int, int]] = []
-    dropped: list[int] = []
-    for m in m_range:
-        A, B = series_exponents(n, k, a1, a2, m)
-        if A < 0 or B < k:
-            dropped.append(m)
-            continue
+    for m, A, B in feasible_multiples(n, k, a1, a2, m_range):
         analysis = predict_map_analysis(n, k, A, B)
         rows.append((m, analysis.kernel_dim, analysis.cokernel_dim))
-    if dropped:
-        logger.warning(
-            "dropped m=%s: exponents not feasible for n=%d, k=%d, divisor (%d, %d)",
-            dropped, n, k, a1, a2,
-        )
-    if not rows:
-        raise ValueError("no feasible multiple m in the requested range")
     return rows
-
-
-def source_target_dims(n: int, k: int, A: int, B: int) -> tuple[int, int]:
-    """Ambient dimensions of the contraction's source and target."""
-    return sym_dim(n, A) * sym_dim(n, B), sym_dim(n, A + k) * sym_dim(n, B - k)

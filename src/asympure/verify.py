@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from typing import Callable
 
 from .asymptotics import fit_leading_coefficient, purity_report, stable_start
@@ -25,14 +26,13 @@ from .projspace import (
     binomial,
     bott_cohomology,
     kunneth_cohomology,
-    series_exponents,
+    source_target_dims,
 )
 from .reptheory import (
     IrrepLabel,
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
-    source_target_dims,
     weyl_dimension,
 )
 
@@ -102,26 +102,19 @@ def _check_euler_consistency(n_list: list[int], k_max: int, e_max: int) -> tuple
 
 def _check_engine_series(m_max: int, seed: int) -> tuple[bool, str]:
     count = 0
+    multiples = range(1, m_max + 1)
     for n in (1, 2):
         for k in (1, 2):
             op = special_fiber_operator(n, k)
             for a1, a2 in ((1, 1), (2, 1), (1, 2)):
-                oracle_rows = oracle_series(op, a1, a2, range(1, m_max + 1), seed=seed)
-                for m, result in oracle_rows:
-                    A, B = series_exponents(n, k, a1, a2, m)
-                    if B < k:
-                        predicted = (result.dim_source, 0)  # zero target: all kernel
-                    else:
-                        analysis = predict_map_analysis(n, k, A, B)
-                        predicted = (analysis.kernel_dim, analysis.cokernel_dim)
-                    got = (result.kernel_dim, result.cokernel_dim)
-                    if got != predicted:
-                        return (
-                            False,
-                            f"engines disagree at n={n}, k={k}, ({a1}, {a2}), m={m}: "
-                            f"oracle {got}, predicted {predicted}",
-                        )
-                    count += 1
+                oracle_rows = [(m, r.kernel_dim, r.cokernel_dim)
+                               for m, r in oracle_series(op, a1, a2, multiples, seed=seed)]
+                rep_rows = kernel_series_rep(n, k, a1, a2, multiples)
+                if oracle_rows != rep_rows:
+                    got, want = next(p for p in zip_longest(oracle_rows, rep_rows) if p[0] != p[1])
+                    return False, (f"engines disagree at n={n}, k={k}, ({a1}, {a2}): "
+                                   f"oracle row {got}, predicted row {want}")
+                count += len(rep_rows)
     return True, f"{count} multiples agree"
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -101,11 +102,26 @@ class TestBasicCommands:
             assert (code, kernels) == (0, ["12", "30"])
 
     def test_series_rep_logs_dropped_multiples(self, capsys, caplog):
-        code, out, err = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "2",
-                             "--a2", "1", "--m", "2..6")
-        assert code == 0 and "UserWarning" not in err
-        assert [r.getMessage()[:13] for r in caplog.records
-                if r.name == "asympure.reptheory"] == ["dropped m=[2]"]
+        caplog.set_level(logging.DEBUG, logger="asympure")  # main sets it; restored after the test
+        argv = ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "1..6"]
+        for flags, logged in (([], []), (["--verbose"], ["dropped m=[1]"])):
+            caplog.clear()
+            code, out, err = run(capsys, *argv, *flags)
+            assert code == 0 and "UserWarning" not in err
+            assert [r.getMessage()[:13] for r in caplog.records
+                    if r.name == "asympure.projspace"] == logged
+
+    def test_series_engines_give_the_same_rows(self, capsys):
+        argv = ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "1..6",
+                "--format", "json"]
+        rows = {}
+        for engine in ("rep", "oracle"):
+            code, out, _ = run(capsys, *argv, "--engine", engine)
+            assert code == 0
+            rows[engine] = [(r["m"], r["kernel_dim"], r["cokernel_dim"])
+                            for r in json.loads(out)["result"]["rows"]]
+        assert rows["rep"] == rows["oracle"]
+        assert [m for m, _, _ in rows["rep"]] == ["2", "3", "4", "5", "6"]
 
     def test_series_oracle(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "1",
@@ -172,9 +188,9 @@ class TestExitCodes:
         assert err.value.code == 2
 
     def test_invalid_values_exit_2(self, capsys):
-        code, _, err = run(capsys, "predict", "--n", "2", "--k", "1", "--A", "3", "--B", "0")
+        code, _, err = run(capsys, "predict", "--n", "2", "--k", "1", "--A", "3", "--B", "-1")
         assert code == 2
-        assert "B" in err
+        assert "B=-1" in err
 
     @pytest.mark.parametrize("argv", [
         ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4"],
@@ -373,12 +389,14 @@ class TestCache:
         assert err.startswith(f"error: {cache}:1: corrupt cache record")
 
     def test_verify_missing_cache_file_fails(self, capsys, tmp_path):
-        cache = tmp_path / "no" / "such" / "cache.jsonl"
-        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
-        assert code == 1
-        assert f"FAIL - cache file {cache}: not found" in out
-        assert out.endswith("1 check(s) failed\n")
-        assert not cache.parent.exists()
+        missing = tmp_path / "no" / "such" / "cache.jsonl"
+        # a path with no file, and a directory where the file should be
+        for cache, reason in ((missing, "not found"), (tmp_path, "unreadable (")):
+            code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+            assert code == 1
+            assert f"FAIL - cache file {cache}: {reason}" in out
+            assert out.endswith("1 check(s) failed\n")
+        assert not missing.parent.exists()
 
     def test_put_is_one_write_on_an_append_descriptor(self, monkeypatch, tmp_path):
         from asympure import cache as cache_module

@@ -1,5 +1,4 @@
 import functools
-import json
 import random
 
 import pytest
@@ -69,10 +68,13 @@ class TestContractionOperator:
             ContractionOperator(2, 1, ((1, E0, E0), (2, E0, E0)))
 
     def test_json_round_trip(self, tmp_path):
-        op = corner_operator(2)
         path = tmp_path / "op.json"
-        path.write_text(json.dumps(op.to_json_dict()))
-        assert load_operator(path) == op
+        path.write_text(
+            '{"n": 2, "k": 1, "terms": ['
+            '{"coeff": 1, "alpha": [1, 0, 0], "beta": [1, 0, 0]}, '
+            '{"coeff": 1, "alpha": [0, 1, 0], "beta": [0, 1, 0]}]}'
+        )
+        assert load_operator(path) == corner_operator(2)
 
     def test_load_rejects_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -319,6 +321,20 @@ class TestExactRank:
             predicted.cokernel_dim,
         )
         assert result.certified
+
+    def test_zero_target_maps_match_prediction(self):
+        # B in [0, k): the target is the zero space and the whole source is kernel
+        for n in (1, 2):
+            for k in (1, 2):
+                op = special_fiber_operator(n, k)
+                for A in range(7):
+                    for B in range(k):
+                        result = exact_rank(build_matrix(op, A, B))
+                        predicted = predict_map_analysis(n, k, A, B)
+                        assert (result.kernel_dim, result.cokernel_dim) == (
+                            predicted.kernel_dim,
+                            predicted.cokernel_dim,
+                        )
 
     def test_columns_read_after_the_rank_keep_the_golden_layout(self):
         matrix = build_matrix(special_fiber_operator(1, 1), 1, 1)

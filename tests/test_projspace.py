@@ -8,7 +8,9 @@ from asympure import (
     binomial,
     bott_cohomology,
     euler_characteristic,
+    feasible_multiples,
     kunneth_cohomology,
+    series_exponents,
     sym_dim,
 )
 
@@ -149,3 +151,11 @@ class TestCohomologyVector:
     def test_rejects_multiple_support(self):
         with pytest.raises(ValueError):
             CohomologyVector((1, 0, 2))
+
+
+class TestFeasibleMultiples:
+    def test_keeps_every_multiple_with_nonnegative_exponents(self):
+        for n, k, a1, a2 in ((2, 1, 2, 1), (2, 2, 1, 3), (1, 2, 1, 1), (3, 1, 1, 2)):
+            walk = feasible_multiples(n, k, a1, a2, range(0, 9))
+            expected = [(m, *series_exponents(n, k, a1, a2, m)) for m in range(0, 9)]
+            assert walk == [(m, A, B) for m, A, B in expected if A >= 0 and B >= 0]

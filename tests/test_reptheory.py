@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from asympure import (
@@ -112,11 +114,18 @@ class TestPredict:
         assert analysis.cokernel_dim == 0
         assert [(c.lambda1, c.lambda2) for c in analysis.kernel_labels] == [(3, 1)]
 
-    def test_rejects_negative_target_exponent(self):
-        with pytest.raises(ValueError):
-            predict_map_analysis(2, 1, 3, 0)
-        with pytest.raises(ValueError):
-            predict_map_analysis(2, 2, 3, 1)
+    def test_zero_target_is_all_kernel(self):
+        # B in [0, k): the target Sym^(B-k) is zero, so every source component is kernel
+        for n, k, A, B in ((2, 1, 3, 0), (2, 2, 3, 1), (1, 2, 0, 0)):
+            analysis = predict_map_analysis(n, k, A, B)
+            assert analysis.kernel_labels == pieri_decompose(n, A, B).components
+            assert analysis.kernel_dim == source_target_dims(n, k, A, B)[0]
+            assert (analysis.cokernel_dim, analysis.cokernel_labels) == (0, ())
+
+    def test_rejects_negative_source_exponents(self):
+        for A, B in ((3, -1), (-1, 3)):
+            with pytest.raises(ValueError, match="source exponents must be >= 0"):
+                predict_map_analysis(2, 1, A, B)
 
     def test_euler_consistency(self):
         for n in (1, 2, 3):
@@ -144,17 +153,22 @@ class TestKernelSeries:
         rows = kernel_series_rep(2, 1, 2, 1, [5])
         assert rows == [(5, 154, 0)]
 
-    def test_drops_infeasible_with_warning(self, caplog):
+    def test_drops_infeasible_at_debug_level(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="asympure.projspace")
         rows = kernel_series_rep(2, 1, 2, 1, range(1, 6))
-        assert [m for m, _, _ in rows] == [3, 4, 5]
+        assert [m for m, _, _ in rows] == [2, 3, 4, 5]  # m = 2 has B = 0 < k
         assert [(r.name, r.levelname) for r in caplog.records] == [
-            ("asympure.reptheory", "WARNING")]
-        assert caplog.records[0].getMessage().startswith("dropped m=[1, 2]: ")
+            ("asympure.projspace", "DEBUG")]
+        assert caplog.records[0].getMessage().startswith("dropped m=[1]: ")
+        caplog.clear()
+        kernel_series_rep(2, 1, 2, 1, range(2, 6))
+        assert caplog.records == []  # nothing dropped, nothing logged
 
     def test_empty_range_raises(self, caplog):
-        with pytest.raises(ValueError):
-            kernel_series_rep(2, 1, 1, 1, [1, 2])
-        assert "dropped m=[1, 2]: " in caplog.text
+        caplog.set_level(logging.DEBUG, logger="asympure.projspace")
+        with pytest.raises(ValueError, match="no feasible multiple"):
+            kernel_series_rep(2, 1, 1, 1, [1])
+        assert "dropped m=[1]: " in caplog.text
 
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):

@@ -447,6 +447,14 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def _size_cap(text: str) -> int:
+    """--size-cap value: a basis size, so a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_operator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--operator", default="special")
     p.add_argument("--operator-file", default=None)
@@ -456,7 +464,7 @@ def _add_operator_flags(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    common.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    common.add_argument("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--verbose", action="store_true")
 

@@ -17,10 +17,10 @@ representative once.  The full column list is built from the same table
 only when something reads matrix.columns: the golden layout, to_dense,
 nnz, equality, and operators that do not preserve weight, which fall back
 to the connected components of the sparsity pattern.  A block of full rank
-modulo a prime p1 is proven by that elimination, a deficient one by Bareiss
-elimination or a vote of further primes; exact_rank states the rule in
-full.  Modular eliminations run in pure Python with each row packed into
-one integer (see _rank_mod_p).
+modulo the small fixed prime 2039 is proven by that elimination, a deficient
+one by Bareiss elimination or a vote of seeded primes; exact_rank states the
+rule in full.  Modular eliminations run in pure Python with each row packed
+into one integer (see _rank_mod_p).
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -59,11 +59,17 @@ HitTable = dict[int, list[tuple[int, int, int]]]
 DEFAULT_SIZE_CAP = 200_000
 # The widest rank-deficient block that Bareiss elimination ranks (the rule is
 # in exact_rank).  Bareiss slows as the entries grow: on the deficient blocks
-# of the two-term corner operator it takes about 1.5 ms at 30-39 wide, where
-# one modular elimination takes 0.16 ms, and 20 ms at 80-89 wide.  40 covers
-# every deficient block of the corner check at m <= 10 (the widest is 33).
+# of the two-term corner operator (m = 6..17) it takes about 1.7 ms at 30-39
+# wide, where one elimination modulo the proof prime takes 0.10 ms, and 22 ms
+# at 80-89 wide (2 CPUs, Python 3.11.7).  40 covers every deficient block of
+# the corner check at m <= 10 (the widest is 33).
 DEFAULT_EXACT_LIMIT = 40
 
+# Every block is first eliminated modulo this prime (the rule is in
+# exact_rank).  It is small, so the packed slots of _rank_mod_p are narrow:
+# nrows * 2039**2 < 2**32 up to 1033 rows.
+_PROOF_PRIME = 2039
+# The vote's primes are drawn from [_PRIME_LOW, _PRIME_HIGH).
 _PRIME_LOW = 2**30 + 1
 _PRIME_HIGH = 2**31
 _MAX_PRIMES = 8  # primes one call may use before it gives up certifying
@@ -439,8 +445,8 @@ class RankResult:
     """Exact rank data for one contraction matrix.
 
     certified is True when every block is proven by the rule exact_rank
-    states.  primes are the primes the call used, retained for audit: none
-    for a matrix without blocks, one when no block went to the vote.
+    states.  primes are the primes the vote drew, retained for audit: none
+    when no block went to the vote.
     """
 
     dim_source: int
@@ -554,57 +560,66 @@ def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
 def _rank_mod_p(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
 ) -> int:
-    """Rank of the block modulo the prime p, by elimination on packed rows.
+    """Rank of the block modulo the prime p, by inserting packed rows one at a time.
 
     entries are (row, column, value) at distinct positions.  The shorter
     side is taken as the rows (rank is that of the transpose), and each row
     is one Python int: its entries modulo p sit in slots of W bits,
-    W = (nrows * p * p).bit_length(), column j in slot j.  After each
-    column every row shifts right by W, so the current column is always
-    the lowest slot.  Only the pivot row is reduced mod p, slot by slot;
-    every other row is updated by one big-integer multiply-add,
-    row += lead * (-1/pivot mod p) * pivot_row, and keeps unreduced slots.
+    W = (nrows * p * p).bit_length(), column j in slot j.
+
+    pivots maps a column to the reduced row that leads there, with
+    -1/lead mod p.  Each row is kept shifted so that its current column is
+    its lowest slot, and walks right from its first nonzero slot: a run of
+    zero slots is skipped in one shift, and a lead slot that is a nonzero
+    multiple of p is zero mod p and shifted out.  At a column that has a
+    pivot, one big-integer multiply-add, row += lead * (-1/lead mod p) *
+    pivot_row, clears the lead and the row moves on, its slots unreduced.
+    At a column without one the row becomes its pivot, reduced mod p slot by
+    slot if an update touched it (an untouched row's slots are below p
+    already); a row that runs out of slots is dependent.  The rank is the
+    number of pivots.
+
     Every slot stays below nrows * p * p < 2**W, so none carries into the
-    next.
+    next: a slot starts below p; a row meets each pivot at most once, since
+    its column only grows; there are at most nrows - 1 pivots while a row
+    is inserted; and each update adds a product of two residues, below
+    p * p.
     """
     if nrows > ncols:
         entries = [(j, i, val) for i, j, val in entries]
         nrows, ncols = ncols, nrows
-    if nrows == 0:
-        return 0
-    # The slot bound: a slot starts below p, and each of the at most
-    # nrows - 1 pivots that update its row adds a product of two residues,
-    # below p * p, so it stays below nrows * p * p.
     width = (nrows * p * p).bit_length()
     mask = (1 << width) - 1
     rows = [0] * nrows
     for i, j, val in entries:
         rows[i] += val % p << j * width
-    rank = 0
-    for _ in range(ncols):
-        for i, row in enumerate(rows):
-            lead = (row & mask) % p
+    pivots: dict[int, tuple[int, int]] = {}
+    for row in rows:
+        col = 0
+        touched = False
+        while row:
+            lead = row & mask
+            if not lead:
+                # the slot of the lowest set bit, which may be its slot's top bit
+                skip = ((row & -row).bit_length() - 1) // width
+                row >>= skip * width
+                col += skip
+                lead = row & mask
+            lead %= p
             if lead:
-                break
-        else:
-            rows = [row >> width for row in rows]
-            continue
-        rank += 1
-        pivot = rows.pop(i)
-        pivot = sum((pivot >> s & mask) % p << s for s in range(0, pivot.bit_length(), width))
-        minus_inv = p - pow(lead, -1, p)
-        remaining = []
-        for row in rows:
-            lead = (row & mask) % p
-            if lead:
-                row += lead * minus_inv % p * pivot
+                pivot = pivots.get(col)
+                if pivot is None:
+                    if touched:
+                        row = sum((row >> s & mask) % p << s
+                                  for s in range(0, row.bit_length(), width))
+                    pivots[col] = (row, p - pow(lead, -1, p))
+                    break
+                pivot_row, minus_inv = pivot
+                row += lead * minus_inv % p * pivot_row
+                touched = True
             row >>= width
-            if row:  # a zero row can never pivot
-                remaining.append(row)
-        rows = remaining
-        if not rows:
-            break
-    return rank
+            col += 1
+    return len(pivots)
 
 
 def _rank_bareiss(
@@ -652,17 +667,22 @@ def exact_rank(
     counted with its orbit's multiplicity and read without building
     matrix.columns, or else the connected components of the sparsity
     pattern, found from matrix.columns.  The rank is the sum of
-    multiplicity x block rank.  Every block is eliminated modulo a prime
-    p1 > 2^30, the first of the primes random.Random(seed) draws.  Modular
-    rank can only undershoot, so a block whose rank mod p1 is
-    min(rows, cols) has that rank over Q.  A block of lower rank mod p1 is
-    ranked exactly by fraction-free (Bareiss) elimination when
-    max(rows, cols) <= exact_limit.  Only the wider rank-deficient blocks
-    are eliminated modulo the next primes drawn from the seed, until the
-    maximum of their totals is seen twice (at most 8 primes in all);
-    certified is False if it never is.  exact_limit=0 sends every
-    rank-deficient block to that vote.  primes lists the primes the call
-    used, in the order drawn.
+    multiplicity x block rank, and each block is ranked by the first of
+    three routes that applies:
+
+    1. Every block is eliminated modulo the fixed prime _PROOF_PRIME = 2039.
+       Rank modulo any prime is at most the rank over Q, so a block whose
+       rank mod 2039 is min(rows, cols) has that rank over Q.
+    2. A block of lower rank mod 2039 is ranked exactly by fraction-free
+       (Bareiss) elimination when max(rows, cols) <= exact_limit.
+    3. The wider deficient blocks go to a vote: they are eliminated modulo
+       the primes p1, p2, ... > 2^30 that random.Random(seed) draws, one
+       total per prime, until the maximum total is seen twice (at most 8
+       primes).  certified is False if it never is.  exact_limit=0 sends
+       every block that is deficient mod 2039 to the vote.
+
+    primes lists the primes the vote drew, in the order drawn: () when no
+    block went to the vote.
     """
     dim_target, dim_source = matrix.shape
     blocks = matrix.blocks
@@ -670,46 +690,47 @@ def exact_rank(
         blocks, built = _component_blocks(matrix), dim_source
     else:
         built = sum(nc for _, (_, nc), _ in blocks)
-    stream = _seeded_primes(seed)
-    rank = voted_rank = proven = 0
+    rank = by_proof_prime = by_bareiss = 0
     voted = []
     largest = (0, 0)
     for entries, (nr, nc), multiplicity in blocks:
         largest = max(largest, (nr, nc), key=prod)
-        block_rank = _rank_mod_p(entries, nr, nc, stream[0])
-        if block_rank == min(nr, nc):
-            rank += multiplicity * block_rank
+        full = min(nr, nc)
+        if _rank_mod_p(entries, nr, nc, _PROOF_PRIME) == full:
+            rank += multiplicity * full
+            by_proof_prime += 1
         elif max(nr, nc) <= exact_limit:
             rank += multiplicity * _rank_bareiss(entries, nr, nc)
-            proven += 1
+            by_bareiss += 1
         else:
-            voted_rank += multiplicity * block_rank
             voted.append((entries, nr, nc, multiplicity))
     # The voted blocks' total, once per prime.  Modular rank can only
     # undershoot, so the maximum seen twice is taken as the rank over Q.
-    seen = [voted_rank]
-    while voted and seen.count(max(seen)) < 2 and len(seen) < _MAX_PRIMES:
+    stream = _seeded_primes(seed) if voted else ()
+    seen: list[int] = []
+    while voted and seen.count(max(seen, default=0)) < 2 and len(seen) < _MAX_PRIMES:
         p = stream[len(seen)]
         seen.append(sum(
             multiplicity * _rank_mod_p(entries, nr, nc, p)
             for entries, nr, nc, multiplicity in voted
         ))
-    rank += max(seen)
-    primes = stream[: len(seen)] if blocks else ()
+    rank += max(seen, default=0)
+    primes = stream[: len(seen)]
     logger.debug(
-        "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d rank-deficient "
-        "(%d by Bareiss, %d by vote), built %d of %d columns, primes %s",
+        "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d full rank modulo %d, "
+        "%d by Bareiss, %d by vote, built %d of %d columns, vote primes %s",
         rank,
         dim_target,
         dim_source,
         len(blocks),
         *largest,
-        proven + len(voted),
-        proven,
+        by_proof_prime,
+        _PROOF_PRIME,
+        by_bareiss,
         len(voted),
         built,
         dim_source,
-        list(primes),
+        list(primes) or "none",
     )
     return RankResult(
         dim_source=dim_source,

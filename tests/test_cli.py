@@ -187,6 +187,26 @@ class TestExitCodes:
             main(["bott", "--n", "2"])  # missing --d
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bott", "--n", "2", "--d", "1"],
+        ["product", "--n", "2", "--a1", "1", "--a2", "1"],
+        ["decompose", "--n", "2", "--A", "3", "--B", "3"],
+        ["predict", "--n", "2", "--k", "1", "--A", "3", "--B", "3"],
+        ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "3"],
+        ["asymptotics", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1"],
+        ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4"],
+        ["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "0..2"],
+        ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_size_cap_is_a_usage_error(self, capsys, argv):
+        # a size cap bounds basis sizes, so no subcommand accepts one below 0
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--size-cap", "-1"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --size-cap: must be >= 0, got -1" in captured.err
+
     def test_invalid_values_exit_2(self, capsys):
         code, _, err = run(capsys, "predict", "--n", "2", "--k", "1", "--A", "3", "--B", "-1")
         assert code == 2

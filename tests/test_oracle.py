@@ -193,18 +193,19 @@ class TestExactRank:
         assert result.certified
 
     def test_primes_are_large_and_distinct(self):
-        result = exact_rank(build_matrix(special_fiber_operator(2, 1), 2, 2), exact_limit=0)
-        assert result.primes
+        # exact_limit=0 sends the two-term corner's deficient blocks to the vote
+        result = exact_rank(build_matrix(corner_operator(2), 3, 2), exact_limit=0)
+        assert len(result.primes) >= 2
         assert len(set(result.primes)) == len(result.primes)
         assert all(p > 2**30 for p in result.primes)
 
     def test_seed_determinism(self):
-        matrix = build_matrix(special_fiber_operator(2, 1), 3, 2)
+        matrix = build_matrix(corner_operator(2), 3, 2)
         a = exact_rank(matrix, seed=7, exact_limit=0)
         b = exact_rank(matrix, seed=7, exact_limit=0)
         c = exact_rank(matrix, seed=8, exact_limit=0)
         assert a == b
-        assert a.primes != c.primes
+        assert a.primes and a.primes != c.primes
         assert a.rank == c.rank
 
     def test_two_prime_route_matches_exact(self):
@@ -216,10 +217,11 @@ class TestExactRank:
         assert modular.certified
 
     def test_undershooting_first_prime_is_not_trusted(self):
-        # a 1x1 matrix whose only entry is the seeded p1: rank 0 mod p1
-        unit = SparseIntMatrix((1, 1), (((0, 1),),))
-        p1 = exact_rank(unit, seed=3, exact_limit=0).primes[0]
-        result = exact_rank(SparseIntMatrix((1, 1), (((0, p1),),)), seed=3, exact_limit=0)
+        # a 1x1 matrix whose only entry is 2039 times the seeded p1: rank 0
+        # modulo the proof prime and modulo p1, 1 modulo the others
+        p1 = oracle._seeded_primes(3)[0]
+        matrix = SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * p1),),))
+        result = exact_rank(matrix, seed=3, exact_limit=0)
         assert result.primes[0] == p1
         assert (result.rank, result.certified, len(result.primes)) == (1, True, 3)
 
@@ -236,23 +238,22 @@ class TestExactRank:
         matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
         result = exact_rank(matrix, exact_limit=0)
         assert result.rank == min(matrix.shape)
-        assert len(result.primes) == 1 and result.certified
-        assert calls == [result.primes[0]] * len(matrix.blocks)
+        assert result.primes == () and result.certified
+        assert calls == [oracle._PROOF_PRIME] * len(matrix.blocks)
 
-    def test_small_matrices_draw_only_p1(self):
-        # every block is eliminated modulo p1; the corner's rank-deficient
-        # blocks are proven by Bareiss, so no second prime is drawn
-        p1 = oracle._random_prime(random.Random(5))
-        for op in (special_fiber_operator(2, 1), corner_operator(1)):
+    def test_small_matrices_draw_no_vote_prime(self):
+        # every block is eliminated modulo the proof prime; the corner's
+        # rank-deficient blocks are proven by Bareiss, so the vote draws none
+        for op in (special_fiber_operator(2, 1), corner_operator(1), corner_operator(2)):
             result = exact_rank(build_matrix(op, 6, 4), seed=5)
-            assert result.primes == (p1,) and result.certified
+            assert result.primes == () and result.certified
         assert exact_rank(SparseIntMatrix((3, 4), ((),) * 4), seed=5).primes == ()
 
     def test_prime_stream_is_the_seeded_draws_searched_once(self, monkeypatch):
         rng = random.Random(13)
         want = tuple(oracle._random_prime(rng) for _ in range(3))
-        # rank 0 modulo p1 and 1 modulo the others: the vote takes three primes
-        matrix = SparseIntMatrix((1, 1), (((0, want[0]),),))
+        # rank 0 modulo 2039 and p1 and 1 modulo the others: the vote takes three primes
+        matrix = SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * want[0]),),))
         first = exact_rank(matrix, seed=13, exact_limit=0)
         assert (first.rank, first.certified, first.primes) == (1, True, want)
 
@@ -263,13 +264,13 @@ class TestExactRank:
         assert exact_rank(matrix, seed=13, exact_limit=0) == first
 
     def test_corner_deficient_blocks_are_proven_by_bareiss(self, monkeypatch):
-        # the two-term corner map at m = 10: every rank-deficient block is at
-        # most 33 wide, so the default limit proves each exactly, with p1 alone
+        # the two-term corner map at m = 10: every block that is deficient
+        # modulo the proof prime is at most 33 wide, so the default limit
+        # proves each exactly, and the vote draws no prime
         matrix = build_matrix(corner_operator(2), 9, 8)
-        p1 = exact_rank(matrix).primes[0]
         deficient = 0
         for entries, (nrows, ncols), _ in matrix.blocks:
-            if oracle._rank_mod_p(entries, nrows, ncols, p1) < min(nrows, ncols):
+            if oracle._rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME) < min(nrows, ncols):
                 assert max(nrows, ncols) <= oracle.DEFAULT_EXACT_LIMIT
                 deficient += 1
         calls = []
@@ -282,11 +283,12 @@ class TestExactRank:
         monkeypatch.setattr(oracle, "_rank_bareiss", counted)
         exact = exact_rank(matrix)
         assert len(calls) == deficient > 0
-        assert (exact.kernel_dim, exact.primes, exact.certified) == (219, (p1,), True)
+        assert (exact.kernel_dim, exact.primes, exact.certified) == (219, (), True)
         calls.clear()
         voted = exact_rank(matrix, exact_limit=0)
         assert calls == [] and voted.rank == exact.rank
-        assert voted.certified and len(voted.primes) >= 2 and voted.primes[0] == p1
+        assert voted.certified and len(voted.primes) >= 2
+        assert voted.primes[0] == oracle._random_prime(random.Random(0))
 
     def test_debug_line_reports_blocks_and_primes(self, caplog):
         # blocks {row 0} x {col 0} and {rows 1, 2} x {cols 1, 2}, the second of rank 1
@@ -298,16 +300,44 @@ class TestExactRank:
             proven = exact_rank(matrix)
             voted = exact_rank(matrix, exact_limit=0)
             blocked = exact_rank(weights)
+        p1, p2 = oracle._seeded_primes(0)[:2]
         assert [r.getMessage() for r in caplog.records] == [
-            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 rank-deficient "
-            f"(1 by Bareiss, 0 by vote), built 3 of 3 columns, primes {list(proven.primes)}",
-            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 rank-deficient "
-            f"(0 by Bareiss, 1 by vote), built 3 of 3 columns, primes {list(voted.primes)}",
-            "rank 6 of 6x9 matrix: 2 blocks, largest 1x2, 0 rank-deficient "
-            f"(0 by Bareiss, 0 by vote), built 3 of 9 columns, primes {list(blocked.primes)}",
+            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 full rank modulo 2039, "
+            "1 by Bareiss, 0 by vote, built 3 of 3 columns, vote primes none",
+            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 full rank modulo 2039, "
+            f"0 by Bareiss, 1 by vote, built 3 of 3 columns, vote primes [{p1}, {p2}]",
+            "rank 6 of 6x9 matrix: 2 blocks, largest 1x2, 2 full rank modulo 2039, "
+            "0 by Bareiss, 0 by vote, built 3 of 9 columns, vote primes none",
         ]
         assert proven.rank == voted.rank == 2
-        assert (len(proven.primes), len(voted.primes)) == (1, 2)
+        assert (proven.primes, voted.primes, blocked.primes) == ((), (p1, p2), ())
+
+    @pytest.mark.parametrize("columns", [
+        (((0, 2039),),),
+        (((0, 2), (1, 1)), ((0, 1), (1, 1020))),  # [[2, 1], [1, 1020]], determinant 2039
+    ], ids=["entry", "determinant"])
+    def test_full_rank_block_deficient_modulo_the_proof_prime(self, monkeypatch, columns):
+        # full rank over Q, deficient modulo 2039: the proof prime never proves it,
+        # Bareiss does under exact_limit, and the vote does at exact_limit=0
+        size = len(columns)
+        matrix = SparseIntMatrix((size, size), columns)
+        ((entries, shape, _),) = oracle._component_blocks(matrix)
+        assert oracle._rank_mod_p(entries, *shape, oracle._PROOF_PRIME) == size - 1
+        calls = []
+        bareiss = oracle._rank_bareiss
+
+        def counted(entries, nrows, ncols):
+            calls.append((nrows, ncols))
+            return bareiss(entries, nrows, ncols)
+
+        monkeypatch.setattr(oracle, "_rank_bareiss", counted)
+        exact = exact_rank(matrix, seed=4)
+        assert (exact.rank, exact.certified, exact.primes) == (size, True, ())
+        assert calls == [(size, size)]
+        calls.clear()
+        voted = exact_rank(matrix, seed=4, exact_limit=0)
+        assert (voted.rank, voted.certified, voted.primes) == (size, True, oracle._seeded_primes(4)[:2])
+        assert calls == [] and oracle._PROOF_PRIME not in voted.primes
 
     def test_rank_never_builds_the_column_list(self, monkeypatch):
         def refuse(*tables):
@@ -356,11 +386,117 @@ class TestExactRank:
             RankResult(4, 3, 2, 1, 1, True, (3, 5))
 
 
+def rank_gf2(entries, nrows):
+    """Rank over GF(2) by xor elimination: an independent reference for p = 2."""
+    rows = [0] * nrows
+    for i, j, val in entries:
+        rows[i] |= (val % 2) << j
+    basis = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+    return len(basis)
+
+
 class TestModularElimination:
     """The packed-row elimination against exact ranks, up to blocks wider than oracle_large's."""
 
     P = 2**31 - 1  # a prime in the range the oracle draws from
+    PRIMES = [oracle._PROOF_PRIME, P]
     WIDTHS = [49, 50, 160]  # the widest oracle_large block is 153x154
+
+    @staticmethod
+    @functools.cache
+    def sparse(seed):
+        # about three entries per column, of a few hundred at most, as in the
+        # weight blocks of the special fiber; tall and wide shapes alike
+        rng = random.Random(seed)
+        nrows, ncols = rng.randrange(1, 41), rng.randrange(1, 41)
+        cells = {(rng.randrange(nrows), j) for j in range(ncols) for _ in range(3)}
+        entries = [(i, j, rng.choice((-1, 1)) * rng.randrange(1, 300)) for i, j in sorted(cells)]
+        return entries, nrows, ncols, oracle._rank_bareiss(entries, nrows, ncols)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_sparse_blocks(self, p):
+        full = {"tall": 0, "wide": 0}
+        for seed in range(150):
+            entries, nrows, ncols, want = self.sparse(seed)
+            got = oracle._rank_mod_p(entries, nrows, ncols, p)
+            assert got <= want  # modular rank never overshoots
+            if want == min(nrows, ncols):
+                assert got == want
+                full["tall" if nrows > ncols else "wide"] += 1
+        assert min(full.values()) >= 20
+
+    def test_sparse_blocks_modulo_2(self):
+        for seed in range(150):
+            entries, nrows, ncols, want = self.sparse(seed)
+            got = oracle._rank_mod_p(entries, nrows, ncols, 2)
+            assert got == rank_gf2(entries, nrows) <= want
+
+    @pytest.mark.parametrize("p", [7, oracle._PROOF_PRIME])
+    def test_lead_becomes_a_multiple_of_p(self, p):
+        # row 1 meets row 0's pivot, which adds 1 to each of its slots: its
+        # lead p - 1 becomes p, zero mod p and not a pivot, and the next slot
+        # decides.  [[1, 1], [p - 1, 1]] has determinant 2 - p, nonzero mod p;
+        # [[1, 1], [p - 1, 2p - 1]] has determinant p, so rank 2 over Q only
+        independent = [(0, 0, 1), (0, 1, 1), (1, 0, p - 1), (1, 1, 1)]
+        deficient = [(0, 0, 1), (0, 1, 1), (1, 0, p - 1), (1, 1, 2 * p - 1)]
+        assert oracle._rank_mod_p(independent, 2, 2, p) == oracle._rank_bareiss(independent, 2, 2) == 2
+        assert oracle._rank_mod_p(deficient, 2, 2, p) == 1
+        assert oracle._rank_bareiss(deficient, 2, 2) == 2
+
+    def test_lowest_set_bit_at_the_top_of_its_slot(self):
+        # 6 rows of p = 2039 take 25-bit slots.  Rows e_i + q_i e_6 (i < 5) and
+        # (p - c_0, ..., p - c_4, 0, s) leave s + sum c_i q_i = 2**24 in the
+        # last row's last slot, after an empty one: the run of zero slots
+        # ends at a bit that is its slot's top bit
+        p = oracle._PROOF_PRIME
+        c, q, s = (2038, 2038, 2038, 2038, 80), (2038,) * 5, 400
+        assert (6 * p * p).bit_length() == 25 and s + sum(ci * qi for ci, qi in zip(c, q)) == 2**24
+        entries = [(i, i, 1) for i in range(5)] + [(i, 6, q[i]) for i in range(5)]
+        entries += [(5, i, p - c[i]) for i in range(5)] + [(5, 6, s)]
+        assert oracle._rank_mod_p(entries, 6, 7, p) == oracle._rank_bareiss(entries, 6, 7) == 6
+
+    @pytest.mark.parametrize("p", [2, 7, oracle._PROOF_PRIME])
+    def test_single_row_and_column(self, p):
+        # 2p and p + 1 are 0 and 1 mod p; p and 3p are both 0
+        row = [(0, 3, 2 * p), (0, 5, p + 1)]
+        zero = [(0, 1, p), (0, 4, 3 * p)]
+        for entries, want in ((row, 1), (zero, 0), ([], 0)):
+            assert oracle._rank_mod_p(entries, 1, 8, p) == want
+            column = [(j, i, val) for i, j, val in entries]
+            assert oracle._rank_mod_p(column, 8, 1, p) == want
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_empty_rows(self, p):
+        # rows 1, 3 and 4 are empty; rows 0 and 2 are independent
+        entries = [(0, 0, 1), (0, 2, 5), (2, 0, 3), (2, 1, 4)]
+        assert oracle._rank_mod_p(entries, 5, 3, p) == 2
+        assert oracle._rank_mod_p([(j, i, v) for i, j, v in entries], 3, 5, p) == 2
+        assert oracle._rank_mod_p([], 6, 4, p) == oracle._rank_mod_p([], 0, 0, p) == 0
+
+    @pytest.mark.parametrize("nrows", [1033, 1034, 1036])
+    def test_slot_bound_at_the_row_limit(self, nrows):
+        # nrows * 2039**2 < 2**32 up to 1033 rows.  Rows e_i + (p - 1) e_last
+        # (i < nrows - 1) and (1, ..., 1, s): the last row meets every other
+        # pivot with the factor p - 1 against the entry p - 1, so its last slot
+        # reaches s + (nrows - 1)(p - 1)**2, the most the slot bound allows,
+        # and above 2**32 at 1036 rows.  Over Q the rank is full; modulo p
+        # the last slot is s + nrows - 1.
+        p = oracle._PROOF_PRIME
+        last = nrows - 1
+        base = [(i, i, 1) for i in range(last)] + [(i, last, p - 1) for i in range(last)]
+        base += [(last, j, 1) for j in range(last)]
+        for s, want in ((1, nrows), (p - last % p, nrows - 1)):
+            entries = base + [(last, last, s)]
+            assert oracle._rank_mod_p(entries, nrows, nrows, p) == want
+            # one more, empty row: ranked as the transpose, nrows rows again
+            assert oracle._rank_mod_p(entries, nrows + 1, nrows, p) == want
 
     @staticmethod
     @functools.cache
@@ -382,7 +518,8 @@ class TestModularElimination:
         if not tall:
             entries = [(j, i, v) for i, j, v in entries]
             nrows, ncols = ncols, nrows
-        assert oracle._rank_mod_p(entries, nrows, ncols, self.P) == want
+        for p in self.PRIMES:
+            assert oracle._rank_mod_p(entries, nrows, ncols, p) == want
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_entry_equal_to_p(self, width):
@@ -435,15 +572,16 @@ class TestOracleSeries:
             )
 
     def test_each_multiple_is_ranked_with_the_seed(self):
-        # every multiple draws p1 from the seed; m = 12 has rank-deficient
-        # blocks wider than the default exact_limit, so it votes on more primes
+        # m = 3 has no rank-deficient block wider than the default exact_limit,
+        # so its vote draws no prime; m = 12 has some, and its vote draws
+        # primes from the seed, starting with p1
         op = corner_operator(2)
         rows = oracle_series(op, 1, 1, [3, 12], seed=9)
         for m, result in rows:
             assert result == exact_rank(build_matrix(op, m - 1, m - 2), seed=9)
         (_, small), (_, large) = rows
-        assert len(small.primes) == 1 and len(large.primes) >= 2
-        assert small.primes[0] == large.primes[0] == oracle._random_prime(random.Random(9))
+        assert small.primes == () and len(large.primes) >= 2
+        assert large.primes[0] == oracle._random_prime(random.Random(9))
 
     def test_skips_infeasible_multiples(self):
         rows = oracle_series(special_fiber_operator(2, 1), 1, 1, range(1, 5))

@@ -3,9 +3,8 @@
 The oracle builds the honest matrix of a contraction operator between
 monomial bases and computes its rank exactly, one weight block at a time,
 by the rule in the exact_rank docstring: one elimination modulo the fixed
-prime 2039 proves the blocks of full rank, and Bareiss elimination or a vote
-of seeded random primes ranks the rest.  Each result keeps the primes the
-vote drew, none when every block is proven otherwise.  Its only symmetry is
+prime 2039 proves the blocks of full rank, and Bareiss elimination proves
+the rank of the rest, so every result is certified.  Its only symmetry is
 the one it checks on the operator's own terms; it knows nothing about
 representation theory, which is what makes the agreement meaningful.
 """

@@ -3,8 +3,9 @@
 JSON is the canonical machine format; every integer in a result payload is
 serialized as a decimal string so arbitrary-precision values survive
 53-bit consumers, and rationals are serialized as "p/q".  Output is
-deterministic: identical flags (including --seed) produce byte-identical
-JSON.
+deterministic: identical flags produce byte-identical JSON.  Every
+subcommand accepts --seed and echoes it in the JSON params, but no result
+depends on it, since every rank is proven.
 
 Six single-result commands (bott, product, decompose, predict, oracle,
 asymptotics) are declared once, in CACHED: their help text, the fields of
@@ -145,7 +146,7 @@ def _vector_table(values) -> list[str]:
 # `verify --cache`.
 
 
-def _bott(p, seed, size_cap) -> dict:
+def _bott(p, size_cap) -> dict:
     return _cohomology_payload(bott_cohomology(p["n"], p["d"]))
 
 
@@ -153,7 +154,7 @@ def _bott_table(p, result) -> list[str]:
     return [f"O({p['d']}) on P^{p['n']}:"] + _vector_table(result["values"])
 
 
-def _product(p, seed, size_cap) -> dict:
+def _product(p, size_cap) -> dict:
     divisor = DivisorClass(p["a1"], p["a2"])
     payload = _cohomology_payload(kunneth_cohomology(p["n"], divisor))
     payload["euler"] = euler_characteristic(p["n"], divisor)
@@ -165,7 +166,7 @@ def _product_table(p, result) -> list[str]:
     return [header] + _vector_table(result["values"]) + [f"euler = {result['euler']}"]
 
 
-def _decompose(p, seed, size_cap) -> dict:
+def _decompose(p, size_cap) -> dict:
     decomposition = pieri_decompose(p["n"], p["A"], p["B"])
     return {
         "A": p["A"],
@@ -186,7 +187,7 @@ def _decompose_table(p, result) -> list[str]:
     return table
 
 
-def _predict(p, seed, size_cap) -> dict:
+def _predict(p, size_cap) -> dict:
     analysis = predict_map_analysis(p["n"], p["k"], p["A"], p["B"])
     dim_source, dim_target = source_target_dims(p["n"], p["k"], p["A"], p["B"])
     return {
@@ -211,7 +212,7 @@ def _predict_table(p, result) -> list[str]:
     ]
 
 
-def _oracle(p, seed, size_cap) -> dict:
+def _oracle(p, size_cap) -> dict:
     if p["op"] == "special":
         op = special_fiber_operator(p["n"], p["k"])
     else:
@@ -221,7 +222,7 @@ def _oracle(p, seed, size_cap) -> dict:
                 f"operator has (n, k) = ({op.n}, {op.k}), key says ({p['n']}, {p['k']})"
             )
     matrix = build_matrix(op, p["A"], p["B"], size_cap=size_cap)
-    return _rank_payload(exact_rank(matrix, seed=seed))
+    return _rank_payload(exact_rank(matrix))
 
 
 def _oracle_table(p, result) -> list[str]:
@@ -229,7 +230,7 @@ def _oracle_table(p, result) -> list[str]:
             ("dim_source", "dim_target", "rank", "kernel_dim", "cokernel_dim", "certified")]
 
 
-def _asymptotics(p, seed, size_cap) -> dict:
+def _asymptotics(p, size_cap) -> dict:
     label = classify(p["n"], DivisorClass(p["a1"], -p["a2"]))
     vector = asymptotic_special_fiber(p["n"], p["k"], p["a1"], p["a2"])
     return {
@@ -255,13 +256,13 @@ class Cached(NamedTuple):
 
     fields are the cache-key fields in key order, and each is one flag:
     `op` is --operator/--operator-file and stays text, every other field is
-    a required integer --<field>.  compute(params, seed, size_cap) returns
-    the payload and table(params, payload) its table lines.
+    a required integer --<field>.  compute(params, size_cap) returns the
+    payload and table(params, payload) its table lines.
     """
 
     help: str
     fields: tuple[str, ...]
-    compute: Callable[[dict, int, int], dict]
+    compute: Callable[[dict, int], dict]
     table: Callable[[dict, dict], list[str]]
 
 
@@ -321,7 +322,7 @@ def cmd_cached(args) -> int:
     cache = ResultCache(args.cache) if args.cache else None
     result = cache.get(key) if cache is not None else None
     if result is None:
-        result = _stringify(entry.compute(params, args.seed, args.size_cap))
+        result = _stringify(entry.compute(params, args.size_cap))
         if cache is not None:
             cache.put(key, result)
     envelope = {("operator" if name == "op" else name): v for name, v in params.items()}
@@ -353,9 +354,7 @@ def cmd_series(args) -> int:
         params["operator"] = opkey
         rows = [
             {"m": m, **_rank_payload(rank)}
-            for m, rank in oracle_series(
-                op, args.a1, args.a2, span, seed=args.seed, size_cap=args.size_cap
-            )
+            for m, rank in oracle_series(op, args.a1, args.a2, span, size_cap=args.size_cap)
         ]
     header = list(rows[0])
     _emit(args.format, "series", params, _stringify({"rows": rows}),
@@ -402,7 +401,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _verify_cache(path: str, seed: int, size_cap: int) -> int:
+def _verify_cache(path: str, size_cap: int) -> int:
     """Recompute every cached record; return the number of mismatches."""
     failures = 0
     try:
@@ -413,18 +412,15 @@ def _verify_cache(path: str, seed: int, size_cap: int) -> int:
     if not cache.path.exists():
         print(f"FAIL - cache file {path}: not found")
         return 1
-    audited = {"certified"}  # seed-dependent certification detail, not a result integer
     for key, value in cache.items():
         try:
             entry, params = _parse_key(key)
-            fresh = _stringify(entry.compute(params, seed, size_cap))
+            fresh = _stringify(entry.compute(params, size_cap))
         except Exception as exc:
             print(f"FAIL - cache key {key}: cannot recompute ({exc})")
             failures += 1
             continue
-        cached_core = {k: v for k, v in value.items() if k not in audited}
-        fresh_core = {k: v for k, v in fresh.items() if k not in audited}
-        if cached_core != fresh_core:
+        if value != fresh:
             print(f"FAIL - cache key {key}: cached value differs from recomputation")
             failures += 1
         else:
@@ -433,9 +429,9 @@ def _verify_cache(path: str, seed: int, size_cap: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    failures = run_suite(args.suite, seed=args.seed)
+    failures = run_suite(args.suite)
     if args.cache:
-        failures += _verify_cache(args.cache, args.seed, args.size_cap)
+        failures += _verify_cache(args.cache, args.size_cap)
     if failures:
         print(f"{failures} check(s) failed")
         return 1

@@ -16,10 +16,10 @@ all monomials coded as integers, and exact_rank eliminates each
 representative once.  The full column list is built from the same table
 only when something reads matrix.columns: the golden layout, to_dense,
 nnz, equality, and operators that do not preserve weight, which fall back
-to the connected components of the sparsity pattern.  A block of full rank
-modulo the small fixed prime 2039 is proven by that elimination, a deficient
-one by Bareiss elimination or a vote of seeded primes; exact_rank states the
-rule in full.  Modular eliminations run in pure Python with each row packed
+to the connected components of the sparsity pattern.  Every rank is a
+proof: a block of full rank modulo the small fixed prime 2039 is proven by
+that elimination, a deficient one by Bareiss elimination (exact_rank states
+the rule).  Modular eliminations run in pure Python with each row packed
 into one integer (see _rank_mod_p).
 
 The matrix layout is part of the golden-test contract: bases are ordered
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import logging
-import random
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from functools import lru_cache
 from math import factorial, perm, prod
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from .projspace import feasible_multiples, source_target_dims
 
@@ -57,22 +56,11 @@ Coder = Callable[[Monomial], int]
 HitTable = dict[int, list[tuple[int, int, int]]]
 
 DEFAULT_SIZE_CAP = 200_000
-# The widest rank-deficient block that Bareiss elimination ranks (the rule is
-# in exact_rank).  Bareiss slows as the entries grow: on the deficient blocks
-# of the two-term corner operator (m = 6..17) it takes about 1.7 ms at 30-39
-# wide, where one elimination modulo the proof prime takes 0.10 ms, and 22 ms
-# at 80-89 wide (2 CPUs, Python 3.11.7).  40 covers every deficient block of
-# the corner check at m <= 10 (the widest is 33).
-DEFAULT_EXACT_LIMIT = 40
 
 # Every block is first eliminated modulo this prime (the rule is in
 # exact_rank).  It is small, so the packed slots of _rank_mod_p are narrow:
 # nrows * 2039**2 < 2**32 up to 1033 rows.
 _PROOF_PRIME = 2039
-# The vote's primes are drawn from [_PRIME_LOW, _PRIME_HIGH).
-_PRIME_LOW = 2**30 + 1
-_PRIME_HIGH = 2**31
-_MAX_PRIMES = 8  # primes one call may use before it gives up certifying
 
 
 class SizeCapError(ValueError):
@@ -444,9 +432,8 @@ def _representative_blocks(
 class RankResult:
     """Exact rank data for one contraction matrix.
 
-    certified is True when every block is proven by the rule exact_rank
-    states.  primes are the primes the vote drew, retained for audit: none
-    when no block went to the vote.
+    Every rank exact_rank returns is proven by its rule and no route draws
+    a random prime, so certified is always True and primes always ().
     """
 
     dim_source: int
@@ -454,8 +441,8 @@ class RankResult:
     rank: int
     kernel_dim: int
     cokernel_dim: int
-    certified: bool
-    primes: tuple[int, ...]
+    certified: ClassVar[bool] = True
+    primes: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self) -> None:
         if self.kernel_dim != self.dim_source - self.rank:
@@ -464,52 +451,6 @@ class RankResult:
             raise ValueError("rank-nullity violated on the target side")
         if not 0 <= self.rank <= min(self.dim_source, self.dim_target):
             raise ValueError("rank out of range")
-
-
-def _is_prime(x: int) -> bool:
-    # Miller-Rabin with bases 2, 3, 5, 7 is exact below 3_215_031_751 > 2^31.
-    for p in (2, 3, 5, 7):
-        if x % p == 0:
-            return x == p
-    d, s = x - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        y = pow(a, d, x)
-        if y in (1, x - 1):
-            continue
-        for _ in range(s - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _random_prime(rng: random.Random) -> int:
-    while True:
-        candidate = rng.randrange(_PRIME_LOW, _PRIME_HIGH) | 1
-        while candidate < _PRIME_HIGH and not _is_prime(candidate):
-            candidate += 2
-        if candidate < _PRIME_HIGH:
-            return candidate
-
-
-@lru_cache(maxsize=64)
-def _seeded_primes(seed: int) -> tuple[int, ...]:
-    """The first _MAX_PRIMES distinct primes drawn from random.Random(seed).
-
-    Kept per seed, so calls that share a seed skip the Miller-Rabin search.
-    """
-    rng = random.Random(seed)
-    primes: list[int] = []
-    while len(primes) < _MAX_PRIMES:
-        p = _random_prime(rng)
-        if p not in primes:
-            primes.append(p)
-    return tuple(primes)
 
 
 def _connected_components(
@@ -658,7 +599,7 @@ def exact_rank(
     matrix: SparseIntMatrix,
     *,
     seed: int = 0,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
+    exact_limit: int = 40,
 ) -> RankResult:
     """Rank of the matrix over the rationals, with kernel/cokernel dimensions.
 
@@ -667,22 +608,16 @@ def exact_rank(
     counted with its orbit's multiplicity and read without building
     matrix.columns, or else the connected components of the sparsity
     pattern, found from matrix.columns.  The rank is the sum of
-    multiplicity x block rank, and each block is ranked by the first of
-    three routes that applies:
+    multiplicity x block rank, and each block is ranked by one of two
+    routes, both proofs:
 
     1. Every block is eliminated modulo the fixed prime _PROOF_PRIME = 2039.
        Rank modulo any prime is at most the rank over Q, so a block whose
        rank mod 2039 is min(rows, cols) has that rank over Q.
     2. A block of lower rank mod 2039 is ranked exactly by fraction-free
-       (Bareiss) elimination when max(rows, cols) <= exact_limit.
-    3. The wider deficient blocks go to a vote: they are eliminated modulo
-       the primes p1, p2, ... > 2^30 that random.Random(seed) draws, one
-       total per prime, until the maximum total is seen twice (at most 8
-       primes).  certified is False if it never is.  exact_limit=0 sends
-       every block that is deficient mod 2039 to the vote.
+       (Bareiss) elimination, whatever its width.
 
-    primes lists the primes the vote drew, in the order drawn: () when no
-    block went to the vote.
+    seed and exact_limit are accepted for older callers and ignored.
     """
     dim_target, dim_source = matrix.shape
     blocks = matrix.blocks
@@ -690,47 +625,28 @@ def exact_rank(
         blocks, built = _component_blocks(matrix), dim_source
     else:
         built = sum(nc for _, (_, nc), _ in blocks)
-    rank = by_proof_prime = by_bareiss = 0
-    voted = []
+    rank = by_bareiss = 0
     largest = (0, 0)
     for entries, (nr, nc), multiplicity in blocks:
         largest = max(largest, (nr, nc), key=prod)
-        full = min(nr, nc)
-        if _rank_mod_p(entries, nr, nc, _PROOF_PRIME) == full:
-            rank += multiplicity * full
-            by_proof_prime += 1
-        elif max(nr, nc) <= exact_limit:
-            rank += multiplicity * _rank_bareiss(entries, nr, nc)
+        block_rank = _rank_mod_p(entries, nr, nc, _PROOF_PRIME)
+        if block_rank < min(nr, nc):
+            block_rank = _rank_bareiss(entries, nr, nc)
             by_bareiss += 1
-        else:
-            voted.append((entries, nr, nc, multiplicity))
-    # The voted blocks' total, once per prime.  Modular rank can only
-    # undershoot, so the maximum seen twice is taken as the rank over Q.
-    stream = _seeded_primes(seed) if voted else ()
-    seen: list[int] = []
-    while voted and seen.count(max(seen, default=0)) < 2 and len(seen) < _MAX_PRIMES:
-        p = stream[len(seen)]
-        seen.append(sum(
-            multiplicity * _rank_mod_p(entries, nr, nc, p)
-            for entries, nr, nc, multiplicity in voted
-        ))
-    rank += max(seen, default=0)
-    primes = stream[: len(seen)]
+        rank += multiplicity * block_rank
     logger.debug(
         "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d full rank modulo %d, "
-        "%d by Bareiss, %d by vote, built %d of %d columns, vote primes %s",
+        "%d by Bareiss, built %d of %d columns",
         rank,
         dim_target,
         dim_source,
         len(blocks),
         *largest,
-        by_proof_prime,
+        len(blocks) - by_bareiss,
         _PROOF_PRIME,
         by_bareiss,
-        len(voted),
         built,
         dim_source,
-        list(primes) or "none",
     )
     return RankResult(
         dim_source=dim_source,
@@ -738,8 +654,6 @@ def exact_rank(
         rank=rank,
         kernel_dim=dim_source - rank,
         cokernel_dim=dim_target - rank,
-        certified=not voted or seen.count(max(seen)) > 1,
-        primes=primes,
     )
 
 
@@ -749,16 +663,15 @@ def oracle_series(
     a2: int,
     m_range: Iterable[int],
     *,
-    seed: int = 0,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> list[tuple[int, RankResult]]:
     """Per-multiple rank results for op along the special-fiber exponent schedule.
 
     n and k are the operator's own.  The multiples, their exponents (A, B)
     and the errors are those of feasible_multiples; each multiple's rank is
-    exact_rank(build_matrix(op, A, B), seed=seed).
+    exact_rank(build_matrix(op, A, B)).
     """
     return [
-        (m, exact_rank(build_matrix(op, A, B, size_cap=size_cap), seed=seed))
+        (m, exact_rank(build_matrix(op, A, B, size_cap=size_cap)))
         for m, A, B in feasible_multiples(op.n, op.k, a1, a2, m_range)
     ]

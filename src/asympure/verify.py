@@ -100,7 +100,7 @@ def _check_euler_consistency(n_list: list[int], k_max: int, e_max: int) -> tuple
     return True, f"{count} maps"
 
 
-def _check_engine_series(m_max: int, seed: int) -> tuple[bool, str]:
+def _check_engine_series(m_max: int) -> tuple[bool, str]:
     count = 0
     multiples = range(1, m_max + 1)
     for n in (1, 2):
@@ -108,7 +108,7 @@ def _check_engine_series(m_max: int, seed: int) -> tuple[bool, str]:
             op = special_fiber_operator(n, k)
             for a1, a2 in ((1, 1), (2, 1), (1, 2)):
                 oracle_rows = [(m, r.kernel_dim, r.cokernel_dim)
-                               for m, r in oracle_series(op, a1, a2, multiples, seed=seed)]
+                               for m, r in oracle_series(op, a1, a2, multiples)]
                 rep_rows = kernel_series_rep(n, k, a1, a2, multiples)
                 if oracle_rows != rep_rows:
                     got, want = next(p for p in zip_longest(oracle_rows, rep_rows) if p[0] != p[1])
@@ -118,7 +118,7 @@ def _check_engine_series(m_max: int, seed: int) -> tuple[bool, str]:
     return True, f"{count} multiples agree"
 
 
-def _check_engine_grid(n_list: list[int], k_max: int, e_max: int, seed: int) -> tuple[bool, str]:
+def _check_engine_grid(n_list: list[int], k_max: int, e_max: int) -> tuple[bool, str]:
     count = 0
     for n in n_list:
         for k in range(1, k_max + 1):
@@ -126,7 +126,7 @@ def _check_engine_grid(n_list: list[int], k_max: int, e_max: int, seed: int) -> 
             for A in range(e_max + 1):
                 for B in range(k, e_max + 1):
                     analysis = predict_map_analysis(n, k, A, B)
-                    result = exact_rank(build_matrix(op, A, B), seed=seed)
+                    result = exact_rank(build_matrix(op, A, B))
                     if (result.kernel_dim, result.cokernel_dim) != (
                         analysis.kernel_dim,
                         analysis.cokernel_dim,
@@ -146,8 +146,8 @@ def _corner_operator(terms: int) -> ContractionOperator:
     )
 
 
-def _check_corner_closed_form(m_max: int, seed: int) -> tuple[bool, str]:
-    rows = oracle_series(_corner_operator(1), 1, 1, range(2, m_max + 1), seed=seed)
+def _check_corner_closed_form(m_max: int) -> tuple[bool, str]:
+    rows = oracle_series(_corner_operator(1), 1, 1, range(2, m_max + 1))
     multiples = [m for m, _ in rows]
     if multiples != list(range(2, m_max + 1)):
         return False, f"series covers multiples {multiples}, expected 2..{m_max}"
@@ -162,8 +162,8 @@ def _check_corner_closed_form(m_max: int, seed: int) -> tuple[bool, str]:
     return True, f"m in [2, {m_max}], leading coefficient 1/2"
 
 
-def _check_corner_lower_bound(m_max: int, seed: int) -> tuple[bool, str]:
-    rows = oracle_series(_corner_operator(2), 1, 1, range(2, m_max + 1), seed=seed)
+def _check_corner_lower_bound(m_max: int) -> tuple[bool, str]:
+    rows = oracle_series(_corner_operator(2), 1, 1, range(2, m_max + 1))
     for m, result in rows:
         bound = sum(binomial(2 + (m - 1 - j), 2) for j in range(m - 1))
         if result.kernel_dim < bound:
@@ -224,8 +224,6 @@ def _check_weyl_goldens() -> tuple[bool, str]:
     return True, f"{len(cases)} spot values"
 
 
-_SEED = object()  # stands for the run's seed in an argument tuple
-
 # Each check once, in run order: name, function, its arguments in the small
 # suite and in the full suite (None: the check is not in that suite).
 _CHECKS = (
@@ -235,32 +233,31 @@ _CHECKS = (
     ("Weyl goldens", _check_weyl_goldens, (), ()),
     ("Pieri dimension sums", _check_pieri_sums, (2, 12), (4, 30)),
     ("Euler consistency", _check_euler_consistency, ([1, 2], 2, 8), ([1, 2, 3], 2, 12)),
-    ("engine equivalence (series)", _check_engine_series, (8, _SEED), (12, _SEED)),
-    ("engine equivalence (grid)", _check_engine_grid, None, ([1, 2], 2, 12, _SEED)),
-    ("corner closed form", _check_corner_closed_form, (8, _SEED), (12, _SEED)),
-    ("corner lower bound", _check_corner_lower_bound, (8, _SEED), (10, _SEED)),
+    ("engine equivalence (series)", _check_engine_series, (8,), (12,)),
+    ("engine equivalence (grid)", _check_engine_grid, None, ([1, 2], 2, 12)),
+    ("corner closed form", _check_corner_closed_form, (8,), (12,)),
+    ("corner lower bound", _check_corner_lower_bound, (8,), (10,)),
     ("purity scan", _check_purity_scan, (1, 3), (2, 5)),
     ("rank-3 prediction identities", _check_growth_degrees,
      None, (3, [(2, 1), (1, 2), (1, 1)])),
 )
 
 
-def build_suite(suite: str, seed: int = 0) -> list[Check]:
+def build_suite(suite: str) -> list[Check]:
     if suite not in ("small", "full"):
         raise ValueError(f"unknown suite {suite!r}; expected 'small' or 'full'")
     checks: list[Check] = []
     for name, check, small, full in _CHECKS:
         args = small if suite == "small" else full
         if args is not None:
-            args = tuple(seed if arg is _SEED else arg for arg in args)
             checks.append((name, partial(check, *args)))
     return checks
 
 
-def run_suite(suite: str, seed: int = 0) -> int:
+def run_suite(suite: str) -> int:
     """Run all checks, print one line per check, return the failure count."""
     failures = 0
-    for name, check in build_suite(suite, seed):
+    for name, check in build_suite(suite):
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check

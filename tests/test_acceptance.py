@@ -56,20 +56,20 @@ class _Budget:
 
 def test_criterion_1_corner_closed_form():
     with _Budget("criterion 1: one-term corner kernel is (m^3-m)/2 on m in [2,12]", 30):
-        ok, detail = _check_corner_closed_form(12, 0)
+        ok, detail = _check_corner_closed_form(12)
         assert ok, detail
 
 
 def test_criterion_2_corner_lower_bound():
     with _Budget("criterion 2: two-term corner kernel meets the binomial sum on m in [2,10]", 60):
         # the recorded golden: the displayed sum is the exact kernel (no gap)
-        ok, detail = _check_corner_lower_bound(10, 0)
+        ok, detail = _check_corner_lower_bound(10)
         assert ok, detail
 
 
 def test_criterion_3_engine_equivalence():
     with _Budget("criterion 3: engines agree for n,k <= 2 and A,B <= 12", 300):
-        ok, detail = _check_engine_grid([1, 2], 2, 12, 0)
+        ok, detail = _check_engine_grid([1, 2], 2, 12)
         assert ok, detail
         assert detail == "598 maps agree exactly"
 

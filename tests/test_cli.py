@@ -343,6 +343,19 @@ class TestCache:
         assert code == 1
         assert "FAIL - cache key predict:n=2,k=1,A=9,B=3" in out
 
+    def test_verify_audits_the_certified_flag(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        key = "oracle:n=2,k=1,A=3,B=2,op=special"
+        run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "2",
+            "--cache", str(cache))
+        record = json.loads(cache.read_text())
+        assert record["key"] == key and record["value"]["certified"] is True
+        record["value"]["certified"] = False
+        cache.write_text(json.dumps(record) + "\n")
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 1
+        assert f"FAIL - cache key {key}: cached value differs from recomputation" in out
+
     def test_torn_final_record_is_skipped_and_cut(self, capsys, caplog, tmp_path):
         # a writer killed mid-record leaves a partial final line
         cache = tmp_path / "cache.jsonl"

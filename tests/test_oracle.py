@@ -26,6 +26,25 @@ def corner_operator(terms: int) -> ContractionOperator:
     return ContractionOperator(2, 1, tuple((1, e, e) for e in (E0, E1, E2)[:terms]))
 
 
+def proof_prime_multiple() -> SparseIntMatrix:
+    """The 1x1 matrix whose only entry is 2039 times the prime 2^31 - 1."""
+    return SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * (2**31 - 1)),),))
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The (rows, cols) of each block that exact_rank ranks by Bareiss, in order."""
+    calls = []
+    bareiss = oracle._rank_bareiss
+
+    def counted(entries, nrows, ncols):
+        calls.append((nrows, ncols))
+        return bareiss(entries, nrows, ncols)
+
+    monkeypatch.setattr(oracle, "_rank_bareiss", counted)
+    return calls
+
+
 class TestMonomialBasis:
     def test_graded_lex_order(self):
         assert monomial_basis(1, 2) == ((2, 0), (1, 1), (0, 2))
@@ -192,38 +211,24 @@ class TestExactRank:
         assert (result.rank, result.kernel_dim, result.cokernel_dim) == (396, 154, 0)
         assert result.certified
 
-    def test_primes_are_large_and_distinct(self):
-        # exact_limit=0 sends the two-term corner's deficient blocks to the vote
-        result = exact_rank(build_matrix(corner_operator(2), 3, 2), exact_limit=0)
-        assert len(result.primes) >= 2
-        assert len(set(result.primes)) == len(result.primes)
-        assert all(p > 2**30 for p in result.primes)
+    @pytest.mark.parametrize("build", [
+        lambda: build_matrix(corner_operator(2), 11, 10),
+        proof_prime_multiple,
+    ], ids=["corner", "entry"])
+    def test_ignored_keywords_have_no_effect(self, build):
+        # seed and exact_limit are accepted and ignored, on wide deficient
+        # blocks (the corner at m = 12) and on a block deficient mod 2039
+        matrix = build()
+        results = {exact_rank(matrix, seed=seed, exact_limit=limit)
+                   for seed in (0, 7) for limit in (0, 40)}
+        assert results == {exact_rank(matrix)}
 
-    def test_seed_determinism(self):
-        matrix = build_matrix(corner_operator(2), 3, 2)
-        a = exact_rank(matrix, seed=7, exact_limit=0)
-        b = exact_rank(matrix, seed=7, exact_limit=0)
-        c = exact_rank(matrix, seed=8, exact_limit=0)
-        assert a == b
-        assert a.primes and a.primes != c.primes
-        assert a.rank == c.rank
-
-    def test_two_prime_route_matches_exact(self):
-        # exact_limit=0 sends every rank-deficient block to the vote
-        matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
-        modular = exact_rank(matrix, exact_limit=0)
-        exact = exact_rank(matrix)
-        assert modular.rank == exact.rank
-        assert modular.certified
-
-    def test_undershooting_first_prime_is_not_trusted(self):
-        # a 1x1 matrix whose only entry is 2039 times the seeded p1: rank 0
-        # modulo the proof prime and modulo p1, 1 modulo the others
-        p1 = oracle._seeded_primes(3)[0]
-        matrix = SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * p1),),))
-        result = exact_rank(matrix, seed=3, exact_limit=0)
-        assert result.primes[0] == p1
-        assert (result.rank, result.certified, len(result.primes)) == (1, True, 3)
+    def test_undershooting_first_prime_is_not_trusted(self, bareiss_calls):
+        # rank 0 modulo the proof prime, so Bareiss proves its rank 1
+        matrix = proof_prime_multiple()
+        result = exact_rank(matrix)
+        assert (result.rank, result.certified, result.primes) == (1, True, ())
+        assert bareiss_calls == [(1, 1)]
 
     def test_full_rank_blocks_take_one_elimination(self, monkeypatch):
         calls = []
@@ -236,59 +241,31 @@ class TestExactRank:
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
         # the special operator is injective or surjective, so every block is full rank
         matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
-        result = exact_rank(matrix, exact_limit=0)
+        result = exact_rank(matrix)
         assert result.rank == min(matrix.shape)
         assert result.primes == () and result.certified
         assert calls == [oracle._PROOF_PRIME] * len(matrix.blocks)
 
     def test_small_matrices_draw_no_vote_prime(self):
         # every block is eliminated modulo the proof prime; the corner's
-        # rank-deficient blocks are proven by Bareiss, so the vote draws none
+        # rank-deficient blocks are proven by Bareiss, so no prime is drawn
         for op in (special_fiber_operator(2, 1), corner_operator(1), corner_operator(2)):
             result = exact_rank(build_matrix(op, 6, 4), seed=5)
             assert result.primes == () and result.certified
         assert exact_rank(SparseIntMatrix((3, 4), ((),) * 4), seed=5).primes == ()
 
-    def test_prime_stream_is_the_seeded_draws_searched_once(self, monkeypatch):
-        rng = random.Random(13)
-        want = tuple(oracle._random_prime(rng) for _ in range(3))
-        # rank 0 modulo 2039 and p1 and 1 modulo the others: the vote takes three primes
-        matrix = SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * want[0]),),))
-        first = exact_rank(matrix, seed=13, exact_limit=0)
-        assert (first.rank, first.certified, first.primes) == (1, True, want)
-
-        def refuse(rng):
-            raise AssertionError("a memoized prime was searched again")
-
-        monkeypatch.setattr(oracle, "_random_prime", refuse)
-        assert exact_rank(matrix, seed=13, exact_limit=0) == first
-
-    def test_corner_deficient_blocks_are_proven_by_bareiss(self, monkeypatch):
-        # the two-term corner map at m = 10: every block that is deficient
-        # modulo the proof prime is at most 33 wide, so the default limit
-        # proves each exactly, and the vote draws no prime
-        matrix = build_matrix(corner_operator(2), 9, 8)
-        deficient = 0
-        for entries, (nrows, ncols), _ in matrix.blocks:
-            if oracle._rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME) < min(nrows, ncols):
-                assert max(nrows, ncols) <= oracle.DEFAULT_EXACT_LIMIT
-                deficient += 1
-        calls = []
-        bareiss = oracle._rank_bareiss
-
-        def counted(entries, nrows, ncols):
-            calls.append((nrows, ncols))
-            return bareiss(entries, nrows, ncols)
-
-        monkeypatch.setattr(oracle, "_rank_bareiss", counted)
-        exact = exact_rank(matrix)
-        assert len(calls) == deficient > 0
-        assert (exact.kernel_dim, exact.primes, exact.certified) == (219, (), True)
-        calls.clear()
-        voted = exact_rank(matrix, exact_limit=0)
-        assert calls == [] and voted.rank == exact.rank
-        assert voted.certified and len(voted.primes) >= 2
-        assert voted.primes[0] == oracle._random_prime(random.Random(0))
+    def test_corner_deficient_blocks_are_proven_by_bareiss(self, bareiss_calls):
+        # the two-term corner map at m = 12: 45 blocks are deficient modulo
+        # the proof prime, the widest 46x48, and Bareiss ranks each of them
+        matrix = build_matrix(corner_operator(2), 11, 10)
+        deficient = [
+            (nrows, ncols) for entries, (nrows, ncols), _ in matrix.blocks
+            if oracle._rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME) < min(nrows, ncols)
+        ]
+        assert len(deficient) == 45 and max(deficient, key=max) == (46, 48)
+        result = exact_rank(matrix)
+        assert bareiss_calls == deficient
+        assert (result.rank, result.kernel_dim, result.cokernel_dim) == (4785, 363, 220)
 
     def test_debug_line_reports_blocks_and_primes(self, caplog):
         # blocks {row 0} x {col 0} and {rows 1, 2} x {cols 1, 2}, the second of rank 1
@@ -298,46 +275,29 @@ class TestExactRank:
         weights = build_matrix(special_fiber_operator(2, 1), 1, 1)
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             proven = exact_rank(matrix)
-            voted = exact_rank(matrix, exact_limit=0)
             blocked = exact_rank(weights)
-        p1, p2 = oracle._seeded_primes(0)[:2]
         assert [r.getMessage() for r in caplog.records] == [
             "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 full rank modulo 2039, "
-            "1 by Bareiss, 0 by vote, built 3 of 3 columns, vote primes none",
-            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 full rank modulo 2039, "
-            f"0 by Bareiss, 1 by vote, built 3 of 3 columns, vote primes [{p1}, {p2}]",
+            "1 by Bareiss, built 3 of 3 columns",
             "rank 6 of 6x9 matrix: 2 blocks, largest 1x2, 2 full rank modulo 2039, "
-            "0 by Bareiss, 0 by vote, built 3 of 9 columns, vote primes none",
+            "0 by Bareiss, built 3 of 9 columns",
         ]
-        assert proven.rank == voted.rank == 2
-        assert (proven.primes, voted.primes, blocked.primes) == ((), (p1, p2), ())
+        assert (proven.rank, blocked.rank) == (2, 6)
 
     @pytest.mark.parametrize("columns", [
         (((0, 2039),),),
         (((0, 2), (1, 1)), ((0, 1), (1, 1020))),  # [[2, 1], [1, 1020]], determinant 2039
     ], ids=["entry", "determinant"])
-    def test_full_rank_block_deficient_modulo_the_proof_prime(self, monkeypatch, columns):
+    def test_full_rank_block_deficient_modulo_the_proof_prime(self, bareiss_calls, columns):
         # full rank over Q, deficient modulo 2039: the proof prime never proves it,
-        # Bareiss does under exact_limit, and the vote does at exact_limit=0
+        # and Bareiss does
         size = len(columns)
         matrix = SparseIntMatrix((size, size), columns)
         ((entries, shape, _),) = oracle._component_blocks(matrix)
         assert oracle._rank_mod_p(entries, *shape, oracle._PROOF_PRIME) == size - 1
-        calls = []
-        bareiss = oracle._rank_bareiss
-
-        def counted(entries, nrows, ncols):
-            calls.append((nrows, ncols))
-            return bareiss(entries, nrows, ncols)
-
-        monkeypatch.setattr(oracle, "_rank_bareiss", counted)
-        exact = exact_rank(matrix, seed=4)
-        assert (exact.rank, exact.certified, exact.primes) == (size, True, ())
-        assert calls == [(size, size)]
-        calls.clear()
-        voted = exact_rank(matrix, seed=4, exact_limit=0)
-        assert (voted.rank, voted.certified, voted.primes) == (size, True, oracle._seeded_primes(4)[:2])
-        assert calls == [] and oracle._PROOF_PRIME not in voted.primes
+        result = exact_rank(matrix)
+        assert (result.rank, result.certified, result.primes) == (size, True, ())
+        assert bareiss_calls == [(size, size)]
 
     def test_rank_never_builds_the_column_list(self, monkeypatch):
         def refuse(*tables):
@@ -383,7 +343,9 @@ class TestExactRank:
 
     def test_rank_result_validates(self):
         with pytest.raises(ValueError):
-            RankResult(4, 3, 2, 1, 1, True, (3, 5))
+            RankResult(4, 3, 2, 1, 1)
+        with pytest.raises(ValueError):
+            RankResult(4, 3, 5, -1, -2)
 
 
 def rank_gf2(entries, nrows):
@@ -405,7 +367,7 @@ def rank_gf2(entries, nrows):
 class TestModularElimination:
     """The packed-row elimination against exact ranks, up to blocks wider than oracle_large's."""
 
-    P = 2**31 - 1  # a prime in the range the oracle draws from
+    P = 2**31 - 1  # a large prime, whose slots are wide
     PRIMES = [oracle._PROOF_PRIME, P]
     WIDTHS = [49, 50, 160]  # the widest oracle_large block is 153x154
 
@@ -571,17 +533,10 @@ class TestOracleSeries:
                 analysis.cokernel_dim,
             )
 
-    def test_each_multiple_is_ranked_with_the_seed(self):
-        # m = 3 has no rank-deficient block wider than the default exact_limit,
-        # so its vote draws no prime; m = 12 has some, and its vote draws
-        # primes from the seed, starting with p1
+    def test_each_multiple_is_its_exact_rank(self):
         op = corner_operator(2)
-        rows = oracle_series(op, 1, 1, [3, 12], seed=9)
-        for m, result in rows:
-            assert result == exact_rank(build_matrix(op, m - 1, m - 2), seed=9)
-        (_, small), (_, large) = rows
-        assert small.primes == () and len(large.primes) >= 2
-        assert large.primes[0] == oracle._random_prime(random.Random(9))
+        rows = oracle_series(op, 1, 1, [3, 12])
+        assert rows == [(m, exact_rank(build_matrix(op, m - 1, m - 2))) for m in (3, 12)]
 
     def test_skips_infeasible_multiples(self):
         rows = oracle_series(special_fiber_operator(2, 1), 1, 1, range(1, 5))
@@ -643,7 +598,6 @@ class TestReferenceRanks:
                 assert components.blocks is None
                 for route in (matrix, components):
                     assert exact_rank(route).rank == want, (A, B)
-                    assert exact_rank(route, exact_limit=0).rank == want, (A, B)
 
     @pytest.mark.parametrize("name", ["special_k1", "special_k2", "corner_one_term",
                                       "corner_two_terms", "unequal_coefficients"])

@@ -89,7 +89,7 @@ def _emit(fmt: str, command: str, params: dict, result: dict,
           header: list[str], rows: list[list], table_lines: list[str]) -> None:
     """Print result as the JSON envelope, as header and rows of CSV, or as table lines."""
     if fmt == "json":
-        envelope = {"command": command, "params": params, "result": result}
+        envelope = {"command": command, "params": params, "result": _stringify(result)}
         print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
         _write_csv(sys.stdout, header, rows)
@@ -357,7 +357,7 @@ def cmd_series(args) -> int:
             for m, rank in oracle_series(op, args.a1, args.a2, span, size_cap=args.size_cap)
         ]
     header = list(rows[0])
-    _emit(args.format, "series", params, _stringify({"rows": rows}),
+    _emit(args.format, "series", params, {"rows": rows},
           header, [[row[k] for k in header] for row in rows],
           ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows])
     return 0
@@ -393,7 +393,7 @@ def cmd_scan(args) -> int:
     destination = f" -> {args.out}" if args.out else ""
     # CSV written to --out leaves stdout the summary line
     fmt = "table" if args.out and args.format == "csv" else args.format
-    _emit(fmt, "scan", params, _stringify(result),
+    _emit(fmt, "scan", params, result,
           header, rows, [f"{len(rows)} rows ({summary}){destination}"])
     if impure:
         print(f"error: impure verdicts at {impure}", file=sys.stderr)

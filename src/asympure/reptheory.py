@@ -12,6 +12,7 @@ oracle is what tests that assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .projspace import feasible_multiples
@@ -38,8 +39,11 @@ class IrrepLabel:
 def weyl_dimension(n: int, label: IrrepLabel) -> int:
     """Exact dimension of the SL(n+1) irreducible with the given label.
 
-    Product over 1 <= p < q <= n+1 of (lambda_p - lambda_q + q - p)/(q - p)
-    with lambda = (lambda1, lambda2, 0, ..., 0); always an exact integer.
+    Weyl's product over 1 <= p < q <= n+1 of (lambda_p - lambda_q + q - p)/(q - p)
+    collapses for lambda = (lambda1, lambda2, 0, ..., 0): the pair (1, 2)
+    gives lambda1 - lambda2 + 1, the pairs (1, q >= 3) give
+    C(lambda1 + n, n)/(lambda1 + 1), the pairs (2, q >= 3) give
+    C(lambda2 + n - 1, n - 1), and the pairs of zero rows give 1.
 
     >>> weyl_dimension(2, IrrepLabel(1, 0))
     3
@@ -48,14 +52,9 @@ def weyl_dimension(n: int, label: IrrepLabel) -> int:
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    lam = (label.lambda1, label.lambda2) + (0,) * (n - 1)
-    num = 1
-    den = 1
-    for p in range(n + 1):
-        for q in range(p + 1, n + 1):
-            num *= lam[p] - lam[q] + q - p
-            den *= q - p
-    quotient, remainder = divmod(num, den)
+    lambda1, lambda2 = label.lambda1, label.lambda2
+    num = (lambda1 - lambda2 + 1) * comb(lambda1 + n, n) * comb(lambda2 + n - 1, n - 1)
+    quotient, remainder = divmod(num, lambda1 + 1)
     assert remainder == 0, "Weyl dimension must be an integer"
     return quotient
 

@@ -171,6 +171,25 @@ class TestAsymptoticSpecialFiber:
                 lead = fit_leading_coefficient(series, 2 * n - 1)
                 assert vec.values[n - 1] - vec.values[n] == lead * 6
 
+    def test_whole_vector_matches_intersection_numbers(self):
+        # with c = k * C(2n-1, n-1) * (a1*a2)^(n-1), h-hat^(n-1) = c*max(a1-a2, 0),
+        # h-hat^n = c*max(a2-a1, 0), and every other index is 0.  On the boundary
+        # a1*a2 = 0 this leaves k*a at the allowed index for n = 1 (0**0 == 1) and 0
+        # for n >= 2.  The closed form uses no Weyl dimension, so it checks the
+        # scan path independently of weyl_dimension.
+        for n in range(1, 6):
+            for k in range(1, 5):
+                for a1 in range(7):
+                    for a2 in range(7):
+                        if (a1, a2) == (0, 0):
+                            continue
+                        c = k * comb(2 * n - 1, n - 1) * (a1 * a2) ** (n - 1)
+                        expected = [0] * (2 * n)
+                        expected[n - 1] = c * max(a1 - a2, 0)
+                        expected[n] = c * max(a2 - a1, 0)
+                        vec = asymptotic_special_fiber(n, k, a1, a2)
+                        assert vec.values == tuple(expected), (n, k, a1, a2)
+
 
 class TestPurityReport:
     def test_grid_is_pure(self):

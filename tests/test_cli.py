@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import asympure
+from asympure import cli
 from asympure.cli import main
 
 
@@ -179,6 +180,37 @@ class TestScan:
         code, out, err = run(capsys, *argv, "--n", "2", "--k", "1")
         assert (code, out) == (2, "")
         assert "'5..2'" in err
+
+    def test_csv_and_table_build_no_json_payload(self, capsys, monkeypatch):
+        scan = ["scan", "--n", "1", "--k", "1", "--a1", "1..2", "--a2", "0..1"]
+        series = ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "2..4"]
+        plain = [scan + ["--format", "csv"], scan + ["--format", "table"],
+                 series + ["--format", "csv"]]
+        json_argvs = [scan + ["--format", "json"], series + ["--format", "json"]]
+        before = [run(capsys, *argv) for argv in plain]
+        json_outputs = [run(capsys, *argv) for argv in json_argvs]
+        # JSON output, integers as decimal strings, is pinned byte for byte
+        assert json_outputs == [
+            (0, '{"command":"scan","params":{"a1":"1..2","a2":"0..1","k":1,"n":1,"seed":0,'
+                '"size_cap":200000},"result":{"header":["n","k","a1","a2","case","h_hat_0",'
+                '"h_hat_1","verdict"],"impure":[],"rows":[["1","1","1","0","boundary","1","0",'
+                '"pure(0)"],["1","1","1","1","mixed","0","0","pure_zero"],["1","1","2","0",'
+                '"boundary","2","0","pure(0)"],["1","1","2","1","mixed","1","0","pure(0)"]],'
+                '"total":"4"}}\n', ""),
+            (0, '{"command":"series","params":{"a1":2,"a2":1,"engine":"rep","k":1,"m":"2..4",'
+                '"n":2,"seed":0,"size_cap":200000},"result":{"rows":[{"cokernel_dim":"0",'
+                '"kernel_dim":"10","m":"2"},{"cokernel_dim":"0","kernel_dim":"35","m":"3"},'
+                '{"cokernel_dim":"0","kernel_dim":"81","m":"4"}]}}\n', ""),
+        ]
+
+        def refuse(value):
+            raise AssertionError("CSV and table output must not stringify a payload")
+
+        monkeypatch.setattr(cli, "_stringify", refuse)
+        assert [run(capsys, *argv) for argv in plain] == before
+        for argv in json_argvs:  # the patch is the function the JSON branch calls
+            with pytest.raises(AssertionError):
+                main(argv)
 
 
 class TestExitCodes:

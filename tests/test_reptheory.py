@@ -55,6 +55,24 @@ class TestWeylDimension:
             for l2 in range(l1 + 1):
                 assert weyl_dimension(1, IrrepLabel(l1, l2)) == l1 - l2 + 1
 
+    def test_two_row_closed_form_matches_the_general_product(self):
+        # the general Weyl product over all pairs of the n+1 rows, written out
+        # here as the oracle for the two-row closed form
+        def weyl_product(n, l1, l2):
+            lam = (l1, l2) + (0,) * (n - 1)
+            num = den = 1
+            for p in range(n + 1):
+                for q in range(p + 1, n + 1):
+                    num *= lam[p] - lam[q] + q - p
+                    den *= q - p
+            assert num % den == 0
+            return num // den
+
+        for n in range(1, 9):
+            for l1 in range(41):
+                for l2 in range(l1 + 1):
+                    assert weyl_dimension(n, IrrepLabel(l1, l2)) == weyl_product(n, l1, l2)
+
 
 class TestPieri:
     def test_sl2_clebsch_gordan(self):

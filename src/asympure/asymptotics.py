@@ -6,6 +6,24 @@ rationals extracted by finite differences -- never floating-point fits.  A
 class is pure when at most one h-hat index survives; the special-fiber
 computation checks this for mixed-sign restrictions via the predicted
 kernel/cokernel growth of the contraction map.
+
+Each fit starts where its series is proven polynomial, never at a guessed
+point, and samples degree + 3 multiples from there: degree + 2 to fit and
+one to check.  The Kunneth series on P^n x P^n and the restriction Euler
+characteristic are polynomial from m = 1, because the closed forms of
+h^0 and h^n on P^n are polynomials on their whole bands.  The predicted
+kernel and cokernel are polynomial from stable_start, the first feasible
+multiple with (B - A - k)(a2 - a1) >= 0; its docstring derives that bound
+from a reflection symmetry of the Weyl dimension.
+
+From the special fiber to a very general one: for every bidegree-(k, k)
+form F, h^(n-1) and h^n of a mixed class are the kernel and cokernel of the
+contraction by F.  Rank is lower semicontinuous in F and never exceeds
+min(rows, cols), so a special-fiber map of maximal rank keeps its kernel
+and cokernel for a very general F.  predict_map_analysis never gives both a
+kernel and a cokernel, so every special-fiber map on which the two engines
+agree has maximal rank, and its h-hat values hold for a very general
+hypersurface.
 """
 
 from __future__ import annotations
@@ -135,31 +153,29 @@ def fit_leading_coefficient(
     return Fraction(diffs[0], factorial(degree))
 
 
+def _window(start: int, degree: int) -> range:
+    """The multiples every h-hat fit samples: degree + 2 to fit, one more to check."""
+    return range(start, start + degree + 3)
+
+
 def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:
     """h-hat vector of a divisor class on P^n x P^n itself (dim = 2n).
 
-    At most one index is nonzero -- 0, n, or 2n by the sign pattern -- and
-    classes with a1*a2 = 0 grow too slowly to register at all.
+    At most one index is nonzero: each negative coefficient puts its factor's
+    cohomology in degree n, so the index is 0, n or 2n.  Classes with
+    a1*a2 = 0 grow too slowly to register at all.  The series is polynomial
+    from m = 1: h^0 = C(d + n, n) and h^n = C(-d - 1, n) are polynomials in d
+    on their whole bands, and the latter vanishes as a polynomial on the
+    acyclic band -n <= d <= -1.
 
     >>> asymptotic_product(1, DivisorClass(1, 1)).values
     (Fraction(2, 1), Fraction(0, 1), Fraction(0, 1))
     """
     dim = 2 * n
     values = [Fraction(0)] * (dim + 1)
-    a1, a2 = divisor.a1, divisor.a2
-    if a1 * a2 != 0:
-        if a1 > 0 and a2 > 0:
-            index = 0
-        elif a1 < 0 and a2 < 0:
-            index = dim
-        else:
-            index = n
-        start = 1
-        for a in (a1, a2):
-            if a < 0:
-                start = max(start, -((n + 1) // a))  # ceil((n+1)/|a|)
-        window = range(start, start + dim + 2)
-        series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in window]
+    if divisor.a1 * divisor.a2 != 0:
+        index = n * ((divisor.a1 < 0) + (divisor.a2 < 0))
+        series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in _window(1, dim)]
         values[index] = fit_leading_coefficient(series, dim) * factorial(dim)
     return AsymptoticVector(tuple(values))
 
@@ -169,32 +185,63 @@ def _ceil_div(num: int, den: int) -> int:
 
 
 def stable_start(n: int, k: int, a1: int, a2: int) -> int:
-    """First multiple from which the predicted kernel/cokernel series is polynomial.
+    """First multiple from which the predicted kernel and cokernel series are polynomial.
 
-    Collects the breakpoints where the exponents reach A >= 0 and B >= k and
-    the index-range dispatches stop switching, then adds one for safety.
+    It is the first m >= 1 at which the map exists (A = m*a1 - k >= 0 and
+    B = m*a2 + k - n - 1 >= 0) and (B - A - k)(a2 - a1) >= 0, where
+    B - A - k = m*(a2 - a1) - (n + 1 - k).  Both then hold at every later
+    multiple, and so does the polynomial below.
+
+    Why: predict_map_analysis sums w(i), the Weyl dimension of
+    (A + B - i, i), over the kernel range max(T + 1, 0) <= i <= S and the
+    cokernel range S < i <= T, where S = min(A, B) and T = min(A + k, B - k).
+    By weyl_dimension's closed form, w is a polynomial in (m, i) of degree
+    2n - 1, and it changes sign under the reflection i -> A + B + 1 - i
+    (the closed form of (l1, l2) is minus that of (l2 - 1, l1 + 1)), so its
+    sum over a range that the reflection maps onto itself is 0.  So at
+    every feasible m:
+
+    - if B - A <= k, the kernel is the sum of w over B - k < i <= B and the
+      cokernel is 0.  For B <= A the ranges are exactly these; for
+      A < B <= A + k, S = A drops A < i <= B, a self-reflected range, and
+      T = B - k <= A leaves the cokernel range empty.
+    - if B - A >= k, the kernel is 0 and the cokernel is the sum of w over
+      A < i <= A + k.  For B - A >= 2k the ranges are exactly these; for
+      k <= B - A < 2k, T = B - k drops B - k < i <= A + k, a self-reflected
+      range, and T >= A leaves the kernel range empty.
+    - The clamp drops i in [T + 1, -1], and T >= -n since A + k = m*a1 >= 1
+      and B - k = m*a2 - n - 1 >= -n.  There the factor C(i + n - 1, n - 1)
+      of w is 0 as a polynomial.
+
+    Each is a sum of w over k values of i linear in m, a polynomial in m of
+    degree at most 2n - 1.  The bound is also minimal on every class with
+    n <= 6, k <= 5 and a1, a2 <= 8: one multiple earlier the map does not
+    exist or a series leaves its polynomial.
+
+    >>> stable_start(2, 1, 1, 2)
+    2
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
-    m0 = max(_ceil_div(k, a1), _ceil_div(n + 1, a2))
+    bounds = [_ceil_div(k, a1), _ceil_div(n + 1 - k, a2)]
     if a1 != a2:
-        gap = max(abs(n + 1 - 2 * k), n + 1)
-        m0 = max(m0, gap // abs(a1 - a2) + 1)
-    return m0 + 1
+        # dividing by a negative a2 - a1 turns the <= needed for a2 < a1 into >=
+        bounds.append(_ceil_div(n + 1 - k, a2 - a1))
+    return max(bounds)
 
 
 def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVector:
     """h-hat vector of (a1*H1 - a2*H2) restricted to the bidegree-(k, k) special fiber.
 
-    dim = 2n - 1.  For a1, a2 > 0 (mixed signs on the product) the values at
-    indices n-1 and n are the exact degree-(2n-1) leading coefficients of
-    the predicted kernel and cokernel series times (2n-1)!.  When one
-    coefficient is zero the class is nef or anti-nef; only index 0 or 2n-1
-    is allowed, with the value read off the leading term of the restriction
-    Euler characteristic chi(mD) - chi(mD - Y); vanishing at the remaining
-    indices is classification, not recomputation.  That Euler characteristic
-    is a polynomial in m at every m, because chi(O(d)) on P^n equals the
-    polynomial C(d + n, n) at every integer d, so its fit starts at m = 1.
+    dim = 2n - 1, and classify names the indices that can be nonzero.  For
+    a mixed class (a1, a2 > 0) the values at indices n-1 and n are the exact
+    degree-(2n-1) leading coefficients of the predicted kernel and cokernel
+    series times (2n-1)!, fitted from stable_start.  A boundary class (one
+    coefficient zero) has one allowed index i, and its value is (-1)^i times
+    the leading term of the restriction Euler characteristic
+    chi(mD) - chi(mD - Y).  That Euler characteristic is a polynomial in m
+    at every m, because chi(O(d)) on P^n equals the polynomial C(d + n, n)
+    at every integer d, so its fit starts at m = 1.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     Fraction(6, 1)
@@ -205,21 +252,18 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
         raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
     if a1 == 0 and a2 == 0:
         raise ValueError("the zero divisor has no special-fiber computation")
+    label = classify(n, DivisorClass(a1, -a2))
     dim = 2 * n - 1
     values = [Fraction(0)] * (dim + 1)
     scale = factorial(dim)
-    if a1 > 0 and a2 > 0:
-        start = stable_start(n, k, a1, a2)
-        rows = kernel_series_rep(n, k, a1, a2, range(start, start + dim + 3))
-        kernel_series = [(m, kd) for m, kd, _ in rows]
-        cokernel_series = [(m, cd) for m, _, cd in rows]
-        values[n - 1] = fit_leading_coefficient(kernel_series, dim) * scale
-        values[n] = fit_leading_coefficient(cokernel_series, dim) * scale
+    if label.kind == "mixed":
+        rows = kernel_series_rep(n, k, a1, a2, _window(stable_start(n, k, a1, a2), dim))
+        values[n - 1] = fit_leading_coefficient([(m, kd) for m, kd, _ in rows], dim) * scale
+        values[n] = fit_leading_coefficient([(m, cd) for m, _, cd in rows], dim) * scale
     else:
-        index = 0 if a2 == 0 else dim
-        sign = 1 if a2 == 0 else -1  # chi picks up (-1)^(2n-1) at the top index
-        series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in range(1, dim + 4)]
-        values[index] = sign * fit_leading_coefficient(series, dim) * scale
+        (index,) = label.allowed_indices
+        series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in _window(1, dim)]
+        values[index] = (-1) ** index * fit_leading_coefficient(series, dim) * scale
     return AsymptoticVector(tuple(values))
 
 

@@ -104,6 +104,7 @@ class ContractionOperator:
 
     Each term multiplies the first tensor factor by x^alpha and applies the
     differential operator d^beta to the second, with |alpha| = |beta| = k.
+    The sum has at least one term: the zero operator has no canonical key.
     """
 
     n: int
@@ -113,6 +114,8 @@ class ContractionOperator:
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:
             raise ValueError(f"need n, k >= 1, got n={self.n}, k={self.k}")
+        if not self.terms:
+            raise ValueError("an operator needs at least one term")
         seen: set[tuple[Monomial, Monomial]] = set()
         for coeff, alpha, beta in self.terms:
             if coeff == 0:

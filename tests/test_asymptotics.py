@@ -11,6 +11,7 @@ from asympure import (
     asymptotic_special_fiber,
     classify,
     fit_leading_coefficient,
+    kernel_series_rep,
     purity_report,
     source_target_dims,
     stable_start,
@@ -85,12 +86,20 @@ class TestAsymptoticProduct:
         assert str(vec.purity) == "pure(0)"
 
     def test_mixed_value_matches_closed_form(self):
-        # h-hat^n = C(2n, n) * |a1|^n * |a2|^n on mixed classes
-        for n in (1, 2):
-            for a1, a2 in [(1, -1), (2, -1), (1, -3), (-2, 3)]:
+        # h-hat = C(2n, n) * |a1|^n * |a2|^n at index n on mixed classes, and
+        # at index 0 on nef and 2n on anti-nef ones; each window starts at m = 1
+        for n in (1, 2, 3, 4):
+            for a1, a2 in [(1, -1), (2, -1), (1, -3), (-2, 3),
+                           (1, 1), (2, 3), (-1, -1), (-3, -2)]:
+                if a1 > 0 and a2 > 0:
+                    index = 0
+                elif a1 < 0 and a2 < 0:
+                    index = 2 * n
+                else:
+                    index = n
                 vec = asymptotic_product(n, DivisorClass(a1, a2))
-                assert vec.values[n] == comb(2 * n, n) * abs(a1) ** n * abs(a2) ** n
-                assert str(vec.purity) == f"pure({n})"
+                assert vec.values[index] == comb(2 * n, n) * abs(a1) ** n * abs(a2) ** n
+                assert str(vec.purity) == f"pure({index})"
 
     def test_boundary_class_is_zero(self):
         vec = asymptotic_product(2, DivisorClass(0, 5))
@@ -109,6 +118,52 @@ class TestAsymptoticProduct:
                     lhs = asymptotic_product(n, DivisorClass(a1, a2)).values
                     rhs = asymptotic_product(n, DivisorClass(-a1, -a2)).values
                     assert lhs == tuple(reversed(rhs))
+
+
+def heuristic_start(n, k, a1, a2):
+    # reference that the derived stable_start must never exceed: the older
+    # heuristic (B >= k, a gap guessed from n + 1 and |n + 1 - 2k|, plus one)
+    m0 = max(-(-k // a1), -(-(n + 1) // a2))
+    if a1 != a2:
+        gap = max(abs(n + 1 - 2 * k), n + 1)
+        m0 = max(m0, gap // abs(a1 - a2) + 1)
+    return m0 + 1
+
+
+def is_polynomial(rows, degree) -> bool:
+    # whether the kernel and the cokernel column are both polynomial of at
+    # most this degree on the rows' multiples
+    try:
+        for column in (1, 2):
+            fit_leading_coefficient([(row[0], row[column]) for row in rows], degree)
+    except SeriesNotStabilized:
+        return False
+    return True
+
+
+class TestStableStart:
+    def test_minimal_never_too_early_nor_later_than_the_heuristic(self):
+        # polynomial on the 40 multiples from the start, and one multiple
+        # earlier either infeasible or off the polynomial: the bound is minimal
+        for n in range(1, 7):
+            for k in range(1, 6):
+                for a1 in range(1, 9):
+                    for a2 in range(1, 9):
+                        case = (n, k, a1, a2)
+                        start = stable_start(n, k, a1, a2)
+                        assert start <= heuristic_start(n, k, a1, a2), case
+                        rows = kernel_series_rep(n, k, a1, a2, range(start - 1, start + 40))
+                        assert len(rows) >= 40 and rows[-40][0] == start, case
+                        assert is_polynomial(rows[-40:], 2 * n - 1), case
+                        assert len(rows) == 40 or not is_polynomial(rows, 2 * n - 1), case
+
+    def test_one_multiple_earlier_breaks_the_series(self):
+        # at (2, 1, 1, 2), m = 1 is feasible (A = B = 0) but B - A = 0 < k
+        # although a2 > a1: kernel 1 and cokernel 0 there, where the
+        # polynomials from m = 2 on give 0 and -1
+        assert (stable_start(2, 1, 1, 2), heuristic_start(2, 1, 1, 2)) == (2, 5)
+        rows = kernel_series_rep(2, 1, 1, 2, range(1, 8))
+        assert not is_polynomial(rows[:6], 3) and is_polynomial(rows[1:], 3)
 
 
 class TestAsymptoticSpecialFiber:

@@ -328,6 +328,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: operator file {path}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "2"],
+        ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "2..4",
+         "--engine", "oracle"],
+    ], ids=["oracle", "series"])
+    def test_operator_file_without_terms_exits_2(self, capsys, tmp_path, argv):
+        # the zero operator has no canonical key, so every command refuses it
+        path = tmp_path / "zero.json"
+        path.write_text('{"n": 2, "k": 1, "terms": []}')
+        code, out, err = run(capsys, *argv, "--operator-file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: operator file {path}: an operator needs at least one term\n"
+
 
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, capsys):

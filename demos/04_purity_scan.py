@@ -6,15 +6,13 @@ the bidegree-(k, k) special fiber, the middle indices n-1 and n compete,
 and at most one of them survives -- that is asymptotic purity.
 """
 
-import csv
-import io
-
 from asympure import (
     DivisorClass,
     asymptotic_product,
     asymptotic_special_fiber,
     purity_report,
 )
+from asympure.cli import main
 
 print("=== On P^2 x P^2 itself ===")
 for a1, a2 in [(1, 1), (1, -1), (3, -2), (-1, -1), (0, 5)]:
@@ -47,12 +45,6 @@ print("Every verdict is pure or pure_zero: the purity statement holds on")
 print("the whole grid.\n")
 
 print("=== The same grid as CSV (what `asympure scan` writes) ===")
-records = purity_report(2, 1, [(a1, a2) for a1 in range(3) for a2 in range(3)])
-buffer = io.StringIO()
-writer = csv.writer(buffer, lineterminator="\n")
-writer.writerow(["n", "k", "a1", "a2", "case"]
-                + [f"h_hat_{i}" for i in range(4)] + ["verdict"])
-for (divisor, label, vec) in records:
-    writer.writerow([2, 1, divisor.a1, -divisor.a2, label.kind]
-                    + [str(v) for v in vec.values] + [str(vec.purity)])
-print(buffer.getvalue())
+# the scan command itself, so the CSV schema has one home: cli.cmd_scan
+raise SystemExit(main(["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "0..2",
+                       "--format", "csv"]))

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .projspace import DivisorClass, euler_characteristic, kunneth_cohomology
+from .projspace import DivisorClass, euler_characteristic, kunneth_cohomology, series_exponents
 from .reptheory import kernel_series_rep
 
 
@@ -162,8 +162,9 @@ def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:
     """h-hat vector of a divisor class on P^n x P^n itself (dim = 2n).
 
     At most one index is nonzero: each negative coefficient puts its factor's
-    cohomology in degree n, so the index is 0, n or 2n.  Classes with
-    a1*a2 = 0 grow too slowly to register at all.  The series is polynomial
+    cohomology in degree n, so the index is 0, n or 2n.  A class with
+    a1*a2 = 0, the zero class included, has a series of degree at most
+    n < 2n, so its fit returns 0 like any other.  The series is polynomial
     from m = 1: h^0 = C(d + n, n) and h^n = C(-d - 1, n) are polynomials in d
     on their whole bands, and the latter vanishes as a polynomial on the
     acyclic band -n <= d <= -1.
@@ -173,15 +174,10 @@ def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:
     """
     dim = 2 * n
     values = [Fraction(0)] * (dim + 1)
-    if divisor.a1 * divisor.a2 != 0:
-        index = n * ((divisor.a1 < 0) + (divisor.a2 < 0))
-        series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in _window(1, dim)]
-        values[index] = fit_leading_coefficient(series, dim) * factorial(dim)
+    index = n * ((divisor.a1 < 0) + (divisor.a2 < 0))
+    series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in _window(1, dim)]
+    values[index] = fit_leading_coefficient(series, dim) * factorial(dim)
     return AsymptoticVector(tuple(values))
-
-
-def _ceil_div(num: int, den: int) -> int:
-    return -(-num // den)
 
 
 def stable_start(n: int, k: int, a1: int, a2: int) -> int:
@@ -190,7 +186,10 @@ def stable_start(n: int, k: int, a1: int, a2: int) -> int:
     It is the first m >= 1 at which the map exists (A = m*a1 - k >= 0 and
     B = m*a2 + k - n - 1 >= 0) and (B - A - k)(a2 - a1) >= 0, where
     B - A - k = m*(a2 - a1) - (n + 1 - k).  Both then hold at every later
-    multiple, and so does the polynomial below.
+    multiple, and so does the polynomial below.  (A, B) are read from
+    projspace.series_exponents, one multiple at a time, and the walk returns
+    by m = max(k, n + 1): there A >= 0 because m >= k, B >= k because
+    m >= n + 1, and m*|a2 - a1| >= |n + 1 - k| whenever a1 != a2.
 
     Why: predict_map_analysis sums w(i), the Weyl dimension of
     (A + B - i, i), over the kernel range max(T + 1, 0) <= i <= S and the
@@ -223,11 +222,12 @@ def stable_start(n: int, k: int, a1: int, a2: int) -> int:
     """
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
-    bounds = [_ceil_div(k, a1), _ceil_div(n + 1 - k, a2)]
-    if a1 != a2:
-        # dividing by a negative a2 - a1 turns the <= needed for a2 < a1 into >=
-        bounds.append(_ceil_div(n + 1 - k, a2 - a1))
-    return max(bounds)
+    m = 1
+    while True:
+        A, B = series_exponents(n, k, a1, a2, m)
+        if A >= 0 and B >= 0 and (B - A - k) * (a2 - a1) >= 0:
+            return m
+        m += 1
 
 
 def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVector:
@@ -237,11 +237,12 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     a mixed class (a1, a2 > 0) the values at indices n-1 and n are the exact
     degree-(2n-1) leading coefficients of the predicted kernel and cokernel
     series times (2n-1)!, fitted from stable_start.  A boundary class (one
-    coefficient zero) has one allowed index i, and its value is (-1)^i times
-    the leading term of the restriction Euler characteristic
+    or both coefficients zero) has one allowed index i, and its value is
+    (-1)^i times the leading term of the restriction Euler characteristic
     chi(mD) - chi(mD - Y).  That Euler characteristic is a polynomial in m
     at every m, because chi(O(d)) on P^n equals the polynomial C(d + n, n)
-    at every integer d, so its fit starts at m = 1.
+    at every integer d, so its fit starts at m = 1.  For the zero class it
+    is constant in m, so the fit gives the all-zero vector.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     Fraction(6, 1)
@@ -250,8 +251,6 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if a1 < 0 or a2 < 0:
         raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
-    if a1 == 0 and a2 == 0:
-        raise ValueError("the zero divisor has no special-fiber computation")
     label = classify(n, DivisorClass(a1, -a2))
     dim = 2 * n - 1
     values = [Fraction(0)] * (dim + 1)
@@ -279,17 +278,11 @@ def purity_report(
 ) -> list[tuple[DivisorClass, CaseLabel, AsymptoticVector]]:
     """Classify and evaluate a batch of special-fiber divisors (a1, a2) >= 0.
 
-    Entries are coefficient pairs for D = a1*H1 - a2*H2.  The zero pair is
-    reported as trivially pure_zero.  Impure verdicts are returned like the
-    others; a caller that expects purity checks the verdicts itself.
+    Entries are coefficient pairs for D = a1*H1 - a2*H2.  Every pair, the
+    zero pair included, takes classify and asymptotic_special_fiber; the
+    zero pair comes out boundary and pure_zero.  Impure verdicts are
+    returned like the others; a caller that expects purity checks the
+    verdicts itself.
     """
-    records: list[tuple[DivisorClass, CaseLabel, AsymptoticVector]] = []
-    for a1, a2 in divisor_list:
-        divisor = DivisorClass(a1, -a2)
-        label = classify(n, divisor)
-        if a1 == 0 and a2 == 0:
-            vector = AsymptoticVector((Fraction(0),) * (2 * n))
-        else:
-            vector = asymptotic_special_fiber(n, k, a1, a2)
-        records.append((divisor, label, vector))
-    return records
+    divisors = [DivisorClass(a1, -a2) for a1, a2 in divisor_list]
+    return [(d, classify(n, d), asymptotic_special_fiber(n, k, d.a1, -d.a2)) for d in divisors]

@@ -193,6 +193,7 @@ def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, s
     for k in (1, 2):
         for a1, a2 in pairs:
             start = stable_start(n, k, a1, a2)
+            # one multiple wider than asymptotics._window and fitted here, so it checks that fit
             rows = kernel_series_rep(n, k, a1, a2, range(start, start + 2 * n + 3))
             for side, series in (
                 ("kernel", [(m, kd) for m, kd, _ in rows]),

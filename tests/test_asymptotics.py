@@ -102,8 +102,13 @@ class TestAsymptoticProduct:
                 assert str(vec.purity) == f"pure({index})"
 
     def test_boundary_class_is_zero(self):
-        vec = asymptotic_product(2, DivisorClass(0, 5))
-        assert str(vec.purity) == "pure_zero"
+        # a1*a2 = 0: the series has degree at most n < 2n, so the fit gives 0
+        cases = [(2, 0, 5)]
+        cases += [(n, *c) for n in range(1, 5) for c in [(0, 0), (0, -4), (3, 0), (-2, 0)]]
+        for n, a1, a2 in cases:
+            vec = asymptotic_product(n, DivisorClass(a1, a2))
+            assert vec.values == (Fraction(0),) * (2 * n + 1), (n, a1, a2)
+            assert str(vec.purity) == "pure_zero"
 
     def test_homogeneity(self):
         base = asymptotic_product(2, DivisorClass(1, -2))
@@ -152,6 +157,7 @@ class TestStableStart:
                         case = (n, k, a1, a2)
                         start = stable_start(n, k, a1, a2)
                         assert start <= heuristic_start(n, k, a1, a2), case
+                        assert start <= max(k, n + 1), case
                         rows = kernel_series_rep(n, k, a1, a2, range(start - 1, start + 40))
                         assert len(rows) >= 40 and rows[-40][0] == start, case
                         assert is_polynomial(rows[-40:], 2 * n - 1), case
@@ -197,9 +203,16 @@ class TestAsymptoticSpecialFiber:
         assert str(asymptotic_special_fiber(2, 1, 3, 0).purity) == "pure_zero"
         assert str(asymptotic_special_fiber(2, 2, 0, 3).purity) == "pure_zero"
 
-    def test_rejects_zero_divisor(self):
-        with pytest.raises(ValueError):
-            asymptotic_special_fiber(2, 1, 0, 0)
+    def test_zero_divisor_is_boundary_and_all_zero(self):
+        # chi(mD) - chi(mD - Y) is constant in m for D = 0: the boundary fit gives 0
+        zero = DivisorClass(0, 0)
+        for n in range(1, 7):
+            for k in range(1, 6):
+                vec = asymptotic_special_fiber(n, k, 0, 0)
+                assert vec.values == (Fraction(0),) * (2 * n), (n, k)
+                label = classify(n, zero)
+                assert label.kind == "boundary" and label.allowed_indices == {0}
+                assert purity_report(n, k, [(0, 0)]) == [(zero, label, vec)], (n, k)
 
     def test_antisymmetry(self):
         for k in (1, 2):

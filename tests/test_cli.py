@@ -139,9 +139,12 @@ class TestBasicCommands:
         assert result["verdict"] == "pure(1)"
 
     def test_asymptotics_pure_zero(self, capsys):
-        code, out, _ = run(capsys, "asymptotics", "--n", "2", "--k", "1", "--a1", "1",
-                           "--a2", "1", "--format", "json")
-        assert json.loads(out)["result"]["verdict"] == "pure_zero"
+        for a1, a2, case in [("1", "1", "mixed"), ("0", "0", "boundary")]:
+            code, out, _ = run(capsys, "asymptotics", "--n", "2", "--k", "1", "--a1", a1,
+                               "--a2", a2, "--format", "json")
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert (result["case"], result["verdict"]) == (case, "pure_zero")
 
 
 class TestScan:

@@ -1,19 +1,14 @@
 """Append-friendly JSON-lines result cache for the command-line front end.
 
-One record per line: {"key": <canonical parameter string>, "version": <tag>,
-"value": <result payload with integers as decimal strings>}.  Later records
-for the same key win.  Desk-scale volumes only; no database.
-
-Each record is appended by a single write on an O_APPEND descriptor, so an
-interrupted writer can only leave a torn final line.  A line is malformed if
-it is not JSON or its record's key is not a string or its value not an
-object.  Loading skips a malformed final line with a warning naming
-file:line, and the next put cuts it off (or ends a final line left without
-its newline) before appending; a malformed line anywhere else is corruption
-and raises ValueError naming file:line.
+One JSON record per line, keys sorted: {"key": <name:field=value,...>,
+"value": <payload>, "version": <tag>}, each appended by one O_APPEND write.
+A line is malformed if it is not JSON, its key not a string or its value not
+an object.  A call checks the final line: a malformed one, which only a killed
+writer leaves, is skipped with a warning naming file:line and cut by the next
+put, which also ends an unterminated final line.  get decodes only the last
+line starting `{"key": <key>, ` (another first field is a miss) and raises
+ValueError naming file:line if it is malformed.  `verify --cache` checks all.
 """
-
-from __future__ import annotations
 
 import json
 import logging
@@ -28,59 +23,64 @@ logger = logging.getLogger(__name__)
 class ResultCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._records: dict[str, dict] = {}
-        # (file size as loaded, length to cut the file to, bytes to put
-        # before the next record) when the file does not end in a whole line.
-        self._repair: tuple[int, int, bytes] | None = None
-        if not self.path.exists():
-            return
-        malformed = None  # (line number, offset, error) of the latest bad line
-        offset = 0
-        with open(self.path, "rb") as handle:
-            for number, line in enumerate(handle, 1):
-                start, offset = offset, offset + len(line)
-                if not line.strip():
-                    continue
-                if malformed is not None:
-                    bad, _, exc = malformed
-                    raise ValueError(f"{self.path}:{bad}: corrupt cache record ({exc})") from exc
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    if record.get("version") == CACHE_VERSION:
-                        key, value = record["key"], record["value"]
-                        if not isinstance(key, str) or not isinstance(value, dict):
-                            raise ValueError("key is not a string or value is not an object")
-                        self._records[key] = value
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                    malformed = (number, start, exc)
-        if malformed is not None:
-            bad, start, exc = malformed
-            logger.warning("%s:%d: skipping torn final cache record (%s)", self.path, bad, exc)
-            self._repair = (offset, start, b"")
-        elif offset and not line.endswith(b"\n"):
-            self._repair = (offset, offset, b"\n")
+        data = self.path.read_bytes() if self.path.exists() else b""
+        # the file's size, and the lines the next put appends to: each ended, none torn
+        self._size, self._data = len(data), data + b"\n" if data and not data.endswith(b"\n") else data
+        last = data.rfind(b"\n", 0, len(data.rstrip())) + 1  # the final non-blank line
+        try:
+            if data[last:].strip():
+                self._record(last)
+        except ValueError as exc:
+            logger.warning("%s:%d: skipping torn final cache record (%s)",
+                           self.path, data.count(b"\n", 0, last) + 1, exc.__cause__)
+            self._data = data[:last]
+
+    def _record(self, start: int) -> tuple[str, dict] | None:
+        """(key, value) of the line at offset start, None for another version."""
+        try:
+            record = json.loads(self._data[start:self._data.index(b"\n", start)].decode("utf-8"))
+            if record.get("version") != CACHE_VERSION:
+                return None
+            found, value = record["key"], record["value"]
+            if not isinstance(found, str) or not isinstance(value, dict):
+                raise ValueError("key is not a string or value is not an object")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            number = self._data.count(b"\n", 0, start) + 1
+            raise ValueError(f"{self.path}:{number}: corrupt cache record ({exc})") from exc
+        return found, value
 
     def get(self, key: str) -> dict | None:
-        return self._records.get(key)
+        prefix = b'{"key": ' + json.dumps(key).encode() + b", "
+        start = len(self._data)
+        while (start := self._data.rfind(prefix, 0, start)) >= 0:
+            at_line_start = self._data[start - 1:start] in (b"", b"\n")  # not a nested object
+            if at_line_start and (record := self._record(start)) and record[0] == key:
+                return record[1]  # the key may differ only on a line that repeats "key"
+        return None
 
     def put(self, key: str, value: dict) -> None:
-        self._records[key] = value
         record = {"key": key, "version": CACHE_VERSION, "value": value}
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        line = data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            if self._repair is not None:
-                size, cut, prefix = self._repair
-                self._repair = None
-                # Repair the tail only if nobody has appended since loading.
-                if os.fstat(fd).st_size == size:
-                    os.ftruncate(fd, cut)
-                    data = prefix + data
+            # Cut a torn final line, or end an unterminated one, if nobody has appended since.
+            if len(self._data) != self._size == os.fstat(fd).st_size:
+                cut = min(self._size, len(self._data))
+                os.ftruncate(fd, cut)
+                data = self._data[cut:] + line
             written = os.write(fd, data)
         finally:
             os.close(fd)
         if written != len(data):
             raise OSError(f"{self.path}: short write of a cache record ({written} of {len(data)} bytes)")
+        self._data += line
+        self._size = len(self._data)
 
     def items(self) -> list[tuple[str, dict]]:
-        return list(self._records.items())
+        """The last record per key, after checking every line: the full audit."""
+        records, start = {}, 0
+        for line in self._data.split(b"\n"):
+            if line.strip() and (record := self._record(start)):
+                records[record[0]] = record[1]
+            start += len(line) + 1
+        return list(records.items())

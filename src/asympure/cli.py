@@ -32,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .asymptotics import asymptotic_special_fiber, classify, purity_report
+from .asymptotics import purity_report
 from .cache import ResultCache
 from .oracle import (
     DEFAULT_SIZE_CAP,
@@ -86,10 +86,15 @@ def _write_csv(stream, header: list[str], rows: list[list]) -> None:
 
 
 def _emit(fmt: str, command: str, params: dict, result: dict,
-          header: list[str], rows: list[list], table_lines: list[str]) -> None:
-    """Print result as the JSON envelope, as header and rows of CSV, or as table lines."""
+          header: list[str], rows: list[list], table_lines: list[str],
+          stringified: bool = False) -> None:
+    """Print result as the JSON envelope, as header and rows of CSV, or as table lines.
+
+    Only the JSON branch reads result, and stringifies it unless it is stringified already.
+    """
     if fmt == "json":
-        envelope = {"command": command, "params": params, "result": _stringify(result)}
+        payload = result if stringified else _stringify(result)
+        envelope = {"command": command, "params": params, "result": payload}
         print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
         _write_csv(sys.stdout, header, rows)
@@ -231,8 +236,7 @@ def _oracle_table(p, result) -> list[str]:
 
 
 def _asymptotics(p, size_cap) -> dict:
-    label = classify(p["n"], DivisorClass(p["a1"], -p["a2"]))
-    vector = asymptotic_special_fiber(p["n"], p["k"], p["a1"], p["a2"])
+    _, label, vector = purity_report(p["n"], p["k"], [(p["a1"], p["a2"])])[0]
     return {
         "dim": vector.dim,
         "case": label.kind,
@@ -329,7 +333,7 @@ def cmd_cached(args) -> int:
     envelope.update(seed=args.seed, size_cap=args.size_cap)
     header = sorted(result)
     _emit(args.format, args.command, envelope, result,
-          header, [[result[k] for k in header]], entry.table(params, result))
+          header, [[result[k] for k in header]], entry.table(params, result), stringified=True)
     return 0
 
 
@@ -406,13 +410,14 @@ def _verify_cache(path: str, size_cap: int) -> int:
     failures = 0
     try:
         cache = ResultCache(path)
+        records = cache.items()  # checks every line
     except (ValueError, OSError) as exc:  # a corrupt record, or a path that is no file
         print(f"FAIL - cache file {path}: unreadable ({exc})")
         return 1
     if not cache.path.exists():
         print(f"FAIL - cache file {path}: not found")
         return 1
-    for key, value in cache.items():
+    for key, value in records:
         try:
             entry, params = _parse_key(key)
             fresh = _stringify(entry.compute(params, size_cap))

@@ -59,9 +59,7 @@ def _stringify(value):
     """Integers to decimal strings, Fractions to p/q, recursively."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
@@ -129,15 +127,12 @@ def _cohomology_payload(vec) -> dict:
     }
 
 
+# the fields of a RankResult in the order of a series row and of the oracle table
+_RANK_FIELDS = ("dim_source", "dim_target", "rank", "kernel_dim", "cokernel_dim", "certified")
+
+
 def _rank_payload(result) -> dict:
-    return {
-        "dim_source": result.dim_source,
-        "dim_target": result.dim_target,
-        "rank": result.rank,
-        "kernel_dim": result.kernel_dim,
-        "cokernel_dim": result.cokernel_dim,
-        "certified": result.certified,
-    }
+    return {field: getattr(result, field) for field in _RANK_FIELDS}
 
 
 def _vector_table(values) -> list[str]:
@@ -217,22 +212,23 @@ def _predict_table(p, result) -> list[str]:
     ]
 
 
+def _operator(n: int, k: int, key: str) -> ContractionOperator:
+    """The operator an `op` field names: special, or a canonical key of the same (n, k)."""
+    if key == "special":
+        return special_fiber_operator(n, k)
+    op = ContractionOperator.from_canonical_key(key)
+    if (op.n, op.k) != (n, k):
+        raise ValueError(f"operator has (n, k) = ({op.n}, {op.k}), key says ({n}, {k})")
+    return op
+
+
 def _oracle(p, size_cap) -> dict:
-    if p["op"] == "special":
-        op = special_fiber_operator(p["n"], p["k"])
-    else:
-        op = ContractionOperator.from_canonical_key(p["op"])
-        if (op.n, op.k) != (p["n"], p["k"]):
-            raise ValueError(
-                f"operator has (n, k) = ({op.n}, {op.k}), key says ({p['n']}, {p['k']})"
-            )
-    matrix = build_matrix(op, p["A"], p["B"], size_cap=size_cap)
+    matrix = build_matrix(_operator(p["n"], p["k"], p["op"]), p["A"], p["B"], size_cap=size_cap)
     return _rank_payload(exact_rank(matrix))
 
 
 def _oracle_table(p, result) -> list[str]:
-    return [f"{field} = {result[field]}" for field in
-            ("dim_source", "dim_target", "rank", "kernel_dim", "cokernel_dim", "certified")]
+    return [f"{field} = {result[field]}" for field in _RANK_FIELDS]
 
 
 def _asymptotics(p, size_cap) -> dict:
@@ -301,25 +297,25 @@ def _parse_key(key: str) -> tuple[Cached, dict]:
 # subcommand handlers
 
 
-def _resolve_operator(args) -> tuple[ContractionOperator, str]:
+def _operator_key(args) -> str:
+    """The `op` field the operator flags name: special, or the operator file's canonical key."""
     if args.operator_file:
         op = load_operator(args.operator_file)
         if op.n != args.n or op.k != args.k:
             raise ValueError(
                 f"operator file has (n, k) = ({op.n}, {op.k}), flags say ({args.n}, {args.k})"
             )
-        return op, op.canonical_key()
-    name = args.operator or "special"
-    if name != "special":
-        raise ValueError(f"unknown operator {name!r}; use 'special' or --operator-file")
-    return special_fiber_operator(args.n, args.k), "special"
+        return op.canonical_key()
+    if args.operator not in (None, "special"):
+        raise ValueError(f"unknown operator {args.operator!r}; use 'special' or --operator-file")
+    return "special"
 
 
 def cmd_cached(args) -> int:
     """Any command in CACHED: key, cache lookup or compute-and-store, output."""
     entry = CACHED[args.command]
     params = {
-        name: _resolve_operator(args)[1] if name == "op" else getattr(args, name)
+        name: _operator_key(args) if name == "op" else getattr(args, name)
         for name in entry.fields
     }
     key = f"{args.command}:" + ",".join(f"{name}={params[name]}" for name in entry.fields)
@@ -345,7 +341,7 @@ def cmd_series(args) -> int:
         "seed": args.seed, "size_cap": args.size_cap,
     }
     if args.engine == "rep":
-        if args.operator_file or args.operator != "special":
+        if args.operator_file or args.operator not in (None, "special"):
             flag = "--operator-file" if args.operator_file else f"--operator {args.operator!r}"
             raise ValueError("the rep engine predicts only the special operator; "
                              f"drop {flag} or use --engine oracle")
@@ -354,8 +350,8 @@ def cmd_series(args) -> int:
             for m, kd, cd in kernel_series_rep(args.n, args.k, args.a1, args.a2, span)
         ]
     else:
-        op, opkey = _resolve_operator(args)
-        params["operator"] = opkey
+        params["operator"] = _operator_key(args)
+        op = _operator(args.n, args.k, params["operator"])
         rows = [
             {"m": m, **_rank_payload(rank)}
             for m, rank in oracle_series(op, args.a1, args.a2, span, size_cap=args.size_cap)
@@ -457,8 +453,11 @@ def _size_cap(text: str) -> int:
 
 
 def _add_operator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--operator", default="special")
-    p.add_argument("--operator-file", default=None)
+    # None means special: argparse counts a flag as given only when its value is not
+    # the default object, and an in-process argv may hold the interned "special"
+    flags = p.add_mutually_exclusive_group()
+    flags.add_argument("--operator", default=None)
+    flags.add_argument("--operator-file", default=None)
 
 
 @functools.cache

@@ -15,8 +15,8 @@ orbit, with the orbit's size, from one table of hits per source monomial,
 all monomials coded as integers, and exact_rank eliminates each
 representative once.  The full column list is built from the same table
 only when something reads matrix.columns: the golden layout, to_dense,
-nnz, equality, and operators that do not preserve weight, which fall back
-to the connected components of the sparsity pattern.  Every rank is a
+nnz, and operators that do not preserve weight, which fall back to the
+connected components of the sparsity pattern.  Every rank is a
 proof: a block of full rank modulo the small fixed prime 2039 is proven by
 that elimination, a deficient one by Bareiss elimination (exact_rank states
 the rule).  Modular eliminations run in pure Python with each row packed
@@ -65,15 +65,6 @@ _PROOF_PRIME = 2039
 
 class SizeCapError(ValueError):
     """Requested bases exceed the configured size cap."""
-
-    def __init__(self, dim_source: int, dim_target: int, cap: int):
-        self.dim_source = dim_source
-        self.dim_target = dim_target
-        self.cap = cap
-        super().__init__(
-            f"basis sizes {dim_source} (source) and {dim_target} (target) "
-            f"exceed the cap {cap}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -249,8 +240,7 @@ class SparseIntMatrix:
     blocks, when set, holds one Block per orbit of weight blocks: the
     representative block and the number of blocks in its orbit, all of the
     same rank.  Blocks share no rows, and the orbits cover every
-    nonempty column; None means the block structure is unknown.  Equality
-    compares shape and columns only.
+    nonempty column; None means the block structure is unknown.
     """
 
     def __init__(
@@ -268,11 +258,6 @@ class SparseIntMatrix:
         if callable(self._columns):
             self._columns = self._columns()
         return self._columns
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseIntMatrix):
-            return NotImplemented
-        return (self.shape, self.columns) == (other.shape, other.columns)
 
     @property
     def nnz(self) -> int:
@@ -305,7 +290,10 @@ def build_matrix(
         raise ValueError(f"source exponents must be >= 0, got A={A}, B={B}")
     dim_source, dim_target = source_target_dims(n, k, A, B)
     if dim_source > size_cap or dim_target > size_cap:
-        raise SizeCapError(dim_source, dim_target, size_cap)
+        raise SizeCapError(
+            f"basis sizes {dim_source} (source) and {dim_target} (target) "
+            f"exceed the cap {size_cap}"
+        )
     # Each monomial is coded once, in mixed radix with x0 the most significant
     # digit and a base above every exponent that occurs: multiplying by x^alpha
     # adds alpha's code, d^beta subtracts beta's, and among monomials of one
@@ -570,8 +558,6 @@ def _rank_bareiss(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int
 ) -> int:
     """Exact rank by fraction-free (Bareiss) elimination over the integers."""
-    if nrows == 0 or ncols == 0:
-        return 0
     a = [[0] * ncols for _ in range(nrows)]
     for i, j, val in entries:
         a[i][j] = val

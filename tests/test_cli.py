@@ -124,6 +124,26 @@ class TestBasicCommands:
         assert rows["rep"] == rows["oracle"]
         assert [m for m, _, _ in rows["rep"]] == ["2", "3", "4", "5", "6"]
 
+    def test_series_oracle_rows_are_the_oracle_payloads(self, capsys, tmp_path):
+        # an operator file that does not preserve weight, and the special operator
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 2, "k": 1, "terms": [
+            {"coeff": 2, "alpha": [1, 0, 0], "beta": [0, 0, 1]},
+            {"coeff": -1, "alpha": [0, 1, 0], "beta": [0, 1, 0]},
+        ]}))
+        for flags in (["--operator-file", str(path)], []):
+            code, out, _ = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "2",
+                               "--a2", "1", "--m", "0..6", "--engine", "oracle",
+                               "--format", "json", *flags)
+            rows = json.loads(out)["result"]["rows"]
+            feasible = asympure.feasible_multiples(2, 1, 2, 1, range(0, 7))
+            assert code == 0 and [row["m"] for row in rows] == [str(m) for m, _, _ in feasible]
+            for row, (_, A, B) in zip(rows, feasible):
+                code, out, _ = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", str(A),
+                                   "--B", str(B), "--format", "json", *flags)
+                assert code == 0
+                assert {k: v for k, v in row.items() if k != "m"} == json.loads(out)["result"]
+
     def test_series_oracle(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "1",
                            "--a2", "1", "--m", "3..4", "--engine", "oracle",
@@ -293,10 +313,35 @@ class TestExitCodes:
         assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
     def test_unknown_operator_exits_2(self, capsys):
-        code, out, err = run(capsys, "oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1",
-                             "--operator", "bogus")
-        assert (code, out) == (2, "")
-        assert err == "error: unknown operator 'bogus'; use 'special' or --operator-file\n"
+        # the empty name too: it names no operator, so it is not the special one
+        for argv in (["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1"],
+                     ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4",
+                      "--engine", "oracle"]):
+            for name in ("bogus", ""):
+                code, out, err = run(capsys, *argv, "--operator", name)
+                assert (code, out) == (2, ""), (argv[0], name)
+                assert err == f"error: unknown operator {name!r}; use 'special' or --operator-file\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1"],
+        ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4",
+         "--engine", "oracle"],
+    ], ids=["oracle", "series"])
+    def test_both_operator_flags_exit_2(self, capsys, tmp_path, argv):
+        # the flags name one operator each, so neither silently wins
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(
+            {"n": 2, "k": 1,
+             "terms": [{"coeff": 1, "alpha": [1, 0, 0], "beta": [1, 0, 0]}]}
+        ))
+        for flags in (["--operator", "special", "--operator-file", str(path)],
+                      ["--operator-file", str(path), "--operator", "special"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv + flags)
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not allowed with argument" in captured.err
 
     def test_operator_file_of_another_n_exits_2(self, capsys, tmp_path):
         path = tmp_path / "corner.json"
@@ -642,6 +687,21 @@ class TestCachedCommands:
             monkeypatch.setattr(cli, name, recompute)
         for fmt in FORMATS:
             assert run(capsys, *argv, "--format", fmt) == expected[fmt]
+
+    def test_miss_builds_the_operator_once(self, capsys, monkeypatch, tmp_path):
+        # the key names the operator, so a hit builds none
+        built = []
+
+        def counted(n, k):
+            built.append((n, k))
+            return asympure.special_fiber_operator(n, k)
+
+        monkeypatch.setattr(cli, "special_fiber_operator", counted)
+        argv = ["oracle", "--n", "2", "--k", "1", "--A", "4", "--B", "3",
+                "--cache", str(tmp_path / "cache.jsonl")]
+        miss = run(capsys, *argv)
+        assert miss[0] == 0 and built == [(2, 1)]
+        assert run(capsys, *argv) == miss and built == [(2, 1)]
 
     def test_hit_stringifies_nothing(self, capsys, monkeypatch, tmp_path):
         # the stored payload is printed as it is, without a second pass

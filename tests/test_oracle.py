@@ -656,8 +656,3 @@ class TestReferenceRanks:
         op = weight_changing_operator()
         for A, B in ((0, 1), (2, 2), (3, 1)):
             assert build_matrix(op, A, B).blocks is None
-
-    def test_blocks_do_not_change_equality(self):
-        matrix = build_matrix(special_fiber_operator(2, 1), 2, 2)
-        assert matrix.blocks is not None
-        assert matrix == SparseIntMatrix(matrix.shape, matrix.columns)

@@ -247,11 +247,19 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     Fraction(6, 1)
     """
+    return _special_fiber(n, k, a1, a2)
+
+
+def _special_fiber(
+    n: int, k: int, a1: int, a2: int, label: CaseLabel | None = None
+) -> AsymptoticVector:
+    """asymptotic_special_fiber, given the class's label when the caller has classified it."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if a1 < 0 or a2 < 0:
         raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
-    label = classify(n, DivisorClass(a1, -a2))
+    if label is None:
+        label = classify(n, DivisorClass(a1, -a2))
     dim = 2 * n - 1
     values = [Fraction(0)] * (dim + 1)
     scale = factorial(dim)
@@ -279,10 +287,11 @@ def purity_report(
     """Classify and evaluate a batch of special-fiber divisors (a1, a2) >= 0.
 
     Entries are coefficient pairs for D = a1*H1 - a2*H2.  Every pair, the
-    zero pair included, takes classify and asymptotic_special_fiber; the
-    zero pair comes out boundary and pure_zero.  Impure verdicts are
-    returned like the others; a caller that expects purity checks the
-    verdicts itself.
+    zero pair included, is classified once, and that label is evaluated as
+    in asymptotic_special_fiber; the zero pair comes out boundary and
+    pure_zero.  Impure verdicts are returned like the others; a caller that
+    expects purity checks the verdicts itself.
     """
     divisors = [DivisorClass(a1, -a2) for a1, a2 in divisor_list]
-    return [(d, classify(n, d), asymptotic_special_fiber(n, k, d.a1, -d.a2)) for d in divisors]
+    return [(d, (label := classify(n, d)), _special_fiber(n, k, d.a1, -d.a2, label))
+            for d in divisors]

@@ -299,7 +299,7 @@ def _parse_key(key: str) -> tuple[Cached, dict]:
 
 def _operator_key(args) -> str:
     """The `op` field the operator flags name: special, or the operator file's canonical key."""
-    if args.operator_file:
+    if args.operator_file is not None:
         op = load_operator(args.operator_file)
         if op.n != args.n or op.k != args.k:
             raise ValueError(
@@ -341,8 +341,9 @@ def cmd_series(args) -> int:
         "seed": args.seed, "size_cap": args.size_cap,
     }
     if args.engine == "rep":
-        if args.operator_file or args.operator not in (None, "special"):
-            flag = "--operator-file" if args.operator_file else f"--operator {args.operator!r}"
+        if args.operator_file is not None or args.operator not in (None, "special"):
+            flag = ("--operator-file" if args.operator_file is not None
+                    else f"--operator {args.operator!r}")
             raise ValueError("the rep engine predicts only the special operator; "
                              f"drop {flag} or use --engine oracle")
         rows = [

@@ -4,14 +4,20 @@ Each check returns (ok, detail) and the runner prints one PASS/FAIL line per
 check.  The small suite keeps n <= 2, k <= 2, m <= 8 and finishes in well
 under a minute; the full suite extends to m <= 12, the complete exponent
 grid, and rank-3 prediction-only identities.
+
+Every check but the purity scan and the rank-3 growth laws walks its cases
+through _agree, so its FAIL line names the first case that differs and both
+values: `FAIL - <check>: <what> at <case>: <got> != <want>`.  A check that
+raises is a failed check: `FAIL - <check>: raised <Type>: <message>`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import zip_longest
-from typing import Callable
+from functools import cache, partial
+from itertools import product
+from operator import attrgetter, sub
+from typing import Callable, Iterable
 
 from .asymptotics import fit_leading_coefficient, purity_report, stable_start
 from .oracle import (
@@ -38,139 +44,123 @@ from .reptheory import (
 
 Check = tuple[str, Callable[[], tuple[bool, str]]]
 
+# spot values keyed by case: bott_cohomology(n, d).values and weyl_dimension(n, (l1, l2))
+_BOTT_GOLDENS = {(2, 3): (10, 0, 0), (2, -1): (0, 0, 0), (2, -4): (0, 0, 3), (3, 0): (1, 0, 0, 0)}
+_WEYL_GOLDENS = {(2, (1, 0)): 3, (3, (1, 1)): 6, (2, (9, 3)): 154, (1, (3, 0)): 4}
+
+_kernel_cokernel = attrgetter("kernel_dim", "cokernel_dim")
+
+
+def _agree(
+    what: str, cases: Iterable[tuple], got: Callable, want: Callable, passed: str
+) -> tuple[bool, str]:
+    """(True, passed), or (False, detail) at the first case where got(*case) != want(*case)."""
+    for case in cases:
+        value, expected = got(*case), want(*case)
+        if value != expected:
+            return False, f"{what} at {case}: {value} != {expected}"
+    return True, passed
+
 
 def _check_bott_goldens() -> tuple[bool, str]:
-    cases = [
-        (2, 3, (10, 0, 0)),
-        (2, -1, (0, 0, 0)),
-        (2, -4, (0, 0, 3)),
-        (3, 0, (1, 0, 0, 0)),
-    ]
-    for n, d, expected in cases:
-        got = bott_cohomology(n, d).values
-        if got != expected:
-            return False, f"bott({n}, {d}) = {got}, expected {expected}"
-    return True, f"{len(cases)} spot values"
+    return _agree("bott_cohomology(n, d) vs golden", _BOTT_GOLDENS,
+                  lambda n, d: bott_cohomology(n, d).values, lambda *case: _BOTT_GOLDENS[case],
+                  f"{len(_BOTT_GOLDENS)} spot values")
 
 
 def _check_serre_duality(n_max: int, d_max: int) -> tuple[bool, str]:
-    for n in range(1, n_max + 1):
-        for d in range(-d_max, d_max + 1):
-            lhs = bott_cohomology(n, d).values
-            rhs = bott_cohomology(n, -d - n - 1).values
-            if lhs != tuple(reversed(rhs)):
-                return False, f"duality fails at n={n}, d={d}"
-    return True, f"n <= {n_max}, |d| <= {d_max}"
+    return _agree("bott_cohomology(n, d) vs reversed bott_cohomology(n, -d - n - 1)",
+                  product(range(1, n_max + 1), range(-d_max, d_max + 1)),
+                  lambda n, d: bott_cohomology(n, d).values,
+                  lambda n, d: bott_cohomology(n, -d - n - 1).values[::-1],
+                  f"n <= {n_max}, |d| <= {d_max}")
 
 
 def _check_kunneth_duality(n_max: int, a_max: int) -> tuple[bool, str]:
-    for n in range(1, n_max + 1):
-        for a1 in range(-a_max, a_max + 1):
-            for a2 in range(-a_max, a_max + 1):
-                lhs = kunneth_cohomology(n, DivisorClass(a1, a2)).values
-                dual = DivisorClass(-a1 - n - 1, -a2 - n - 1)
-                rhs = kunneth_cohomology(n, dual).values
-                if lhs != tuple(reversed(rhs)):
-                    return False, f"duality fails at n={n}, ({a1}, {a2})"
-    return True, f"n <= {n_max}, |a| <= {a_max}"
+    span = range(-a_max, a_max + 1)
+    return _agree("kunneth_cohomology(n, (a1, a2)) vs reversed "
+                  "kunneth_cohomology(n, (-a1 - n - 1, -a2 - n - 1))",
+                  product(range(1, n_max + 1), span, span),
+                  lambda n, a1, a2: kunneth_cohomology(n, DivisorClass(a1, a2)).values,
+                  lambda n, a1, a2: kunneth_cohomology(
+                      n, DivisorClass(-a1 - n - 1, -a2 - n - 1)).values[::-1],
+                  f"n <= {n_max}, |a| <= {a_max}")
 
 
 def _check_pieri_sums(n_max: int, e_max: int) -> tuple[bool, str]:
-    for n in range(1, n_max + 1):
-        for A in range(e_max + 1):
-            for B in range(e_max + 1):
-                total = pieri_decompose(n, A, B).dimension()
-                expected = binomial(A + n, n) * binomial(B + n, n)
-                if total != expected:
-                    return False, f"dimension sum fails at n={n}, A={A}, B={B}"
-    return True, f"n <= {n_max}, A, B <= {e_max}"
+    span = range(e_max + 1)
+    return _agree("pieri_decompose(n, A, B) dimension vs C(A + n, n) * C(B + n, n)",
+                  product(range(1, n_max + 1), span, span),
+                  lambda n, A, B: pieri_decompose(n, A, B).dimension(),
+                  lambda n, A, B: binomial(A + n, n) * binomial(B + n, n),
+                  f"n <= {n_max}, A, B <= {e_max}")
+
+
+def _maps(n_list: list[int], k_max: int, e_max: int) -> list[tuple[int, int, int, int]]:
+    """(n, k, A, B) of every map with n in n_list, k <= k_max, A <= e_max, k <= B <= e_max."""
+    return [(n, k, A, B) for n in n_list for k in range(1, k_max + 1)
+            for A in range(e_max + 1) for B in range(k, e_max + 1)]
 
 
 def _check_euler_consistency(n_list: list[int], k_max: int, e_max: int) -> tuple[bool, str]:
-    count = 0
-    for n in n_list:
-        for k in range(1, k_max + 1):
-            for A in range(e_max + 1):
-                for B in range(k, e_max + 1):
-                    analysis = predict_map_analysis(n, k, A, B)
-                    src, tgt = source_target_dims(n, k, A, B)
-                    if analysis.kernel_dim - analysis.cokernel_dim != src - tgt:
-                        return False, f"Euler mismatch at n={n}, k={k}, A={A}, B={B}"
-                    count += 1
-    return True, f"{count} maps"
+    maps = _maps(n_list, k_max, e_max)
+    return _agree("kernel - cokernel of predict_map_analysis(n, k, A, B) vs source - target",
+                  maps,
+                  lambda *case: sub(*_kernel_cokernel(predict_map_analysis(*case))),
+                  lambda *case: sub(*source_target_dims(*case)), f"{len(maps)} maps")
 
 
 def _check_engine_series(m_max: int) -> tuple[bool, str]:
-    count = 0
     multiples = range(1, m_max + 1)
-    for n in (1, 2):
-        for k in (1, 2):
-            op = special_fiber_operator(n, k)
-            for a1, a2 in ((1, 1), (2, 1), (1, 2)):
-                oracle_rows = [(m, r.kernel_dim, r.cokernel_dim)
-                               for m, r in oracle_series(op, a1, a2, multiples)]
-                rep_rows = kernel_series_rep(n, k, a1, a2, multiples)
-                if oracle_rows != rep_rows:
-                    got, want = next(p for p in zip_longest(oracle_rows, rep_rows) if p[0] != p[1])
-                    return False, (f"engines disagree at n={n}, k={k}, ({a1}, {a2}): "
-                                   f"oracle row {got}, predicted row {want}")
-                count += len(rep_rows)
-    return True, f"{count} multiples agree"
+    predicted = {(n, k, a1, a2): kernel_series_rep(n, k, a1, a2, multiples)
+                 for n in (1, 2) for k in (1, 2) for a1, a2 in ((1, 1), (2, 1), (1, 2))}
+    operator = cache(special_fiber_operator)
+    return _agree("(m, kernel, cokernel) rows of oracle_series vs kernel_series_rep(n, k, a1, a2)",
+                  predicted,
+                  lambda n, k, a1, a2: [(m, *_kernel_cokernel(r)) for m, r in
+                                        oracle_series(operator(n, k), a1, a2, multiples)],
+                  lambda *case: predicted[case],
+                  f"{sum(map(len, predicted.values()))} multiples agree")
 
 
 def _check_engine_grid(n_list: list[int], k_max: int, e_max: int) -> tuple[bool, str]:
-    count = 0
-    for n in n_list:
-        for k in range(1, k_max + 1):
-            op = special_fiber_operator(n, k)
-            for A in range(e_max + 1):
-                for B in range(k, e_max + 1):
-                    analysis = predict_map_analysis(n, k, A, B)
-                    result = exact_rank(build_matrix(op, A, B))
-                    if (result.kernel_dim, result.cokernel_dim) != (
-                        analysis.kernel_dim,
-                        analysis.cokernel_dim,
-                    ):
-                        return (
-                            False,
-                            f"engines disagree at n={n}, k={k}, A={A}, B={B}",
-                        )
-                    count += 1
-    return True, f"{count} maps agree exactly"
+    maps = _maps(n_list, k_max, e_max)
+    operator = cache(special_fiber_operator)
+    return _agree("(kernel, cokernel) of exact_rank vs predict_map_analysis(n, k, A, B)", maps,
+                  lambda n, k, A, B: _kernel_cokernel(
+                      exact_rank(build_matrix(operator(n, k), A, B))),
+                  lambda *case: _kernel_cokernel(predict_map_analysis(*case)),
+                  f"{len(maps)} maps agree exactly")
 
 
-def _corner_operator(terms: int) -> ContractionOperator:
+def _corner_kernels(terms: int, m_max: int) -> dict[int, int]:
+    """Oracle kernel at each multiple m in [2, m_max] of the corner operator with `terms` terms."""
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return ContractionOperator(
-        2, 1, tuple((1, e, e) for e in basis[:terms])
-    )
+    op = ContractionOperator(2, 1, tuple((1, e, e) for e in basis[:terms]))
+    return {m: r.kernel_dim for m, r in oracle_series(op, 1, 1, range(2, m_max + 1))}
 
 
 def _check_corner_closed_form(m_max: int) -> tuple[bool, str]:
-    rows = oracle_series(_corner_operator(1), 1, 1, range(2, m_max + 1))
-    multiples = [m for m, _ in rows]
-    if multiples != list(range(2, m_max + 1)):
-        return False, f"series covers multiples {multiples}, expected 2..{m_max}"
-    for m, result in rows:
-        expected = (m**3 - m) // 2
-        if result.kernel_dim != expected:
-            return False, f"kernel at m={m} is {result.kernel_dim}, expected {expected}"
-    fit_rows = [(m, r.kernel_dim) for m, r in rows if m >= 4]
-    lead = fit_leading_coefficient(fit_rows, 3)
+    kernels = _corner_kernels(1, m_max)
+    if list(kernels) != list(range(2, m_max + 1)):
+        return False, f"series covers multiples {list(kernels)}, expected 2..{m_max}"
+    ok, detail = _agree("one-term corner kernel(m) vs (m^3 - m)/2", [(m,) for m in kernels],
+                        kernels.get, lambda m: (m**3 - m) // 2, "")
+    if not ok:
+        return ok, detail
+    lead = fit_leading_coefficient([(m, kd) for m, kd in kernels.items() if m >= 4], 3)
     if lead != Fraction(1, 2):
         return False, f"leading coefficient {lead}, expected 1/2"
     return True, f"m in [2, {m_max}], leading coefficient 1/2"
 
 
 def _check_corner_lower_bound(m_max: int) -> tuple[bool, str]:
-    rows = oracle_series(_corner_operator(2), 1, 1, range(2, m_max + 1))
-    for m, result in rows:
-        bound = sum(binomial(2 + (m - 1 - j), 2) for j in range(m - 1))
-        if result.kernel_dim < bound:
-            return False, f"kernel at m={m} is {result.kernel_dim} < bound {bound}"
-        if result.kernel_dim != bound:
-            return False, f"kernel at m={m} is {result.kernel_dim}, bound {bound} (gap!)"
-    return True, f"m in [2, {m_max}]; the displayed sum is the exact kernel"
+    # != fails both a kernel below the bound and one above it (a gap)
+    kernels = _corner_kernels(2, m_max)
+    return _agree("two-term corner kernel(m) vs its bound sum_{j < m - 1} C(m + 1 - j, 2)",
+                  [(m,) for m in kernels], kernels.get,
+                  lambda m: sum(binomial(2 + (m - 1 - j), 2) for j in range(m - 1)),
+                  f"m in [2, {m_max}]; the displayed sum is the exact kernel")
 
 
 def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
@@ -212,17 +202,9 @@ def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, s
 
 
 def _check_weyl_goldens() -> tuple[bool, str]:
-    cases = [
-        (2, (1, 0), 3),
-        (3, (1, 1), 6),
-        (2, (9, 3), 154),
-        (1, (3, 0), 4),
-    ]
-    for n, (l1, l2), expected in cases:
-        got = weyl_dimension(n, IrrepLabel(l1, l2))
-        if got != expected:
-            return False, f"weyl({n}, ({l1}, {l2})) = {got}, expected {expected}"
-    return True, f"{len(cases)} spot values"
+    return _agree("weyl_dimension(n, (l1, l2)) vs golden", _WEYL_GOLDENS,
+                  lambda n, label: weyl_dimension(n, IrrepLabel(*label)),
+                  lambda *case: _WEYL_GOLDENS[case], f"{len(_WEYL_GOLDENS)} spot values")
 
 
 # Each check once, in run order: name, function, its arguments in the small

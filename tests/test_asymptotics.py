@@ -281,7 +281,7 @@ class TestPurityReport:
         import asympure.asymptotics as asym
 
         fake = AsymptoticVector((1, 2, 0, 0))
-        monkeypatch.setattr(asym, "asymptotic_special_fiber", lambda *a: fake)
+        monkeypatch.setattr(asym, "_special_fiber", lambda *a: fake)
         (divisor, _, vec), = asym.purity_report(2, 1, [(1, 1)])
         assert (divisor.a1, divisor.a2) == (1, -1)
         assert vec.purity.kind == "impure"

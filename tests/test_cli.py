@@ -190,9 +190,23 @@ class TestScan:
         import asympure.asymptotics as asym
 
         fake = asympure.AsymptoticVector((1, 2, 0, 0))
-        monkeypatch.setattr(asym, "asymptotic_special_fiber", lambda *a: fake)
+        monkeypatch.setattr(asym, "_special_fiber", lambda *a: fake)
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
         assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
+
+    def test_each_class_is_classified_once(self, capsys, monkeypatch):
+        import asympure.asymptotics as asym
+
+        labels = []
+
+        def counted(n, divisor):
+            labels.append((divisor.a1, -divisor.a2))
+            return asympure.classify(n, divisor)
+
+        monkeypatch.setattr(asym, "classify", counted)
+        code, _, _ = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..3", "--a2", "0..3")
+        assert code == 0
+        assert sorted(labels) == [(a1, a2) for a1 in range(4) for a2 in range(4)]
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--a1", "5..2", "--a2", "0..3"],
@@ -343,6 +357,22 @@ class TestExitCodes:
             assert captured.out == ""
             assert "not allowed with argument" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1"],
+         "error: [Errno 2] No such file or directory: ''\n"),
+        (["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4",
+          "--engine", "oracle"],
+         "error: [Errno 2] No such file or directory: ''\n"),
+        (["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4",
+          "--engine", "rep"],
+         "error: the rep engine predicts only the special operator; "
+         "drop --operator-file or use --engine oracle\n"),
+    ], ids=["oracle", "series-oracle", "series-rep"])
+    def test_empty_operator_file_exits_2(self, capsys, argv, message):
+        # an empty path names no file, so it is not the absent flag (the special operator)
+        code, out, err = run(capsys, *argv, "--operator-file", "")
+        assert (code, out, err) == (2, "", message)
+
     def test_operator_file_of_another_n_exits_2(self, capsys, tmp_path):
         path = tmp_path / "corner.json"
         path.write_text(json.dumps(
@@ -472,6 +502,26 @@ class TestCache:
             "bott:n=2,d=-4", "product:n=2,a1=2,a2=-4"]
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
         assert code == 0 and "all checks passed" in out
+
+    def test_short_write_exits_2_and_the_torn_line_is_cut(self, capsys, caplog, monkeypatch,
+                                                          tmp_path):
+        # a write that stops early leaves a torn final line: the call fails, the next repairs
+        from asympure import cache as cache_module
+
+        cache = tmp_path / "cache.jsonl"
+        argv = ["bott", "--n", "2", "--d", "-4", "--format", "json"]
+        _, cold, _ = run(capsys, *argv)
+        real_write = os.write
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module.os, "write", lambda fd, data: real_write(fd, data[:10]))
+            code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cache}: short write of a cache record (10 of ")
+        assert cache.read_text() == '{"key": "b'
+        code, out, _ = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (0, cold)
+        assert f"{cache}:1: skipping torn final cache record" in caplog.text
+        assert cache_keys(cache) == ["bott:n=2,d=-4"]
 
     def test_unterminated_final_record_gets_its_newline(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -347,6 +347,15 @@ class TestExactRank:
         with pytest.raises(ValueError):
             RankResult(4, 3, 5, -1, -2)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((4, 3, 2, 1, 1), "rank-nullity violated on the source side"),
+        ((4, 3, 2, 2, 2), "rank-nullity violated on the target side"),
+        ((4, 3, 5, -1, -2), "rank out of range"),
+    ])
+    def test_rank_result_names_the_broken_rule(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            RankResult(*fields)
+
 
 def rank_gf2(entries, nrows):
     """Rank over GF(2) by xor elimination: an independent reference for p = 2."""

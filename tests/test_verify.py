@@ -1,0 +1,116 @@
+"""The cross-check suite reports what it finds.
+
+Each case-by-case check in asympure.verify is run with one engine or
+closed-form call answering for other arguments in one case; the check must
+fail, and its detail must name that case and both values.  A check that
+raises is one counted FAIL line, and `asympure verify` then exits 1.
+"""
+
+import pytest
+
+from asympure import oracle, verify
+from asympure.cli import main
+from asympure.oracle import ContractionOperator, special_fiber_operator
+from asympure.projspace import DivisorClass
+from asympure.reptheory import IrrepLabel
+
+CORNER_1 = ContractionOperator(2, 1, ((1, (1, 0, 0), (1, 0, 0)),))
+CORNER_2 = ContractionOperator(2, 1, ((1, (1, 0, 0), (1, 0, 0)), (1, (0, 1, 0), (0, 1, 0))))
+SPECIAL_21 = special_fiber_operator(2, 1)
+
+
+def answer_for(real, at, instead):
+    """`real`, except that called with the arguments `at` it answers for `instead`."""
+    def patched(*args, **kwargs):
+        return real(*(instead if args == at else args), **kwargs)
+    return patched
+
+
+# check, its arguments, the module and name of the call patched, the arguments
+# it answers wrongly and those it answers for instead, and the FAIL detail
+DISAGREEMENTS = {
+    "bott goldens": (
+        verify._check_bott_goldens, (), verify, "bott_cohomology", (2, 3), (2, 4),
+        "bott_cohomology(n, d) vs golden at (2, 3): (15, 0, 0) != (10, 0, 0)"),
+    "Weyl goldens": (
+        verify._check_weyl_goldens, (), verify, "weyl_dimension",
+        (2, IrrepLabel(9, 3)), (2, IrrepLabel(9, 4)),
+        "weyl_dimension(n, (l1, l2)) vs golden at (2, (9, 3)): 165 != 154"),
+    "Serre duality": (
+        verify._check_serre_duality, (3, 12), verify, "bott_cohomology", (2, -6), (2, -7),
+        "bott_cohomology(n, d) vs reversed bott_cohomology(n, -d - n - 1) "
+        "at (2, -6): (0, 0, 15) != (0, 0, 10)"),
+    "Kunneth duality": (
+        verify._check_kunneth_duality, (2, 8), verify, "kunneth_cohomology",
+        (1, DivisorClass(-3, -3)), (1, DivisorClass(-3, -4)),
+        "kunneth_cohomology(n, (a1, a2)) vs reversed kunneth_cohomology(n, "
+        "(-a1 - n - 1, -a2 - n - 1)) at (1, -3, -3): (0, 0, 6) != (0, 0, 4)"),
+    "Pieri dimension sums": (
+        verify._check_pieri_sums, (2, 12), verify, "pieri_decompose", (2, 3, 4), (2, 3, 5),
+        "pieri_decompose(n, A, B) dimension vs C(A + n, n) * C(B + n, n) "
+        "at (2, 3, 4): 210 != 150"),
+    "Euler consistency": (
+        verify._check_euler_consistency, ([2], 1, 4), verify, "predict_map_analysis",
+        (2, 1, 3, 4), (2, 1, 4, 4),
+        "kernel - cokernel of predict_map_analysis(n, k, A, B) vs source - target "
+        "at (2, 1, 3, 4): 15 != 0"),
+    "engine equivalence (series)": (
+        verify._check_engine_series, (8,), verify, "kernel_series_rep",
+        (1, 1, 2, 1, range(1, 9)), (1, 2, 2, 1, range(1, 9)),
+        "(m, kernel, cokernel) rows of oracle_series vs kernel_series_rep(n, k, a1, a2) "
+        "at (1, 1, 2, 1): "
+        "[(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0), (6, 7, 0), (7, 8, 0), "
+        "(8, 9, 0)] != "
+        "[(1, 2, 0), (2, 4, 0), (3, 6, 0), (4, 8, 0), (5, 10, 0), (6, 12, 0), (7, 14, 0), "
+        "(8, 16, 0)]"),
+    "engine equivalence (grid)": (
+        verify._check_engine_grid, ([2], 1, 4), verify, "build_matrix",
+        (SPECIAL_21, 3, 4), (SPECIAL_21, 4, 4),
+        "(kernel, cokernel) of exact_rank vs predict_map_analysis(n, k, A, B) "
+        "at (2, 1, 3, 4): (15, 0) != (0, 0)"),
+    # the corners' oracle series build the matrix of multiple m at (A, B) = (m - 1, m - 2)
+    "corner closed form": (
+        verify._check_corner_closed_form, (8,), oracle, "build_matrix",
+        (CORNER_1, 4, 3), (CORNER_1, 5, 4),
+        "one-term corner kernel(m) vs (m^3 - m)/2 at (5,): 105 != 60"),
+    "corner lower bound (gap)": (
+        verify._check_corner_lower_bound, (8,), oracle, "build_matrix",
+        (CORNER_2, 4, 3), (CORNER_2, 5, 4),
+        "two-term corner kernel(m) vs its bound sum_{j < m - 1} C(m + 1 - j, 2) "
+        "at (5,): 55 != 34"),
+    "corner lower bound (below)": (
+        verify._check_corner_lower_bound, (8,), oracle, "build_matrix",
+        (CORNER_2, 4, 3), (CORNER_2, 3, 2),
+        "two-term corner kernel(m) vs its bound sum_{j < m - 1} C(m + 1 - j, 2) "
+        "at (5,): 19 != 34"),
+}
+
+
+@pytest.mark.parametrize("name", list(DISAGREEMENTS))
+def test_fail_names_the_case_and_both_values(monkeypatch, name):
+    check, args, where, call, at, instead, detail = DISAGREEMENTS[name]
+    assert check(*args)[0]
+    monkeypatch.setattr(where, call, answer_for(getattr(where, call), at, instead))
+    assert check(*args) == (False, detail)
+
+
+def test_every_case_by_case_check_is_covered():
+    covered = {check for check, *_ in DISAGREEMENTS.values()}
+    skipped = {verify._check_purity_scan, verify._check_growth_degrees}
+    assert covered | skipped == {check for _, check, _, _ in verify._CHECKS}
+
+
+def test_a_check_that_raises_is_one_counted_fail_line(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("no answer")
+
+    checks = verify._CHECKS[:1] + (("broken", broken, (), ()),) + verify._CHECKS[3:4]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    assert main(["verify", "--suite", "small"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "PASS - bott goldens: 4 spot values\n"
+        "FAIL - broken: raised RuntimeError: no answer\n"
+        "PASS - Weyl goldens: 4 spot values\n"
+        "1 check(s) failed\n"
+    )

@@ -191,9 +191,9 @@ def stable_start(n: int, k: int, a1: int, a2: int) -> int:
     by m = max(k, n + 1): there A >= 0 because m >= k, B >= k because
     m >= n + 1, and m*|a2 - a1| >= |n + 1 - k| whenever a1 != a2.
 
-    Why: predict_map_analysis sums w(i), the Weyl dimension of
-    (A + B - i, i), over the kernel range max(T + 1, 0) <= i <= S and the
-    cokernel range S < i <= T, where S = min(A, B) and T = min(A + k, B - k).
+    Why: the prediction sums w(i), the Weyl dimension of (A + B - i, i), over
+    the one range rule, reptheory._index_ranges: the kernel max(T + 1, 0) <= i
+    <= S and the cokernel S < i <= T, where S = min(A, B), T = min(A + k, B - k).
     By weyl_dimension's closed form, w is a polynomial in (m, i) of degree
     2n - 1, and it changes sign under the reflection i -> A + B + 1 - i
     (the closed form of (l1, l2) is minus that of (l2 - 1, l1 + 1)), so its

@@ -368,19 +368,11 @@ def cmd_scan(args) -> int:
     a1_span, a2_span = _parse_span(args.a1), _parse_span(args.a2)
     grid = [(a1, a2) for a1 in a1_span for a2 in a2_span]
     records = purity_report(args.n, args.k, grid)
-    width = 2 * args.n
-    header = ["n", "k", "a1", "a2", "case"]
-    header += [f"h_hat_{i}" for i in range(width)]
-    header.append("verdict")
-    rows = []
-    impure = []
-    for (a1, a2), (_, label, vector) in zip(grid, records):
-        row = [args.n, args.k, a1, a2, label.kind]
-        row += [str(v) for v in vector.values]
-        row.append(str(vector.purity))
-        rows.append(row)
-        if vector.purity.kind == "impure":
-            impure.append((a1, a2))
+    header = ["n", "k", "a1", "a2", "case", *(f"h_hat_{i}" for i in range(2 * args.n)), "verdict"]
+    verdicts = [vector.purity for _, _, vector in records]
+    rows = [[args.n, args.k, a1, a2, label.kind, *map(str, vector.values), str(verdict)]
+            for (a1, a2), (_, label, vector), verdict in zip(grid, records, verdicts)]
+    impure = [cls for cls, verdict in zip(grid, verdicts) if verdict.kind == "impure"]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             _write_csv(handle, header, rows)
@@ -389,7 +381,7 @@ def cmd_scan(args) -> int:
         "seed": args.seed, "size_cap": args.size_cap,
     }
     result = {"header": header, "rows": rows, "total": len(rows), "impure": impure}
-    counts = Counter(vector.purity.kind for _, _, vector in records)
+    counts = Counter(verdict.kind for verdict in verdicts)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     destination = f" -> {args.out}" if args.out else ""
     # CSV written to --out leaves stdout the summary line

@@ -183,9 +183,18 @@ def kunneth_cohomology(n: int, divisor: DivisorClass) -> CohomologyVector:
 
 
 def euler_characteristic(n: int, divisor: DivisorClass) -> int:
-    """Alternating sum of the Kunneth cohomology of O(a1, a2).
+    """chi(O(a1, a2)) on P^n x P^n, the product of the Riemann-Roch polynomials.
 
-    Equals the product of the one-factor Euler characteristics; used as a
-    consistency check for the exact-sequence bookkeeping downstream.
+    chi(O(d)) on P^n is C(d + n, n) = (d + 1)...(d + n)/n! at every integer d:
+    h^0 for d >= 0, 0 on the acyclic band -n <= d <= -1, and (-1)^n h^n below
+    it.  The alternating sum of kunneth_cohomology is the independent check.
+
+    >>> euler_characteristic(2, DivisorClass(-1, 5))
+    0
+    >>> euler_characteristic(3, DivisorClass(-5, 1))
+    -16
     """
-    return kunneth_cohomology(n, divisor).euler()
+    if n < 1:
+        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    return math.prod(math.prod(range(d + 1, d + n + 1)) // math.factorial(n)
+                     for d in (divisor.a1, divisor.a2))

@@ -6,7 +6,8 @@ the equivariant contraction (sum_i x_i (x) d_i)^k as a multiset difference
 of the source and target decompositions.  By Schur, a component shared by
 both sides maps either isomorphically or to zero; the prediction assumes
 "isomorphically", so only the unshared components survive.  The exact-rank
-oracle is what tests that assumption.
+oracle is what tests that assumption.  One range rule, _index_ranges, gives
+the indices i of the surviving components (A+B-i, i) of every map.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ def weyl_dimension(n: int, label: IrrepLabel) -> int:
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    lambda1, lambda2 = label.lambda1, label.lambda2
+    return _weyl(n, label.lambda1, label.lambda2)
+
+
+def _weyl(n: int, lambda1: int, lambda2: int) -> int:
+    """weyl_dimension's closed form, for a rank and a label its caller has checked."""
     num = (lambda1 - lambda2 + 1) * comb(lambda1 + n, n) * comb(lambda2 + n - 1, n - 1)
     quotient, remainder = divmod(num, lambda1 + 1)
     assert remainder == 0, "Weyl dimension must be an integer"
@@ -106,36 +111,41 @@ class MapAnalysis:
     cokernel_labels: tuple[IrrepLabel, ...]
 
 
+def _index_ranges(n: int, k: int, A: int, B: int) -> tuple[range, range]:
+    """Indices i of the kernel and cokernel components (A+B-i, i) of one map.
+
+    Source indices run over 0..S and target ones over 0..T, with S = min(A, B)
+    and T = min(A+k, B-k), so the kernel is max(T+1, 0)..S and the cokernel
+    S+1..T.  The label rule lambda1 >= lambda2 >= 0 is i in 0..(A+B)//2.
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    if A < 0 or B < 0:
+        raise ValueError(f"source exponents must be >= 0, got A={A}, B={B}")
+    source_top, target_top = min(A, B), min(A + k, B - k)
+    assert max(source_top, target_top) <= (A + B) // 2, "component index above (A+B)//2"
+    return range(max(target_top + 1, 0), source_top + 1), range(source_top + 1, target_top + 1)
+
+
 def predict_map_analysis(n: int, k: int, A: int, B: int) -> MapAnalysis:
     """Kernel/cokernel of Sym^A (x) Sym^B -> Sym^(A+k) (x) Sym^(B-k).
 
     The map is multiplication by the contraction (sum_i x_i (x) d_i)^k.
-    Source components run over i in [0, min(A, B)], target components over
-    i in [0, min(A+k, B-k)].  By Schur each shared component maps either
-    isomorphically or to zero; the prediction takes "isomorphically", so the
-    analysis is the multiset difference of the two index ranges.  The
-    exact-rank oracle cross-check is what tests that assumption.  A and B
-    range over the domain of feasible_multiples, A, B >= 0; for B in [0, k)
-    the target is zero and the whole source is kernel.
+    By Schur each component shared by source and target maps isomorphically
+    or to zero; the prediction takes "isomorphically", so the analysis is the
+    multiset difference of the decompositions, over the one range rule
+    _index_ranges.  The exact-rank oracle cross-check tests that assumption.
+    A, B >= 0 as in feasible_multiples; for B in [0, k) the target is zero
+    and the whole source is kernel.
 
     >>> predict_map_analysis(2, 1, 9, 3).kernel_dim
     154
     >>> predict_map_analysis(2, 1, 2, 4).cokernel_dim
     10
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    if A < 0 or B < 0:
-        raise ValueError(f"source exponents must be >= 0, got A={A}, B={B}")
-    source_top = min(A, B)
-    target_top = min(A + k, B - k)
-    total = A + B
-    kernel_labels = tuple(
-        IrrepLabel(total - i, i) for i in range(max(target_top + 1, 0), source_top + 1)
-    )
-    cokernel_labels = tuple(
-        IrrepLabel(total - i, i) for i in range(source_top + 1, target_top + 1)
-    )
+    kernel, cokernel = _index_ranges(n, k, A, B)
+    kernel_labels = tuple(IrrepLabel(A + B - i, i) for i in kernel)
+    cokernel_labels = tuple(IrrepLabel(A + B - i, i) for i in cokernel)
     return MapAnalysis(
         kernel_dim=sum(weyl_dimension(n, c) for c in kernel_labels),
         cokernel_dim=sum(weyl_dimension(n, c) for c in cokernel_labels),
@@ -150,10 +160,8 @@ def kernel_series_rep(
     """Predicted (m, kernel_dim, cokernel_dim) rows over a range of multiples.
 
     The rows are those of feasible_multiples, which states which multiples
-    are kept and when the range is an error.
+    are kept and when the range is an error.  A row holds predict_map_analysis's
+    two dimensions, summed over the same index ranges without labels.
     """
-    rows: list[tuple[int, int, int]] = []
-    for m, A, B in feasible_multiples(n, k, a1, a2, m_range):
-        analysis = predict_map_analysis(n, k, A, B)
-        rows.append((m, analysis.kernel_dim, analysis.cokernel_dim))
-    return rows
+    return [(m, *(sum(_weyl(n, A + B - i, i) for i in span) for span in _index_ranges(n, k, A, B)))
+            for m, A, B in feasible_multiples(n, k, a1, a2, m_range)]

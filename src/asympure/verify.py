@@ -31,6 +31,7 @@ from .projspace import (
     DivisorClass,
     binomial,
     bott_cohomology,
+    euler_characteristic,
     kunneth_cohomology,
     source_target_dims,
 )
@@ -84,6 +85,15 @@ def _check_kunneth_duality(n_max: int, a_max: int) -> tuple[bool, str]:
                   lambda n, a1, a2: kunneth_cohomology(n, DivisorClass(a1, a2)).values,
                   lambda n, a1, a2: kunneth_cohomology(
                       n, DivisorClass(-a1 - n - 1, -a2 - n - 1)).values[::-1],
+                  f"n <= {n_max}, |a| <= {a_max}")
+
+
+def _check_euler_kunneth(n_max: int, a_max: int) -> tuple[bool, str]:
+    span = range(-a_max, a_max + 1)
+    return _agree("euler_characteristic(n, (a1, a2)) vs kunneth_cohomology(n, (a1, a2)).euler()",
+                  product(range(1, n_max + 1), span, span),
+                  lambda n, a1, a2: euler_characteristic(n, DivisorClass(a1, a2)),
+                  lambda n, a1, a2: kunneth_cohomology(n, DivisorClass(a1, a2)).euler(),
                   f"n <= {n_max}, |a| <= {a_max}")
 
 
@@ -216,6 +226,7 @@ _CHECKS = (
     ("Weyl goldens", _check_weyl_goldens, (), ()),
     ("Pieri dimension sums", _check_pieri_sums, (2, 12), (4, 30)),
     ("Euler consistency", _check_euler_consistency, ([1, 2], 2, 8), ([1, 2, 3], 2, 12)),
+    ("Euler vs Kunneth", _check_euler_kunneth, (2, 8), (4, 20)),
     ("engine equivalence (series)", _check_engine_series, (8,), (12,)),
     ("engine equivalence (grid)", _check_engine_grid, None, ([1, 2], 2, 12)),
     ("corner closed form", _check_corner_closed_form, (8,), (12,)),

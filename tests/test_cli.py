@@ -281,6 +281,12 @@ class TestExitCodes:
         assert code == 2
         assert "B=-1" in err
 
+    def test_series_refuses_k_below_one(self, capsys):
+        code, out, err = run(capsys, "series", "--n", "2", "--k", "0", "--a1", "1", "--a2", "1",
+                             "--m", "1..3")
+        assert (code, out) == (2, "")
+        assert "need n, k >= 1, got n=2, k=0" in err
+
     @pytest.mark.parametrize("argv", [
         ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4"],
         ["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "0..2"],
@@ -671,10 +677,11 @@ class TestVerify:
 
         small = [
             "bott goldens", "Serre duality", "Kunneth duality", "Weyl goldens",
-            "Pieri dimension sums", "Euler consistency", "engine equivalence (series)",
-            "corner closed form", "corner lower bound", "purity scan",
+            "Pieri dimension sums", "Euler consistency", "Euler vs Kunneth",
+            "engine equivalence (series)", "corner closed form", "corner lower bound",
+            "purity scan",
         ]
-        full = small[:7] + ["engine equivalence (grid)"] + small[7:]
+        full = small[:8] + ["engine equivalence (grid)"] + small[8:]
         full.append("rank-3 prediction identities")
         assert [name for name, _ in build_suite("small")] == small
         assert [name for name, _ in build_suite("full")] == full

@@ -114,6 +114,21 @@ class TestEuler:
                     chi2 = bott_cohomology(n, a2).euler()
                     assert euler_characteristic(n, DivisorClass(a1, a2)) == chi1 * chi2
 
+    def test_rejects_dimension_below_one(self):
+        with pytest.raises(ValueError, match="projective dimension must be >= 1"):
+            euler_characteristic(0, DivisorClass(1, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kunneth_alternating_sum_on_all_three_bands(self, n):
+        # d >= 0, the acyclic band -n <= d <= -1, and d <= -(n + 1), in each factor
+        bands = (range(0, 4), range(-n, 0), range(-n - 4, -n))
+        for first, second in ((b1, b2) for b1 in bands for b2 in bands):
+            for a1 in first:
+                for a2 in second:
+                    divisor = DivisorClass(a1, a2)
+                    assert euler_characteristic(n, divisor) == kunneth_cohomology(
+                        n, divisor).euler(), (n, a1, a2)
+
     @pytest.mark.parametrize("a1,a2", [(1, 1), (2, -4), (-3, 2), (-1, -1), (0, 5)])
     def test_polynomiality(self, a1, a2):
         # chi(m*D) agrees with a polynomial of degree <= 2n on all m >= 1,

@@ -8,6 +8,7 @@ from asympure import (
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
+    reptheory,
     series_exponents,
     source_target_dims,
     weyl_dimension,
@@ -198,3 +199,33 @@ class TestKernelSeries:
         for m, kernel, cokernel in rows:
             assert kernel == m * m - 1  # single component (m-1, m-2)
             assert cokernel == 0
+
+
+class TestLabelFreePath:
+    def test_kernel_series_equals_predict_map_analysis(self):
+        # the index ranges on every map with 0 <= A, B <= 20, and the series rows
+        # against the maps at their series_exponents
+        for n in range(1, 7):
+            for k in range(1, 5):
+                for A in range(21):
+                    for B in range(21):
+                        kernel, cokernel = reptheory._index_ranges(n, k, A, B)
+                        labelled = predict_map_analysis(n, k, A, B)
+                        dims = (sum(reptheory._weyl(n, A + B - i, i) for i in kernel),
+                                sum(reptheory._weyl(n, A + B - i, i) for i in cokernel))
+                        assert dims == (labelled.kernel_dim, labelled.cokernel_dim)
+                for a1, a2 in ((1, 1), (2, 1), (1, 2), (3, 2)):
+                    for m, kd, cd in kernel_series_rep(n, k, a1, a2, range(1, 9)):
+                        labelled = predict_map_analysis(n, k, *series_exponents(n, k, a1, a2, m))
+                        assert (kd, cd) == (labelled.kernel_dim, labelled.cokernel_dim)
+
+    def test_weyl_core_equals_weyl_dimension(self):
+        for n in range(1, 7):
+            for l1 in range(41):
+                for l2 in range(l1 + 1):
+                    assert reptheory._weyl(n, l1, l2) == weyl_dimension(n, IrrepLabel(l1, l2))
+
+    @pytest.mark.parametrize("n,k", [(2, 0), (0, 1)])
+    def test_kernel_series_refuses_n_or_k_below_one(self, n, k):
+        with pytest.raises(ValueError, match="need n, k >= 1"):
+            kernel_series_rep(n, k, 1, 1, range(3, 8))

@@ -45,6 +45,11 @@ DISAGREEMENTS = {
         (1, DivisorClass(-3, -3)), (1, DivisorClass(-3, -4)),
         "kunneth_cohomology(n, (a1, a2)) vs reversed kunneth_cohomology(n, "
         "(-a1 - n - 1, -a2 - n - 1)) at (1, -3, -3): (0, 0, 6) != (0, 0, 4)"),
+    "Euler vs Kunneth": (
+        verify._check_euler_kunneth, (2, 8), verify, "euler_characteristic",
+        (1, DivisorClass(2, 3)), (1, DivisorClass(2, 4)),
+        "euler_characteristic(n, (a1, a2)) vs kunneth_cohomology(n, (a1, a2)).euler() "
+        "at (1, 2, 3): 15 != 12"),
     "Pieri dimension sums": (
         verify._check_pieri_sums, (2, 12), verify, "pieri_decompose", (2, 3, 4), (2, 3, 5),
         "pieri_decompose(n, A, B) dimension vs C(A + n, n) * C(B + n, n) "

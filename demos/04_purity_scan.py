@@ -37,7 +37,7 @@ for k in (1, 2):
     verdicts = {}
     for _, _, vec in records:
         verdicts[str(vec.purity)] = verdicts.get(str(vec.purity), 0) + 1
-    impure = [(d.a1, -d.a2) for d, _, vec in records if vec.purity.kind == "impure"]
+    impure = [pair for pair, _, vec in records if vec.purity.kind == "impure"]
     if impure:
         raise SystemExit(f"impure verdicts at k = {k}: {impure}")
     print(f"  k = {k}: {len(records)} classes, verdicts {verdicts}")

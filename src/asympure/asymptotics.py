@@ -247,19 +247,16 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     Fraction(6, 1)
     """
-    return _special_fiber(n, k, a1, a2)
+    return _special_fiber(n, k, a1, a2)[1]
 
 
-def _special_fiber(
-    n: int, k: int, a1: int, a2: int, label: CaseLabel | None = None
-) -> AsymptoticVector:
-    """asymptotic_special_fiber, given the class's label when the caller has classified it."""
+def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, AsymptoticVector]:
+    """(label, vector) of D = a1*H1 - a2*H2: classify runs once, and its label picks the fit."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if a1 < 0 or a2 < 0:
         raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
-    if label is None:
-        label = classify(n, DivisorClass(a1, -a2))
+    label = classify(n, DivisorClass(a1, -a2))
     dim = 2 * n - 1
     values = [Fraction(0)] * (dim + 1)
     scale = factorial(dim)
@@ -271,7 +268,7 @@ def _special_fiber(
         (index,) = label.allowed_indices
         series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in _window(1, dim)]
         values[index] = (-1) ** index * fit_leading_coefficient(series, dim) * scale
-    return AsymptoticVector(tuple(values))
+    return label, AsymptoticVector(tuple(values))
 
 
 def _restriction_euler(n: int, k: int, a1: int, a2: int, m: int) -> int:
@@ -282,16 +279,14 @@ def _restriction_euler(n: int, k: int, a1: int, a2: int, m: int) -> int:
 
 
 def purity_report(
-    n: int, k: int, divisor_list: Iterable[tuple[int, int]]
-) -> list[tuple[DivisorClass, CaseLabel, AsymptoticVector]]:
-    """Classify and evaluate a batch of special-fiber divisors (a1, a2) >= 0.
+    n: int, k: int, pairs: Iterable[tuple[int, int]]
+) -> list[tuple[tuple[int, int], CaseLabel, AsymptoticVector]]:
+    """((a1, a2), label, vector) for each special-fiber class D = a1*H1 - a2*H2, in input order.
 
-    Entries are coefficient pairs for D = a1*H1 - a2*H2.  Every pair, the
-    zero pair included, is classified once, and that label is evaluated as
-    in asymptotic_special_fiber; the zero pair comes out boundary and
-    pure_zero.  Impure verdicts are returned like the others; a caller that
-    expects purity checks the verdicts itself.
+    Each pair (a1, a2) >= 0 is handed back as given, beside its classify
+    label and its asymptotic_special_fiber vector; each class is classified
+    once.  The zero pair comes out boundary and pure_zero.  Impure verdicts
+    are returned like the others; a caller that expects purity checks the
+    verdicts itself.
     """
-    divisors = [DivisorClass(a1, -a2) for a1, a2 in divisor_list]
-    return [(d, (label := classify(n, d)), _special_fiber(n, k, d.a1, -d.a2, label))
-            for d in divisors]
+    return [((a1, a2), *_special_fiber(n, k, a1, a2)) for a1, a2 in pairs]

@@ -104,15 +104,16 @@ def _emit(fmt: str, command: str, params: dict, result: dict,
 def _parse_span(text: str) -> range:
     """'2..8' -> range(2, 9) (inclusive ends); '3' -> range(3, 4).
 
-    A reversed span such as '5..2' is a ValueError, not an empty range.
+    A malformed span such as '2..' and a reversed one such as '5..2' are a
+    ValueError that quotes the span, not an empty range.
     """
-    if ".." in text:
-        lo, hi = map(int, text.split("..", 1))
-        if hi < lo:
-            raise ValueError(f"span {text!r} ends before it starts")
-        return range(lo, hi + 1)
-    value = int(text)
-    return range(value, value + 1)
+    try:
+        lo, hi = map(int, text.split("..")) if ".." in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"span {text!r} is not an integer or LO..HI") from None
+    if hi < lo:
+        raise ValueError(f"span {text!r} ends before it starts")
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +367,12 @@ def cmd_series(args) -> int:
 
 def cmd_scan(args) -> int:
     a1_span, a2_span = _parse_span(args.a1), _parse_span(args.a2)
-    grid = [(a1, a2) for a1 in a1_span for a2 in a2_span]
-    records = purity_report(args.n, args.k, grid)
+    records = purity_report(args.n, args.k, [(a1, a2) for a1 in a1_span for a2 in a2_span])
     header = ["n", "k", "a1", "a2", "case", *(f"h_hat_{i}" for i in range(2 * args.n)), "verdict"]
     verdicts = [vector.purity for _, _, vector in records]
     rows = [[args.n, args.k, a1, a2, label.kind, *map(str, vector.values), str(verdict)]
-            for (a1, a2), (_, label, vector), verdict in zip(grid, records, verdicts)]
-    impure = [cls for cls, verdict in zip(grid, verdicts) if verdict.kind == "impure"]
+            for ((a1, a2), label, vector), verdict in zip(records, verdicts)]
+    impure = [pair for (pair, _, _), verdict in zip(records, verdicts) if verdict.kind == "impure"]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             _write_csv(handle, header, rows)

@@ -176,12 +176,7 @@ def _check_corner_lower_bound(m_max: int) -> tuple[bool, str]:
 def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
     grid = [(a1, a2) for a1 in range(a_max + 1) for a2 in range(a_max + 1)]
     for k in range(1, k_max + 1):
-        records = purity_report(2, k, grid)
-        bad = [
-            (d.a1, -d.a2)
-            for d, _, vec in records
-            if vec.purity.kind == "impure"
-        ]
+        bad = [pair for pair, _, vec in purity_report(2, k, grid) if vec.purity.kind == "impure"]
         if bad:
             return False, f"impure verdicts at k={k}: {bad}"
     return True, f"k <= {k_max}, a1, a2 in [0, {a_max}]"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -212,7 +213,7 @@ class TestAsymptoticSpecialFiber:
                 assert vec.values == (Fraction(0),) * (2 * n), (n, k)
                 label = classify(n, zero)
                 assert label.kind == "boundary" and label.allowed_indices == {0}
-                assert purity_report(n, k, [(0, 0)]) == [(zero, label, vec)], (n, k)
+                assert purity_report(n, k, [(0, 0)]) == [((0, 0), label, vec)], (n, k)
 
     def test_antisymmetry(self):
         for k in (1, 2):
@@ -268,7 +269,7 @@ class TestPurityReport:
             assert vec.purity.kind in ("pure", "pure_zero")
 
     def test_spot_verdicts(self):
-        records = {(d.a1, -d.a2): vec for d, _, vec in purity_report(2, 1, [(1, 1), (3, 1)])}
+        records = {pair: vec for pair, _, vec in purity_report(2, 1, [(1, 1), (3, 1)])}
         assert str(records[(1, 1)].purity) == "pure_zero"
         assert str(records[(3, 1)].purity) == "pure(1)"
 
@@ -281,10 +282,26 @@ class TestPurityReport:
         import asympure.asymptotics as asym
 
         fake = AsymptoticVector((1, 2, 0, 0))
-        monkeypatch.setattr(asym, "_special_fiber", lambda *a: fake)
-        (divisor, _, vec), = asym.purity_report(2, 1, [(1, 1)])
-        assert (divisor.a1, divisor.a2) == (1, -1)
+        label = classify(2, DivisorClass(1, -1))
+        monkeypatch.setattr(asym, "_special_fiber", lambda *a: (label, fake))
+        (pair, _, vec), = asym.purity_report(2, 1, [(1, 1)])
+        assert pair == (1, 1)
         assert vec.purity.kind == "impure"
+
+    def test_matches_the_per_class_api(self):
+        # pairs come back as given, in input order, repeats included
+        grid = [(a1, a2) for a1 in range(6) for a2 in range(6)] + [(2, 3)]
+        random.Random(0).shuffle(grid)
+        for n in range(1, 5):
+            for k in range(1, 4):
+                expected = [((a1, a2), classify(n, DivisorClass(a1, -a2)),
+                             asymptotic_special_fiber(n, k, a1, a2)) for a1, a2 in grid]
+                assert purity_report(n, k, grid) == expected, (n, k)
+
+    def test_refuses_n_or_k_below_one(self):
+        for n, k in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match=rf"need n, k >= 1, got n={n}, k={k}"):
+                purity_report(n, k, [(1, 1)])
 
 
 class TestAsymptoticVector:

@@ -190,7 +190,8 @@ class TestScan:
         import asympure.asymptotics as asym
 
         fake = asympure.AsymptoticVector((1, 2, 0, 0))
-        monkeypatch.setattr(asym, "_special_fiber", lambda *a: fake)
+        label = asympure.classify(2, asympure.DivisorClass(1, -1))
+        monkeypatch.setattr(asym, "_special_fiber", lambda *a: (label, fake))
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
         assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
 
@@ -208,15 +209,18 @@ class TestScan:
         assert code == 0
         assert sorted(labels) == [(a1, a2) for a1 in range(4) for a2 in range(4)]
 
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--a1", "5..2", "--a2", "0..3"],
-        ["scan", "--a1", "5..2", "--a2", "0..3", "--format", "json"],
-        ["series", "--a1", "1", "--a2", "1", "--m", "5..2"],
+    @pytest.mark.parametrize("argv,span", [
+        (["scan", "--a1", "5..2", "--a2", "0..3"], "5..2"),
+        (["scan", "--a1", "5..2", "--a2", "0..3", "--format", "json"], "5..2"),
+        (["series", "--a1", "1", "--a2", "1", "--m", "5..2"], "5..2"),
+        (["scan", "--a1", "x", "--a2", "0..3"], "x"),
+        (["series", "--a1", "1", "--a2", "1", "--m", "2.."], "2.."),
+        (["scan", "--a1", "1..2..3", "--a2", "0..3"], "1..2..3"),
     ])
-    def test_reversed_span_is_a_usage_error(self, capsys, argv):
+    def test_malformed_span_is_a_usage_error(self, capsys, argv, span):
         code, out, err = run(capsys, *argv, "--n", "2", "--k", "1")
         assert (code, out) == (2, "")
-        assert "'5..2'" in err
+        assert err.startswith(f"error: span {span!r} ")
 
     def test_csv_and_table_build_no_json_payload(self, capsys, monkeypatch):
         scan = ["scan", "--n", "1", "--k", "1", "--a1", "1..2", "--a2", "0..1"]
@@ -280,6 +284,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "predict", "--n", "2", "--k", "1", "--A", "3", "--B", "-1")
         assert code == 2
         assert "B=-1" in err
+
+    @pytest.mark.parametrize("command", ["scan", "asymptotics"])
+    @pytest.mark.parametrize("n,k", [(0, 1), (2, 0)])
+    def test_special_fiber_refuses_n_or_k_below_one(self, capsys, command, n, k):
+        code, out, err = run(capsys, command, "--n", str(n), "--k", str(k), "--a1", "1",
+                             "--a2", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: need n, k >= 1, got n={n}, k={k}\n"
 
     def test_series_refuses_k_below_one(self, capsys):
         code, out, err = run(capsys, "series", "--n", "2", "--k", "0", "--a1", "1", "--a2", "1",

@@ -17,6 +17,7 @@ from .asymptotics import (
     asymptotic_special_fiber,
     classify,
     fit_leading_coefficient,
+    intersection_number,
     purity_report,
     stable_start,
 )
@@ -53,6 +54,7 @@ from .reptheory import (
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
+    series_polynomials,
     weyl_dimension,
 )
 
@@ -84,6 +86,7 @@ __all__ = [
     "exact_rank",
     "feasible_multiples",
     "fit_leading_coefficient",
+    "intersection_number",
     "kernel_series_rep",
     "kunneth_cohomology",
     "load_operator",
@@ -93,6 +96,7 @@ __all__ = [
     "predict_map_analysis",
     "purity_report",
     "series_exponents",
+    "series_polynomials",
     "source_target_dims",
     "special_fiber_operator",
     "stable_start",

@@ -2,19 +2,21 @@
 
 For a divisor class D, h-hat^i is the limit of h^i(mD) * dim!/m^dim.  Every
 series in scope is eventually polynomial in m, so the limits are exact
-rationals extracted by finite differences -- never floating-point fits.  A
-class is pure when at most one h-hat index survives; the special-fiber
-computation checks this for mixed-sign restrictions via the predicted
-kernel/cokernel growth of the contraction map.
+rationals -- never floating-point fits.  A class is pure when at most one
+h-hat index survives; the special-fiber computation checks this for
+mixed-sign restrictions via the predicted kernel/cokernel growth of the
+contraction map.
 
-Each fit starts where its series is proven polynomial, never at a guessed
-point, and samples degree + 3 multiples from there: degree + 2 to fit and
-one to check.  The Kunneth series on P^n x P^n and the restriction Euler
-characteristic are polynomial from m = 1, because the closed forms of
-h^0 and h^n on P^n are polynomials on their whole bands.  The predicted
-kernel and cokernel are polynomial from stable_start, the first feasible
-multiple with (B - A - k)(a2 - a1) >= 0; its docstring derives that bound
-from a reflection symmetry of the Weyl dimension.
+The predicted kernel and cokernel of a mixed class are polynomial from
+stable_start, the first feasible multiple with (B - A - k)(a2 - a1) >= 0;
+its docstring derives that bound from a reflection symmetry of the Weyl
+dimension, and reptheory.series_polynomials writes the two polynomials
+out.  Their h-hat values are read off the top coefficients, with no
+sampled window.  The Kunneth series on P^n x P^n and the restriction Euler
+characteristic are fitted by finite differences, from m = 1, where they
+are proven polynomial: the closed forms of h^0 and h^n on P^n are
+polynomials on their whole bands.  Each fit samples degree + 3 multiples:
+degree + 2 to fit and one to check.
 
 From the special fiber to a very general one: for every bidegree-(k, k)
 form F, h^(n-1) and h^n of a mixed class are the kernel and cokernel of the
@@ -28,17 +30,24 @@ hypersurface.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .projspace import DivisorClass, euler_characteristic, kunneth_cohomology, series_exponents
-from .reptheory import kernel_series_rep
+from .reptheory import kernel_series_rep, series_polynomials
+
+logger = logging.getLogger(__name__)
 
 
 class SeriesNotStabilized(ValueError):
-    """The requested window is not yet in the polynomial regime."""
+    """A series is not the polynomial it should be on the multiples looked at.
+
+    A fitted window whose last difference does not vanish, or a special-fiber
+    series polynomial that differs from the prediction at stable_start.
+    """
 
 
 @dataclass(frozen=True)
@@ -213,9 +222,11 @@ def stable_start(n: int, k: int, a1: int, a2: int) -> int:
       of w is 0 as a polynomial.
 
     Each is a sum of w over k values of i linear in m, a polynomial in m of
-    degree at most 2n - 1.  The bound is also minimal on every class with
-    n <= 6, k <= 5 and a1, a2 <= 8: one multiple earlier the map does not
-    exist or a series leaves its polynomial.
+    degree at most 2n - 1; reptheory.series_polynomials writes the two out,
+    and the mixed h-hat values are read off them, not fitted.  The bound is
+    also minimal on every class with n <= 6, k <= 5 and a1, a2 <= 8: one
+    multiple earlier the map does not exist or a series leaves its
+    polynomial.
 
     >>> stable_start(2, 1, 1, 2)
     2
@@ -234,15 +245,19 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     """h-hat vector of (a1*H1 - a2*H2) restricted to the bidegree-(k, k) special fiber.
 
     dim = 2n - 1, and classify names the indices that can be nonzero.  For
-    a mixed class (a1, a2 > 0) the values at indices n-1 and n are the exact
-    degree-(2n-1) leading coefficients of the predicted kernel and cokernel
-    series times (2n-1)!, fitted from stable_start.  A boundary class (one
-    or both coefficients zero) has one allowed index i, and its value is
+    a mixed class (a1, a2 > 0) the values at indices n-1 and n are the
+    degree-(2n-1) coefficients of the predicted kernel and cokernel
+    polynomials, reptheory.series_polynomials, times (2n-1)!; no window is
+    sampled.  One map ties them to the prediction at run time: both
+    polynomials must equal kernel_series_rep at stable_start, or
+    SeriesNotStabilized names (n, k, a1, a2, m).  A boundary class (one or
+    both coefficients zero) has one allowed index i, and its value is
     (-1)^i times the leading term of the restriction Euler characteristic
-    chi(mD) - chi(mD - Y).  That Euler characteristic is a polynomial in m
-    at every m, because chi(O(d)) on P^n equals the polynomial C(d + n, n)
-    at every integer d, so its fit starts at m = 1.  For the zero class it
-    is constant in m, so the fit gives the all-zero vector.
+    chi(mD) - chi(mD - Y), fitted by finite differences.  That Euler
+    characteristic is a polynomial in m at every m, because chi(O(d)) on
+    P^n equals the polynomial C(d + n, n) at every integer d, so its fit
+    starts at m = 1.  For the zero class it is constant in m, so the fit
+    gives the all-zero vector.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     Fraction(6, 1)
@@ -261,9 +276,25 @@ def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, Asympto
     values = [Fraction(0)] * (dim + 1)
     scale = factorial(dim)
     if label.kind == "mixed":
-        rows = kernel_series_rep(n, k, a1, a2, _window(stable_start(n, k, a1, a2), dim))
-        values[n - 1] = fit_leading_coefficient([(m, kd) for m, kd, _ in rows], dim) * scale
-        values[n] = fit_leading_coefficient([(m, cd) for m, _, cd in rows], dim) * scale
+        polynomials = series_polynomials(n, k, a1, a2)
+        # the one map that ties the polynomials to the prediction engine at run time
+        start = stable_start(n, k, a1, a2)
+        weyl_scale = factorial(n) * factorial(n - 1)
+        (_, *predicted), = kernel_series_rep(n, k, a1, a2, (start,))
+        got = [sum(c * start**i for i, c in enumerate(poly)) for poly in polynomials]
+        want = [d * weyl_scale for d in predicted]
+        if got != want:
+            raise SeriesNotStabilized(
+                f"series polynomials disagree with the prediction at (n, k, a1, a2, m) = "
+                f"({n}, {k}, {a1}, {a2}, {start}): {got} != n!(n-1)! * {predicted} = {want}"
+            )
+        if logger.isEnabledFor(logging.DEBUG):
+            # series_polynomials gives the other side as 0; a kernel side may be 0 too
+            side = "cokernel" if any(polynomials[1]) else "kernel"
+            logger.debug("mixed class (n, k, a1, a2) = (%d, %d, %d, %d): stable_start %d, "
+                         "%s side, m^%d coefficient %s", n, k, a1, a2, start, side, dim,
+                         Fraction(polynomials[side == "cokernel"][-1], weyl_scale))
+        values[n - 1], values[n] = (Fraction(poly[-1] * scale, weyl_scale) for poly in polynomials)
     else:
         (index,) = label.allowed_indices
         series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in _window(1, dim)]
@@ -276,6 +307,22 @@ def _restriction_euler(n: int, k: int, a1: int, a2: int, m: int) -> int:
     full = euler_characteristic(n, DivisorClass(m * a1, -m * a2))
     twisted = euler_characteristic(n, DivisorClass(m * a1 - k, -m * a2 - k))
     return full - twisted
+
+
+def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:
+    """(D|_Y)^(2n-1) for D = a1*H1 - a2*H2 and Y of bidegree (k, l) in P^n x P^n.
+
+    The Euler characteristic of O_Y(mD) does not depend on the form of Y, so
+    sum_i (-1)^i h-hat^i of D|_Y is this number.  It comes from the expansion
+    of D^(2n-1) * (k*H1 + l*H2) with H1^n * H2^n = 1 and H1^(n+1) = H2^(n+1) = 0:
+    the terms H1^(n-1) H2^n and H1^n H2^(n-1) of D^(2n-1) give
+    (-1)^(n-1) C(2n-1, n-1) (a1*a2)^(n-1) (l*a1 - k*a2).  No series and no
+    Weyl dimension enter.
+
+    >>> intersection_number(2, 1, 1, 2, 1)
+    -6
+    """
+    return (-1) ** (n - 1) * comb(2 * n - 1, n - 1) * (a1 * a2) ** (n - 1) * (l * a1 - k * a2)
 
 
 def purity_report(

@@ -13,7 +13,7 @@ the indices i of the surviving components (A+B-i, i) of every map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable
 
 from .projspace import feasible_multiples
@@ -165,3 +165,59 @@ def kernel_series_rep(
     """
     return [(m, *(sum(_weyl(n, A + B - i, i) for i in span) for span in _index_ranges(n, k, A, B)))
             for m, A, B in feasible_multiples(n, k, a1, a2, m_range)]
+
+
+def series_polynomials(n: int, k: int, a1: int, a2: int) -> tuple[list[int], list[int]]:
+    """Kernel and cokernel series from asymptotics.stable_start on, as polynomials in m.
+
+    Each is the list of the coefficients of m^0..m^(2n-1), times n!(n-1)!.
+    By _weyl's closed form, n!(n-1)! w(l1, l2) is the product of 2n - 1
+    linear factors (l1 - l2 + 1) * prod_{t=2..n}(l1 + t) * prod_{t=1..n-1}(l2 + t),
+    and the stable_start docstring shows that from there on one series is
+    the sum of k such products, with (l1, l2) linear in m, and the other is 0:
+
+    - the kernel, when a1 > a2, or a1 = a2 and k <= n + 1: (l1, l2) =
+      (a1*m + j - k, a2*m + k - n - 1 - j) for j = 0..k-1;
+    - otherwise the cokernel: (l1, l2) = (a2*m + k - n - 2 - j, a1*m + 1 + j - k),
+      which is (a2*m - n - 1 + j, a1*m - j) with j read backwards.
+
+    >>> series_polynomials(1, 1, 2, 1)
+    ([1, 1], [0, 0])
+    >>> series_polynomials(2, 1, 1, 2)
+    ([0, 0, 0, 0], [2, -3, -3, 2])
+    """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    if a1 < 1 or a2 < 1:
+        raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
+    zero = [0] * (2 * n)
+    if a1 > a2 or (a1 == a2 and k <= n + 1):
+        return _weyl_polynomial_sum(n, k, a1, a2, -k, k - n - 1), zero
+    return zero, _weyl_polynomial_sum(n, k, a2, a1, -n - 1, 0)
+
+
+def _weyl_polynomial_sum(n: int, k: int, p: int, q: int, c: int, d: int) -> list[int]:
+    """Coefficients in m of the sum over j < k of n!(n-1)! w(p*m + c + j, q*m + d - j).
+
+    The sum is taken at the one point m = 2^bits (Kronecker substitution),
+    where each product is (l1 - l2 + 1) times two runs of consecutive
+    integers, (l1 + 2)...(l1 + n) and (l2 + 1)...(l2 + n - 1).  For the
+    (c, d) that series_polynomials passes, each factor's |slope| + |constant|
+    is at most max(p, q) + n + 2k + 2, so k times that to the power 2n - 1
+    bounds every |coefficient|.  The base is more than twice the bound, so
+    the coefficients are the signed base-2^bits digits of the sum.
+    """
+    bits = (k * (max(p, q) + n + 2 * k + 2) ** (2 * n - 1)).bit_length() + 1
+    base = 1 << bits
+    value = 0
+    for j in range(k):
+        l1, l2 = p * base + c + j, q * base + d - j
+        value += (l1 - l2 + 1) * prod(range(l1 + 2, l1 + n + 1)) * prod(range(l2 + 1, l2 + n))
+    coefficients = []
+    for _ in range(2 * n):
+        digit = value % base
+        if digit >= base // 2:
+            digit -= base
+        coefficients.append(digit)
+        value = (value - digit) // base
+    return coefficients

@@ -16,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
+from math import factorial
 from operator import attrgetter, sub
 from typing import Callable, Iterable
 
-from .asymptotics import fit_leading_coefficient, purity_report, stable_start
+from .asymptotics import fit_leading_coefficient, intersection_number, purity_report, stable_start
 from .oracle import (
     ContractionOperator,
     build_matrix,
@@ -40,6 +41,7 @@ from .reptheory import (
     kernel_series_rep,
     pieri_decompose,
     predict_map_analysis,
+    series_polynomials,
     weyl_dimension,
 )
 
@@ -182,13 +184,51 @@ def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
     return True, f"k <= {k_max}, a1, a2 in [0, {a_max}]"
 
 
+def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
+    # what the per-class fit checked at run time: the polynomials that scan reads
+    # its mixed h-hat values off, against the prediction at 2n + 3 multiples
+    classes = list(product(range(1, n_max + 1), range(1, k_max + 1),
+                           range(1, a_max + 1), range(1, a_max + 1)))
+
+    def window(n, k, a1, a2):
+        start = stable_start(n, k, a1, a2)
+        return range(start, start + 2 * n + 3)
+
+    def evaluated(*case):
+        polynomials = series_polynomials(*case)
+        return [(m, *(sum(c * m**i for i, c in enumerate(poly)) for poly in polynomials))
+                for m in window(*case)]
+
+    def predicted(*case):
+        scale = factorial(case[0]) * factorial(case[0] - 1)
+        return [(m, kd * scale, cd * scale) for m, kd, cd in kernel_series_rep(*case, window(*case))]
+
+    return _agree("series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start vs "
+                  "n!(n-1)! * kernel_series_rep rows", classes, evaluated, predicted,
+                  f"{len(classes)} classes, n <= {n_max}, k <= {k_max}, a1, a2 <= {a_max}")
+
+
+def _check_intersection_numbers(k_max: int, a_max: int) -> tuple[bool, str]:
+    # chi(O_Y(mD)) does not depend on the form, so its leading term is (D|_Y)^(2n-1):
+    # an identity for the purity scan's classes that uses no Weyl dimension
+    grid = [(a1, a2) for a1 in range(a_max + 1) for a2 in range(a_max + 1)]
+    alternating = {(k, *pair): sum((-1) ** i * v for i, v in enumerate(vec.values))
+                   for k in range(1, k_max + 1) for pair, _, vec in purity_report(2, k, grid)}
+    return _agree("sum_i (-1)^i h-hat^i of purity_report(2, k, [(a1, a2)]) vs "
+                  "intersection_number(2, k, k, a1, a2)", alternating,
+                  lambda *case: alternating[case],
+                  lambda k, a1, a2: intersection_number(2, k, k, a1, a2),
+                  f"n = 2, k <= {k_max}, a1, a2 in [0, {a_max}]")
+
+
 def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, str]:
     # Prediction-only growth laws at k = 1, 2: the kernel (a1 > a2) or cokernel
     # (a1 < a2) grows in degree 2n - 1, the other side is zero; for a1 = a2 neither.
     for k in (1, 2):
         for a1, a2 in pairs:
             start = stable_start(n, k, a1, a2)
-            # one multiple wider than asymptotics._window and fitted here, so it checks that fit
+            # a sampled fit, one multiple wider than asymptotics._window: independent of the
+            # series polynomials that the mixed h-hat values are read off
             rows = kernel_series_rep(n, k, a1, a2, range(start, start + 2 * n + 3))
             for side, series in (
                 ("kernel", [(m, kd) for m, kd, _ in rows]),
@@ -227,6 +267,8 @@ _CHECKS = (
     ("corner closed form", _check_corner_closed_form, (8,), (12,)),
     ("corner lower bound", _check_corner_lower_bound, (8,), (10,)),
     ("purity scan", _check_purity_scan, (1, 3), (2, 5)),
+    ("series polynomial vs prediction", _check_series_polynomials, (2, 2, 4), (4, 3, 6)),
+    ("intersection numbers", _check_intersection_numbers, (1, 3), (2, 5)),
     ("rank-3 prediction identities", _check_growth_degrees,
      None, (3, [(2, 1), (1, 2), (1, 1)])),
 )

@@ -1,6 +1,7 @@
+import logging
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -12,8 +13,10 @@ from asympure import (
     asymptotic_special_fiber,
     classify,
     fit_leading_coefficient,
+    intersection_number,
     kernel_series_rep,
     purity_report,
+    series_polynomials,
     source_target_dims,
     stable_start,
 )
@@ -136,6 +139,10 @@ def heuristic_start(n, k, a1, a2):
     return m0 + 1
 
 
+def evaluate(poly, m):
+    return sum(c * m**i for i, c in enumerate(poly))
+
+
 def is_polynomial(rows, degree) -> bool:
     # whether the kernel and the cokernel column are both polynomial of at
     # most this degree on the rows' multiples
@@ -149,9 +156,11 @@ def is_polynomial(rows, degree) -> bool:
 
 class TestStableStart:
     def test_minimal_never_too_early_nor_later_than_the_heuristic(self):
-        # polynomial on the 40 multiples from the start, and one multiple
-        # earlier either infeasible or off the polynomial: the bound is minimal
+        # series_polynomials equals the prediction on the 40 multiples from the
+        # start, and one multiple earlier the map is infeasible or off the
+        # polynomial: the bound is minimal
         for n in range(1, 7):
+            scale = factorial(n) * factorial(n - 1)
             for k in range(1, 6):
                 for a1 in range(1, 9):
                     for a2 in range(1, 9):
@@ -159,10 +168,13 @@ class TestStableStart:
                         start = stable_start(n, k, a1, a2)
                         assert start <= heuristic_start(n, k, a1, a2), case
                         assert start <= max(k, n + 1), case
-                        rows = kernel_series_rep(n, k, a1, a2, range(start - 1, start + 40))
-                        assert len(rows) >= 40 and rows[-40][0] == start, case
-                        assert is_polynomial(rows[-40:], 2 * n - 1), case
-                        assert len(rows) == 40 or not is_polynomial(rows, 2 * n - 1), case
+                        polynomials = series_polynomials(n, k, a1, a2)
+                        rows = [(m, *(evaluate(poly, m) for poly in polynomials))
+                                for m in range(start - 1, start + 40)]
+                        predicted = [(m, kd * scale, cd * scale) for m, kd, cd in
+                                     kernel_series_rep(n, k, a1, a2, range(start - 1, start + 40))]
+                        assert predicted[-40:] == rows[1:], case
+                        assert len(predicted) == 40 or predicted[0] != rows[0], case
 
     def test_one_multiple_earlier_breaks_the_series(self):
         # at (2, 1, 1, 2), m = 1 is feasible (A = B = 0) but B - A = 0 < k
@@ -258,6 +270,48 @@ class TestAsymptoticSpecialFiber:
                         expected[n] = c * max(a2 - a1, 0)
                         vec = asymptotic_special_fiber(n, k, a1, a2)
                         assert vec.values == tuple(expected), (n, k, a1, a2)
+
+    def test_a_polynomial_off_the_prediction_names_the_class(self, monkeypatch):
+        import asympure.asymptotics as asym
+
+        monkeypatch.setattr(asym, "series_polynomials", constant_off_by_one)
+        with pytest.raises(SeriesNotStabilized,
+                           match=r"at \(n, k, a1, a2, m\) = \(2, 1, 2, 1, 2\)"):
+            asymptotic_special_fiber(2, 1, 2, 1)
+
+    def test_logs_one_debug_line_per_mixed_class(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="asympure.asymptotics")
+        purity_report(2, 1, [(a1, a2) for a1 in range(3) for a2 in range(3)])
+        assert [r.getMessage() for r in caplog.records] == [
+            "mixed class (n, k, a1, a2) = (2, 1, 1, 1): stable_start 2, kernel side, "
+            "m^3 coefficient 0",
+            "mixed class (n, k, a1, a2) = (2, 1, 1, 2): stable_start 2, cokernel side, "
+            "m^3 coefficient 1",
+            "mixed class (n, k, a1, a2) = (2, 1, 2, 1): stable_start 2, kernel side, "
+            "m^3 coefficient 1",
+            "mixed class (n, k, a1, a2) = (2, 1, 2, 2): stable_start 1, kernel side, "
+            "m^3 coefficient 0",
+        ]
+
+
+class TestIntersectionNumber:
+    def test_is_the_top_term_of_the_expansion(self):
+        # D^(2n-1) * (k*H1 + l*H2) term by term: only H1^(n-1) H2^n meets k*H1 and
+        # only H1^n H2^(n-1) meets l*H2 in the class H1^n H2^n of a point
+        for n in range(1, 5):
+            for k in range(1, 4):
+                for l in range(1, 4):
+                    for a1 in range(5):
+                        for a2 in range(5):
+                            top = sum(comb(2 * n - 1, i) * a1**i * (-a2) ** (2 * n - 1 - i)
+                                      * {n - 1: k, n: l}.get(i, 0) for i in range(2 * n))
+                            assert intersection_number(n, k, l, a1, a2) == top
+
+
+def constant_off_by_one(n, k, a1, a2):
+    # series_polynomials with the kernel polynomial's constant term one too high
+    kernel, cokernel = series_polynomials(n, k, a1, a2)
+    return [kernel[0] + 1, *kernel[1:]], cokernel
 
 
 class TestPurityReport:

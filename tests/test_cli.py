@@ -195,6 +195,38 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
         assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
 
+    def test_a_polynomial_off_the_prediction_exits_2(self, capsys, monkeypatch):
+        import asympure.asymptotics as asym
+
+        real = asym.series_polynomials
+
+        def constant_off_by_one(n, k, a1, a2):
+            kernel, cokernel = real(n, k, a1, a2)
+            return [kernel[0] + 1, *kernel[1:]], cokernel
+
+        monkeypatch.setattr(asym, "series_polynomials", constant_off_by_one)
+        code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "1")
+        assert (code, out) == (2, "")
+        assert err == ("error: series polynomials disagree with the prediction at "
+                       "(n, k, a1, a2, m) = (2, 1, 1, 1, 2): [7, 0] != n!(n-1)! * [3, 0] = [6, 0]\n")
+
+    def test_verbose_logs_one_line_per_mixed_class(self, capsys, caplog):
+        caplog.set_level(logging.DEBUG, logger="asympure")  # main sets it; restored after the test
+        argv = ["scan", "--n", "3", "--k", "2", "--a1", "0..4", "--a2", "0..4", "--format", "json"]
+        outputs = []
+        for flags in ([], ["--verbose"]):
+            caplog.clear()
+            outputs.append(run(capsys, *argv, *flags))
+            lines = [r.getMessage() for r in caplog.records if r.name == "asympure.asymptotics"]
+            assert len(lines) == (16 if flags else 0)
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert lines[:2] == [
+            "mixed class (n, k, a1, a2) = (3, 2, 1, 1): stable_start 2, kernel side, "
+            "m^5 coefficient 0",
+            "mixed class (n, k, a1, a2) = (3, 2, 1, 2): stable_start 2, cokernel side, "
+            "m^5 coefficient 2/3",
+        ]
+
     def test_each_class_is_classified_once(self, capsys, monkeypatch):
         import asympure.asymptotics as asym
 
@@ -691,7 +723,7 @@ class TestVerify:
             "bott goldens", "Serre duality", "Kunneth duality", "Weyl goldens",
             "Pieri dimension sums", "Euler consistency", "Euler vs Kunneth",
             "engine equivalence (series)", "corner closed form", "corner lower bound",
-            "purity scan",
+            "purity scan", "series polynomial vs prediction", "intersection numbers",
         ]
         full = small[:8] + ["engine equivalence (grid)"] + small[8:]
         full.append("rank-3 prediction identities")

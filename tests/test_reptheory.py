@@ -10,6 +10,7 @@ from asympure import (
     predict_map_analysis,
     reptheory,
     series_exponents,
+    series_polynomials,
     source_target_dims,
     weyl_dimension,
 )
@@ -229,3 +230,14 @@ class TestLabelFreePath:
     def test_kernel_series_refuses_n_or_k_below_one(self, n, k):
         with pytest.raises(ValueError, match="need n, k >= 1"):
             kernel_series_rep(n, k, 1, 1, range(3, 8))
+
+
+class TestSeriesPolynomials:
+    @pytest.mark.parametrize("args,message", [
+        ((0, 1, 1, 1), "need n, k >= 1"), ((2, 0, 1, 1), "need n, k >= 1"),
+        ((2, 1, 0, 1), "divisor coefficients must be >= 1"),
+        ((2, 1, 1, 0), "divisor coefficients must be >= 1"),
+    ])
+    def test_refuses_what_has_no_mixed_series(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            series_polynomials(*args)

@@ -73,6 +73,18 @@ DISAGREEMENTS = {
         (SPECIAL_21, 3, 4), (SPECIAL_21, 4, 4),
         "(kernel, cokernel) of exact_rank vs predict_map_analysis(n, k, A, B) "
         "at (2, 1, 3, 4): (15, 0) != (0, 0)"),
+    "series polynomial vs prediction": (
+        verify._check_series_polynomials, (1, 1, 3), verify, "series_polynomials",
+        (1, 1, 2, 1), (1, 1, 3, 1),
+        "series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start vs "
+        "n!(n-1)! * kernel_series_rep rows at (1, 1, 2, 1): "
+        "[(1, 3, 0), (2, 5, 0), (3, 7, 0), (4, 9, 0), (5, 11, 0)] != "
+        "[(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]"),
+    "intersection numbers": (
+        verify._check_intersection_numbers, (1, 3), verify, "intersection_number",
+        (2, 1, 1, 2, 1), (2, 1, 1, 3, 1),
+        "sum_i (-1)^i h-hat^i of purity_report(2, k, [(a1, a2)]) vs "
+        "intersection_number(2, k, k, a1, a2) at (1, 2, 1): -6 != -18"),
     # the corners' oracle series build the matrix of multiple m at (A, B) = (m - 1, m - 2)
     "corner closed form": (
         verify._check_corner_closed_form, (8,), oracle, "build_matrix",

@@ -1,8 +1,9 @@
 """Asymptotic cohomological functions and purity verdicts.
 
 For a divisor class D, h-hat^i is the limit of h^i(mD) * dim!/m^dim.  Every
-series in scope is eventually polynomial in m, so the limits are exact
-rationals -- never floating-point fits.  A class is pure when at most one
+series in scope is an integer series, eventually a polynomial in m of degree
+at most dim, so each limit is the series' dim-th difference there: an
+integer, never a floating-point fit.  A class is pure when at most one
 h-hat index survives; the special-fiber computation checks this for
 mixed-sign restrictions via the predicted kernel/cokernel growth of the
 contraction map.
@@ -11,8 +12,8 @@ The predicted kernel and cokernel of a mixed class are polynomial from
 stable_start, the first feasible multiple with (B - A - k)(a2 - a1) >= 0;
 its docstring derives that bound from a reflection symmetry of the Weyl
 dimension, and reptheory.series_polynomials writes the two polynomials
-out.  Their h-hat values are read off the top coefficients, with no
-sampled window.  The Kunneth series on P^n x P^n and the restriction Euler
+out, times (2n-1)!, so their top coefficients are the h-hat values, with
+no sampled window.  The Kunneth series on P^n x P^n and the restriction Euler
 characteristic are fitted by finite differences, from m = 1, where they
 are proven polynomial: the closed forms of h^0 and h^n on P^n are
 polynomials on their whole bands.  Each fit samples degree + 3 multiples:
@@ -83,13 +84,13 @@ class PurityVerdict:
 
 @dataclass(frozen=True)
 class AsymptoticVector:
-    """Values of h-hat^0..h-hat^dim for one divisor class.
+    """Values of h-hat^0..h-hat^dim for one divisor class, as integers.
 
     The dimension (len(values) - 1) and the purity verdict (from the nonzero
     indices) are derived from the values, never stored beside them.
     """
 
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.values):
@@ -173,19 +174,20 @@ def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:
     At most one index is nonzero: each negative coefficient puts its factor's
     cohomology in degree n, so the index is 0, n or 2n.  A class with
     a1*a2 = 0, the zero class included, has a series of degree at most
-    n < 2n, so its fit returns 0 like any other.  The series is polynomial
-    from m = 1: h^0 = C(d + n, n) and h^n = C(-d - 1, n) are polynomials in d
-    on their whole bands, and the latter vanishes as a polynomial on the
-    acyclic band -n <= d <= -1.
+    n < 2n, so its fit returns 0 like any other.  The value is the fitted
+    leading coefficient times (2n)!, the 2n-th difference, an integer.  The
+    series is polynomial from m = 1: h^0 = C(d + n, n) and h^n = C(-d - 1, n)
+    are polynomials in d on their whole bands, and the latter vanishes as a
+    polynomial on the acyclic band -n <= d <= -1.
 
     >>> asymptotic_product(1, DivisorClass(1, 1)).values
-    (Fraction(2, 1), Fraction(0, 1), Fraction(0, 1))
+    (2, 0, 0)
     """
     dim = 2 * n
-    values = [Fraction(0)] * (dim + 1)
+    values = [0] * (dim + 1)
     index = n * ((divisor.a1 < 0) + (divisor.a2 < 0))
     series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in _window(1, dim)]
-    values[index] = fit_leading_coefficient(series, dim) * factorial(dim)
+    values[index] = int(fit_leading_coefficient(series, dim) * factorial(dim))
     return AsymptoticVector(tuple(values))
 
 
@@ -245,14 +247,14 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     """h-hat vector of (a1*H1 - a2*H2) restricted to the bidegree-(k, k) special fiber.
 
     dim = 2n - 1, and classify names the indices that can be nonzero.  For
-    a mixed class (a1, a2 > 0) the values at indices n-1 and n are the
-    degree-(2n-1) coefficients of the predicted kernel and cokernel
-    polynomials, reptheory.series_polynomials, times (2n-1)!; no window is
-    sampled.  One map ties them to the prediction at run time: both
-    polynomials must equal kernel_series_rep at stable_start, or
-    SeriesNotStabilized names (n, k, a1, a2, m).  A boundary class (one or
-    both coefficients zero) has one allowed index i, and its value is
-    (-1)^i times the leading term of the restriction Euler characteristic
+    a mixed class (a1, a2 > 0) the values at indices n-1 and n are the top
+    coefficients of reptheory.series_polynomials, the predicted kernel and
+    cokernel polynomials times (2n-1)!; no window is sampled.  One map ties
+    them to the prediction at run time: both polynomials must equal
+    (2n-1)! times kernel_series_rep at stable_start, or SeriesNotStabilized
+    names (n, k, a1, a2, m).  A boundary class (one or both coefficients
+    zero) has one allowed index i, and its value is (-1)^i times the
+    (2n-1)-th difference of the restriction Euler characteristic
     chi(mD) - chi(mD - Y), fitted by finite differences.  That Euler
     characteristic is a polynomial in m at every m, because chi(O(d)) on
     P^n equals the polynomial C(d + n, n) at every integer d, so its fit
@@ -260,7 +262,7 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     gives the all-zero vector.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
-    Fraction(6, 1)
+    6
     """
     return _special_fiber(n, k, a1, a2)[1]
 
@@ -273,32 +275,31 @@ def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, Asympto
         raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
     label = classify(n, DivisorClass(a1, -a2))
     dim = 2 * n - 1
-    values = [Fraction(0)] * (dim + 1)
+    values = [0] * (dim + 1)
     scale = factorial(dim)
     if label.kind == "mixed":
         polynomials = series_polynomials(n, k, a1, a2)
         # the one map that ties the polynomials to the prediction engine at run time
         start = stable_start(n, k, a1, a2)
-        weyl_scale = factorial(n) * factorial(n - 1)
         (_, *predicted), = kernel_series_rep(n, k, a1, a2, (start,))
         got = [sum(c * start**i for i, c in enumerate(poly)) for poly in polynomials]
-        want = [d * weyl_scale for d in predicted]
+        want = [d * scale for d in predicted]
         if got != want:
             raise SeriesNotStabilized(
                 f"series polynomials disagree with the prediction at (n, k, a1, a2, m) = "
-                f"({n}, {k}, {a1}, {a2}, {start}): {got} != n!(n-1)! * {predicted} = {want}"
+                f"({n}, {k}, {a1}, {a2}, {start}): {got} != (2n-1)! * {predicted} = {want}"
             )
         if logger.isEnabledFor(logging.DEBUG):
             # series_polynomials gives the other side as 0; a kernel side may be 0 too
             side = "cokernel" if any(polynomials[1]) else "kernel"
             logger.debug("mixed class (n, k, a1, a2) = (%d, %d, %d, %d): stable_start %d, "
                          "%s side, m^%d coefficient %s", n, k, a1, a2, start, side, dim,
-                         Fraction(polynomials[side == "cokernel"][-1], weyl_scale))
-        values[n - 1], values[n] = (Fraction(poly[-1] * scale, weyl_scale) for poly in polynomials)
+                         Fraction(polynomials[side == "cokernel"][-1], scale))
+        values[n - 1], values[n] = (poly[-1] for poly in polynomials)
     else:
         (index,) = label.allowed_indices
         series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in _window(1, dim)]
-        values[index] = (-1) ** index * fit_leading_coefficient(series, dim) * scale
+        values[index] = int((-1) ** index * fit_leading_coefficient(series, dim) * scale)
     return label, AsymptoticVector(tuple(values))
 
 

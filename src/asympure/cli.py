@@ -29,7 +29,6 @@ import json
 import logging
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .asymptotics import purity_report
@@ -56,10 +55,10 @@ from .verify import run_suite
 
 
 def _stringify(value):
-    """Integers to decimal strings, Fractions to p/q, recursively."""
+    """Integers to decimal strings, recursively."""
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
@@ -68,19 +67,20 @@ def _stringify(value):
     return value
 
 
-def _csv_cell(value) -> str:
+def _csv_cell(value, sep: str = ";") -> str:
+    """A payload value as one CSV cell: a list's items joined by ';', an item's own by ' '."""
     if isinstance(value, list):
-        return ";".join(_csv_cell(v) for v in value)
+        return sep.join(_csv_cell(v, " ") for v in value)
     if isinstance(value, dict):
         # sorted, as in the JSON and the cache, so a miss prints what a hit does
-        return ";".join(f"{k}={_csv_cell(v)}" for k, v in sorted(value.items()))
+        return sep.join(f"{k}={_csv_cell(v, ' ')}" for k, v in sorted(value.items()))
     return str(value)
 
 
 def _write_csv(stream, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    writer.writerows(rows)
 
 
 def _emit(fmt: str, command: str, params: dict, result: dict,
@@ -330,7 +330,8 @@ def cmd_cached(args) -> int:
     envelope.update(seed=args.seed, size_cap=args.size_cap)
     header = sorted(result)
     _emit(args.format, args.command, envelope, result,
-          header, [[result[k] for k in header]], entry.table(params, result), stringified=True)
+          header, [[_csv_cell(result[k]) for k in header]], entry.table(params, result),
+          stringified=True)
     return 0
 
 

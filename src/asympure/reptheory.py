@@ -13,10 +13,10 @@ the indices i of the surviving components (A+B-i, i) of every map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Iterable
 
-from .projspace import feasible_multiples
+from .projspace import feasible_multiples, series_exponents
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,18 @@ def weyl_dimension(n: int, label: IrrepLabel) -> int:
 
 def _weyl(n: int, lambda1: int, lambda2: int) -> int:
     """weyl_dimension's closed form, for a rank and a label its caller has checked."""
-    num = (lambda1 - lambda2 + 1) * comb(lambda1 + n, n) * comb(lambda2 + n - 1, n - 1)
-    quotient, remainder = divmod(num, lambda1 + 1)
+    numerator = _weyl_numerator(n, lambda1, lambda2)
+    quotient, remainder = divmod(numerator, factorial(n) * factorial(n - 1))
     assert remainder == 0, "Weyl dimension must be an integer"
     return quotient
+
+
+def _weyl_numerator(n: int, l1: int, l2: int) -> int:
+    """n!(n-1)! times _weyl: (l1 - l2 + 1)(l1 + 2)...(l1 + n)(l2 + 1)...(l2 + n - 1).
+
+    The runs are n! C(l1 + n, n)/(l1 + 1) and (n-1)! C(l2 + n - 1, n - 1).
+    """
+    return (l1 - l2 + 1) * prod(range(l1 + 2, l1 + n + 1)) * prod(range(l2 + 1, l2 + n))
 
 
 @dataclass(frozen=True)
@@ -170,54 +178,40 @@ def kernel_series_rep(
 def series_polynomials(n: int, k: int, a1: int, a2: int) -> tuple[list[int], list[int]]:
     """Kernel and cokernel series from asymptotics.stable_start on, as polynomials in m.
 
-    Each is the list of the coefficients of m^0..m^(2n-1), times n!(n-1)!.
-    By _weyl's closed form, n!(n-1)! w(l1, l2) is the product of 2n - 1
-    linear factors (l1 - l2 + 1) * prod_{t=2..n}(l1 + t) * prod_{t=1..n-1}(l2 + t),
-    and the stable_start docstring shows that from there on one series is
-    the sum of k such products, with (l1, l2) linear in m, and the other is 0:
+    Each is the list of the coefficients of m^0..m^(2n-1), times (2n-1)!, so
+    the last coefficient is the h-hat value.  The stable_start docstring
+    shows that from there on, with (A, B) = series_exponents(n, k, a1, a2, m),
+    the kernel is the sum of w(A + B - i, i) over B - k < i <= B when
+    B - A <= k, the cokernel is the sum over A < i <= A + k otherwise, and
+    the other series is 0.  Each term is _weyl_numerator, a product of 2n - 1
+    linear factors in m, over n!(n-1)!, and (2n-1)! is n!(n-1)! C(2n-1, n-1).
 
-    - the kernel, when a1 > a2, or a1 = a2 and k <= n + 1: (l1, l2) =
-      (a1*m + j - k, a2*m + k - n - 1 - j) for j = 0..k-1;
-    - otherwise the cokernel: (l1, l2) = (a2*m + k - n - 2 - j, a1*m + 1 + j - k),
-      which is (a2*m - n - 1 + j, a1*m - j) with j read backwards.
+    The sum is taken at the one point m = 2^bits (Kronecker substitution).
+    Each factor's |slope| + |constant| is at most max(a1, a2) + n + 2k + 2,
+    so C(2n-1, n-1) k times that to the power 2n - 1 bounds every
+    |coefficient|.  The base is more than twice the bound, so the
+    coefficients are the signed base-2^bits digits of the sum.
 
     >>> series_polynomials(1, 1, 2, 1)
     ([1, 1], [0, 0])
     >>> series_polynomials(2, 1, 1, 2)
-    ([0, 0, 0, 0], [2, -3, -3, 2])
+    ([0, 0, 0, 0], [6, -9, -9, 6])
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
-    zero = [0] * (2 * n)
-    if a1 > a2 or (a1 == a2 and k <= n + 1):
-        return _weyl_polynomial_sum(n, k, a1, a2, -k, k - n - 1), zero
-    return zero, _weyl_polynomial_sum(n, k, a2, a1, -n - 1, 0)
-
-
-def _weyl_polynomial_sum(n: int, k: int, p: int, q: int, c: int, d: int) -> list[int]:
-    """Coefficients in m of the sum over j < k of n!(n-1)! w(p*m + c + j, q*m + d - j).
-
-    The sum is taken at the one point m = 2^bits (Kronecker substitution),
-    where each product is (l1 - l2 + 1) times two runs of consecutive
-    integers, (l1 + 2)...(l1 + n) and (l2 + 1)...(l2 + n - 1).  For the
-    (c, d) that series_polynomials passes, each factor's |slope| + |constant|
-    is at most max(p, q) + n + 2k + 2, so k times that to the power 2n - 1
-    bounds every |coefficient|.  The base is more than twice the bound, so
-    the coefficients are the signed base-2^bits digits of the sum.
-    """
-    bits = (k * (max(p, q) + n + 2 * k + 2) ** (2 * n - 1)).bit_length() + 1
+    binomial = comb(2 * n - 1, n - 1)
+    bits = (binomial * k * (max(a1, a2) + n + 2 * k + 2) ** (2 * n - 1)).bit_length() + 1
     base = 1 << bits
-    value = 0
-    for j in range(k):
-        l1, l2 = p * base + c + j, q * base + d - j
-        value += (l1 - l2 + 1) * prod(range(l1 + 2, l1 + n + 1)) * prod(range(l2 + 1, l2 + n))
+    A, B = series_exponents(n, k, a1, a2, base)
+    kernel_side = B - A <= k
+    span = range(B - k + 1, B + 1) if kernel_side else range(A + 1, A + k + 1)
+    value = binomial * sum(_weyl_numerator(n, A + B - i, i) for i in span)
     coefficients = []
     for _ in range(2 * n):
-        digit = value % base
-        if digit >= base // 2:
-            digit -= base
+        digit = (value + base // 2) % base - base // 2
         coefficients.append(digit)
         value = (value - digit) // base
-    return coefficients
+    zero = [0] * (2 * n)
+    return (coefficients, zero) if kernel_side else (zero, coefficients)

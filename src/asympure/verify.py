@@ -200,11 +200,11 @@ def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool,
                 for m in window(*case)]
 
     def predicted(*case):
-        scale = factorial(case[0]) * factorial(case[0] - 1)
+        scale = factorial(2 * case[0] - 1)
         return [(m, kd * scale, cd * scale) for m, kd, cd in kernel_series_rep(*case, window(*case))]
 
     return _agree("series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start vs "
-                  "n!(n-1)! * kernel_series_rep rows", classes, evaluated, predicted,
+                  "(2n-1)! * kernel_series_rep rows", classes, evaluated, predicted,
                   f"{len(classes)} classes, n <= {n_max}, k <= {k_max}, a1, a2 <= {a_max}")
 
 

@@ -103,6 +103,7 @@ class TestAsymptoticProduct:
                     index = n
                 vec = asymptotic_product(n, DivisorClass(a1, a2))
                 assert vec.values[index] == comb(2 * n, n) * abs(a1) ** n * abs(a2) ** n
+                assert all(type(v) is int for v in vec.values), (n, a1, a2)
                 assert str(vec.purity) == f"pure({index})"
 
     def test_boundary_class_is_zero(self):
@@ -160,7 +161,7 @@ class TestStableStart:
         # start, and one multiple earlier the map is infeasible or off the
         # polynomial: the bound is minimal
         for n in range(1, 7):
-            scale = factorial(n) * factorial(n - 1)
+            scale = factorial(2 * n - 1)
             for k in range(1, 6):
                 for a1 in range(1, 9):
                     for a2 in range(1, 9):
@@ -270,6 +271,7 @@ class TestAsymptoticSpecialFiber:
                         expected[n] = c * max(a2 - a1, 0)
                         vec = asymptotic_special_fiber(n, k, a1, a2)
                         assert vec.values == tuple(expected), (n, k, a1, a2)
+                        assert all(type(v) is int for v in vec.values), (n, k, a1, a2)
 
     def test_a_polynomial_off_the_prediction_names_the_class(self, monkeypatch):
         import asympure.asymptotics as asym

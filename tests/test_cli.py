@@ -72,6 +72,21 @@ class TestBasicCommands:
         assert code == 0
         assert json.loads(out)["result"]["kernel_dim"] == "12"
 
+    def test_csv_cells_keep_nested_items_apart(self, capsys):
+        # a list's items are joined by ';', an item's own parts by ' '
+        code, out, _ = run(capsys, "predict", "--n", "2", "--k", "2", "--A", "5", "--B", "3",
+                           "--format", "csv")
+        assert (code, out) == (0, "cokernel_dim,cokernel_labels,dim_source,dim_target,"
+                                  "kernel_dim,kernel_labels\n0,,210,108,102,6 2;5 3\n")
+        code, out, _ = run(capsys, "decompose", "--n", "2", "--A", "2", "--B", "2",
+                           "--format", "csv")
+        assert (code, out) == (0, "A,B,components,rank_n,total_dim\n2,2,"
+                                  "dim=15 lambda1=4 lambda2=0;dim=15 lambda1=3 lambda2=1;"
+                                  "dim=6 lambda1=2 lambda2=2,2,36\n")
+        code, out, _ = run(capsys, "product", "--n", "1", "--a1", "-2", "--a2", "-2",
+                           "--format", "csv")
+        assert (code, out) == (0, "euler,n_ambient,support,values\n1,2,2,0;0;1\n")
+
     def test_series_rep(self, capsys):
         code, out, _ = run(capsys, "series", "--n", "2", "--k", "1", "--a1", "2",
                            "--a2", "1", "--m", "5..7", "--engine", "rep",
@@ -208,7 +223,7 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "1")
         assert (code, out) == (2, "")
         assert err == ("error: series polynomials disagree with the prediction at "
-                       "(n, k, a1, a2, m) = (2, 1, 1, 1, 2): [7, 0] != n!(n-1)! * [3, 0] = [6, 0]\n")
+                       "(n, k, a1, a2, m) = (2, 1, 1, 1, 2): [19, 0] != (2n-1)! * [3, 0] = [18, 0]\n")
 
     def test_verbose_logs_one_line_per_mixed_class(self, capsys, caplog):
         caplog.set_level(logging.DEBUG, logger="asympure")  # main sets it; restored after the test

@@ -1,4 +1,5 @@
 import logging
+from math import factorial
 
 import pytest
 
@@ -14,6 +15,19 @@ from asympure import (
     source_target_dims,
     weyl_dimension,
 )
+
+
+def weyl_product(n, l1, l2):
+    # the general Weyl product over all pairs of the n+1 rows, written out
+    # here as the oracle for the two-row closed form
+    lam = (l1, l2) + (0,) * (n - 1)
+    num = den = 1
+    for p in range(n + 1):
+        for q in range(p + 1, n + 1):
+            num *= lam[p] - lam[q] + q - p
+            den *= q - p
+    assert num % den == 0
+    return num // den
 
 
 class TestIrrepLabel:
@@ -58,18 +72,6 @@ class TestWeylDimension:
                 assert weyl_dimension(1, IrrepLabel(l1, l2)) == l1 - l2 + 1
 
     def test_two_row_closed_form_matches_the_general_product(self):
-        # the general Weyl product over all pairs of the n+1 rows, written out
-        # here as the oracle for the two-row closed form
-        def weyl_product(n, l1, l2):
-            lam = (l1, l2) + (0,) * (n - 1)
-            num = den = 1
-            for p in range(n + 1):
-                for q in range(p + 1, n + 1):
-                    num *= lam[p] - lam[q] + q - p
-                    den *= q - p
-            assert num % den == 0
-            return num // den
-
         for n in range(1, 9):
             for l1 in range(41):
                 for l2 in range(l1 + 1):
@@ -220,11 +222,12 @@ class TestLabelFreePath:
                         labelled = predict_map_analysis(n, k, *series_exponents(n, k, a1, a2, m))
                         assert (kd, cd) == (labelled.kernel_dim, labelled.cokernel_dim)
 
-    def test_weyl_core_equals_weyl_dimension(self):
+    def test_weyl_numerator_is_the_scaled_general_product(self):
         for n in range(1, 7):
+            scale = factorial(n) * factorial(n - 1)
             for l1 in range(41):
                 for l2 in range(l1 + 1):
-                    assert reptheory._weyl(n, l1, l2) == weyl_dimension(n, IrrepLabel(l1, l2))
+                    assert reptheory._weyl_numerator(n, l1, l2) == scale * weyl_product(n, l1, l2)
 
     @pytest.mark.parametrize("n,k", [(2, 0), (0, 1)])
     def test_kernel_series_refuses_n_or_k_below_one(self, n, k):

@@ -77,7 +77,7 @@ DISAGREEMENTS = {
         verify._check_series_polynomials, (1, 1, 3), verify, "series_polynomials",
         (1, 1, 2, 1), (1, 1, 3, 1),
         "series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start vs "
-        "n!(n-1)! * kernel_series_rep rows at (1, 1, 2, 1): "
+        "(2n-1)! * kernel_series_rep rows at (1, 1, 2, 1): "
         "[(1, 3, 0), (2, 5, 0), (3, 7, 0), (4, 9, 0), (5, 11, 0)] != "
         "[(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]"),
     "intersection numbers": (

@@ -2,8 +2,9 @@
 
 The oracle builds the honest matrix of a contraction operator between
 monomial bases and computes its rank exactly, one weight block at a time,
-by the rule in the exact_rank docstring: one elimination modulo the fixed
-prime 2039 proves the blocks of full rank, and Bareiss elimination proves
+by the rule in the exact_rank docstring: a block already in echelon form
+is of full rank with no arithmetic, one elimination modulo the fixed prime
+2039 proves the other blocks of full rank, and Bareiss elimination proves
 the rank of the rest, so every result is certified.  Its only symmetry is
 the one it checks on the operator's own terms; it knows nothing about
 representation theory, which is what makes the agreement meaningful.

@@ -17,10 +17,12 @@ representative once.  The full column list is built from the same table
 only when something reads matrix.columns: the golden layout, to_dense,
 nnz, and operators that do not preserve weight, which fall back to the
 connected components of the sparsity pattern.  Every rank is a
-proof: a block of full rank modulo the small fixed prime 2039 is proven by
-that elimination, a deficient one by Bareiss elimination (exact_rank states
-the rule).  Modular eliminations run in pure Python with each row packed
-into one integer (see _rank_mod_p).
+proof, by one of three routes (exact_rank states the rule): a block whose
+shorter side's vectors lead at distinct positions is already in echelon
+form and needs no arithmetic; any other block of full rank modulo the small
+fixed prime 2039 is proven by that elimination, and a deficient one by
+Bareiss elimination.  Modular eliminations run in pure Python with each row
+packed into one integer (see _rank_mod_p).
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -57,8 +59,8 @@ HitTable = dict[int, list[tuple[int, int, int]]]
 
 DEFAULT_SIZE_CAP = 200_000
 
-# Every block is first eliminated modulo this prime (the rule is in
-# exact_rank).  It is small, so the packed slots of _rank_mod_p are narrow:
+# A block without an echelon certificate is eliminated modulo this prime
+# first (the rule is in exact_rank).  It is small, so the packed slots of _rank_mod_p are narrow:
 # nrows * 2039**2 < 2**32 up to 1033 rows.
 _PROOF_PRIME = 2039
 
@@ -233,9 +235,11 @@ class SparseIntMatrix:
     """Column-major sparse matrix with exact integer entries.
 
     shape is (rows, cols) = (dim_target, dim_source); columns[j] holds the
-    image of the j-th source basis pair as (row, value) pairs.  columns may
-    be passed as a function of no arguments that returns them: it is called
-    the first time columns is read, and its result kept.  build_matrix
+    image of the j-th source basis pair as (row, value) pairs.  Columns
+    passed as a tuple must number cols and hold each row at most once,
+    each in range(rows); ValueError otherwise.  columns may instead be passed as a
+    function of no arguments that returns them: it is called the first
+    time columns is read, its result kept and not checked.  build_matrix
     passes one, so a rank taken on the blocks never builds the columns.
     blocks, when set, holds one Block per orbit of weight blocks: the
     representative block and the number of blocks in its orbit, all of the
@@ -249,6 +253,15 @@ class SparseIntMatrix:
         columns: tuple[tuple[tuple[int, int], ...], ...] | Callable,
         blocks: tuple[Block, ...] | None = None,
     ):
+        if not callable(columns):
+            if len(columns) != shape[1]:
+                raise ValueError(f"shape has {shape[1]} columns, got {len(columns)}")
+            for j, col in enumerate(columns):
+                rows = [r for r, _ in col]
+                if not all(0 <= r < shape[0] for r in rows):
+                    raise ValueError(f"column {j} has a row outside range({shape[0]}): {rows}")
+                if len(set(rows)) < len(rows):
+                    raise ValueError(f"column {j} repeats a row: {rows}")
         self.shape = shape
         self._columns = columns
         self.blocks = blocks
@@ -423,7 +436,8 @@ def _representative_blocks(
 class RankResult:
     """Exact rank data for one contraction matrix.
 
-    Every rank exact_rank returns is proven by its rule and no route draws
+    Every rank exact_rank returns is proven by one of its three routes
+    (echelon form, full rank modulo 2039, Bareiss), and none of them draws
     a random prime, so certified is always True and primes always ().
     """
 
@@ -487,6 +501,37 @@ def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
         entries = [(local[r], j, val) for j, c in enumerate(cols) for r, val in columns[c]]
         blocks.append((entries, (len(rows), len(cols)), 1))
     return blocks
+
+
+def _echelon_rank(
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int
+) -> int | None:
+    """min(nrows, ncols) if the block is visibly in echelon form, else None.
+
+    The vectors of the shorter side (the rows if nrows < ncols, else the
+    columns) are read by their first and last nonzero positions; entries of
+    value 0 count as absent.  If every vector has one and the first
+    positions are distinct, the vectors sorted by first position form an
+    echelon matrix whose pivots are nonzero integers, so they are linearly
+    independent over Q and the rank is the shorter side's length; the last
+    positions, distinct, give the same argument with the positions reversed.
+    This needs no arithmetic and no prime.  entries are (row, column, value)
+    at distinct positions; a block without a certificate returns None.
+    """
+    short = nrows < ncols
+    size = min(nrows, ncols)
+    first = [max(nrows, ncols)] * size
+    last = [-1] * size
+    for i, j, val in entries:
+        if val:
+            vector, position = (i, j) if short else (j, i)
+            if position < first[vector]:
+                first[vector] = position
+            if position > last[vector]:
+                last[vector] = position
+    if -1 in last or (len(set(first)) < size and len(set(last)) < size):
+        return None
+    return size
 
 
 def _rank_mod_p(
@@ -597,13 +642,18 @@ def exact_rank(
     counted with its orbit's multiplicity and read without building
     matrix.columns, or else the connected components of the sparsity
     pattern, found from matrix.columns.  The rank is the sum of
-    multiplicity x block rank, and each block is ranked by one of two
-    routes, both proofs:
+    multiplicity x block rank, and each block is ranked by the first of
+    three routes that applies, all proofs:
 
-    1. Every block is eliminated modulo the fixed prime _PROOF_PRIME = 2039.
-       Rank modulo any prime is at most the rank over Q, so a block whose
-       rank mod 2039 is min(rows, cols) has that rank over Q.
-    2. A block of lower rank mod 2039 is ranked exactly by fraction-free
+    1. A block whose shorter side's vectors have distinct first nonzero
+       positions, or distinct last ones, is in echelon form once they are
+       sorted, with nonzero integer pivots: its rank over Q is
+       min(rows, cols), with no elimination (see _echelon_rank).
+    2. Any other block is eliminated modulo the fixed prime
+       _PROOF_PRIME = 2039.  Rank modulo any prime is at most the rank over
+       Q, so a block whose rank mod 2039 is min(rows, cols) has that rank
+       over Q.
+    3. A block of lower rank mod 2039 is ranked exactly by fraction-free
        (Bareiss) elimination, whatever its width.
 
     seed and exact_limit are accepted for older callers and ignored.
@@ -614,24 +664,27 @@ def exact_rank(
         blocks, built = _component_blocks(matrix), dim_source
     else:
         built = sum(nc for _, (_, nc), _ in blocks)
-    rank = by_bareiss = 0
+    rank = by_echelon = by_bareiss = 0
     largest = (0, 0)
     for entries, (nr, nc), multiplicity in blocks:
         largest = max(largest, (nr, nc), key=prod)
-        block_rank = _rank_mod_p(entries, nr, nc, _PROOF_PRIME)
-        if block_rank < min(nr, nc):
+        block_rank = _echelon_rank(entries, nr, nc)
+        if block_rank is not None:
+            by_echelon += 1
+        elif (block_rank := _rank_mod_p(entries, nr, nc, _PROOF_PRIME)) < min(nr, nc):
             block_rank = _rank_bareiss(entries, nr, nc)
             by_bareiss += 1
         rank += multiplicity * block_rank
     logger.debug(
-        "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d full rank modulo %d, "
-        "%d by Bareiss, built %d of %d columns",
+        "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "
+        "%d full rank modulo %d, %d by Bareiss, built %d of %d columns",
         rank,
         dim_target,
         dim_source,
         len(blocks),
         *largest,
-        len(blocks) - by_bareiss,
+        by_echelon,
+        len(blocks) - by_echelon - by_bareiss,
         _PROOF_PRIME,
         by_bareiss,
         built,

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,8 +29,13 @@ def corner_operator(terms: int) -> ContractionOperator:
 
 
 def proof_prime_multiple() -> SparseIntMatrix:
-    """The 1x1 matrix whose only entry is 2039 times the prime 2^31 - 1."""
-    return SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * (2**31 - 1)),),))
+    """The dense [[2039, 2039], [1, 2]]: determinant 2039, rank 1 modulo 2039.
+
+    Both columns lead at row 0 and end at row 1, so it has no echelon
+    certificate and the modular and Bareiss routes rank it.
+    """
+    p = oracle._PROOF_PRIME
+    return SparseIntMatrix((2, 2), (((0, p), (1, 1)), ((0, p), (1, 2))))
 
 
 @pytest.fixture
@@ -224,11 +231,23 @@ class TestExactRank:
         assert results == {exact_rank(matrix)}
 
     def test_undershooting_first_prime_is_not_trusted(self, bareiss_calls):
-        # rank 0 modulo the proof prime, so Bareiss proves its rank 1
+        # rank 1 modulo the proof prime, so Bareiss proves its rank 2
         matrix = proof_prime_multiple()
         result = exact_rank(matrix)
+        assert (result.rank, result.certified, result.primes) == (2, True, ())
+        assert bareiss_calls == [(2, 2)]
+
+    def test_echelon_entry_needs_no_elimination(self, bareiss_calls, monkeypatch):
+        # the 1x1 entry 2039 * (2^31 - 1) is zero modulo the proof prime, but a
+        # nonzero entry alone is an echelon matrix: rank 1 with no arithmetic
+        def refuse(*args):
+            raise AssertionError("eliminated modulo the proof prime")
+
+        monkeypatch.setattr(oracle, "_rank_mod_p", refuse)
+        matrix = SparseIntMatrix((1, 1), (((0, oracle._PROOF_PRIME * (2**31 - 1)),),))
+        result = exact_rank(matrix)
         assert (result.rank, result.certified, result.primes) == (1, True, ())
-        assert bareiss_calls == [(1, 1)]
+        assert bareiss_calls == []
 
     def test_full_rank_blocks_take_one_elimination(self, monkeypatch):
         calls = []
@@ -239,16 +258,21 @@ class TestExactRank:
             return rank_mod_p(entries, nrows, ncols, p)
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
-        # the special operator is injective or surjective, so every block is full rank
-        matrix = build_matrix(special_fiber_operator(2, 1), 6, 4)
+        # the special operator is injective or surjective, so every block is
+        # full rank; 9 of its 12 blocks have an echelon certificate, and each
+        # of the other 3 takes one elimination modulo the proof prime
+        matrix = build_matrix(special_fiber_operator(2, 1), 4, 5)
+        uncertified = [b for b in matrix.blocks if oracle._echelon_rank(b[0], *b[1]) is None]
+        assert (len(matrix.blocks), len(uncertified)) == (12, 3)
         result = exact_rank(matrix)
         assert result.rank == min(matrix.shape)
         assert result.primes == () and result.certified
-        assert calls == [oracle._PROOF_PRIME] * len(matrix.blocks)
+        assert calls == [oracle._PROOF_PRIME] * 3
 
     def test_small_matrices_draw_no_vote_prime(self):
-        # every block is eliminated modulo the proof prime; the corner's
-        # rank-deficient blocks are proven by Bareiss, so no prime is drawn
+        # every block is proven by its echelon form or modulo the proof prime;
+        # the corner's rank-deficient blocks are proven by Bareiss, so no prime
+        # is drawn
         for op in (special_fiber_operator(2, 1), corner_operator(1), corner_operator(2)):
             result = exact_rank(build_matrix(op, 6, 4), seed=5)
             assert result.primes == () and result.certified
@@ -268,8 +292,12 @@ class TestExactRank:
         assert (result.rank, result.kernel_dim, result.cokernel_dim) == (4785, 363, 220)
 
     def test_debug_line_reports_blocks_and_primes(self, caplog):
-        # blocks {row 0} x {col 0} and {rows 1, 2} x {cols 1, 2}, the second of rank 1
-        matrix = SparseIntMatrix((3, 3), (((0, 1),), ((1, 2), (2, 4)), ((1, 1), (2, 2))))
+        # blocks {row 0} x {col 0} in echelon form, {rows 1, 2} x {cols 1, 2}
+        # of rank 1, and {rows 3, 4} x {cols 3, 4}, [[1, 1], [1, 2]], full rank
+        # modulo 2039 with both columns leading at row 3 and ending at row 4
+        matrix = SparseIntMatrix((5, 5), (
+            ((0, 1),), ((1, 2), (2, 4)), ((1, 1), (2, 2)), ((3, 1), (4, 1)), ((3, 1), (4, 2)),
+        ))
         # Sym^1 (x) Sym^1 on P^2: weights 2e_i (one column each) and e_i + e_j
         # (two columns, one row each); the representatives are 2e_0 and e_0 + e_1
         weights = build_matrix(special_fiber_operator(2, 1), 1, 1)
@@ -277,20 +305,20 @@ class TestExactRank:
             proven = exact_rank(matrix)
             blocked = exact_rank(weights)
         assert [r.getMessage() for r in caplog.records] == [
-            "rank 2 of 3x3 matrix: 2 blocks, largest 2x2, 1 full rank modulo 2039, "
-            "1 by Bareiss, built 3 of 3 columns",
-            "rank 6 of 6x9 matrix: 2 blocks, largest 1x2, 2 full rank modulo 2039, "
-            "0 by Bareiss, built 3 of 9 columns",
+            "rank 4 of 5x5 matrix: 3 blocks, largest 2x2, 1 in echelon form, "
+            "1 full rank modulo 2039, 1 by Bareiss, built 5 of 5 columns",
+            "rank 6 of 6x9 matrix: 2 blocks, largest 1x2, 2 in echelon form, "
+            "0 full rank modulo 2039, 0 by Bareiss, built 3 of 9 columns",
         ]
-        assert (proven.rank, blocked.rank) == (2, 6)
+        assert (proven.rank, blocked.rank) == (4, 6)
 
     @pytest.mark.parametrize("columns", [
-        (((0, 2039),),),
+        (((0, 2039), (1, 1)), ((0, 2039), (1, 2))),  # [[2039, 2039], [1, 2]], entries 2039
         (((0, 2), (1, 1)), ((0, 1), (1, 1020))),  # [[2, 1], [1, 1020]], determinant 2039
     ], ids=["entry", "determinant"])
     def test_full_rank_block_deficient_modulo_the_proof_prime(self, bareiss_calls, columns):
-        # full rank over Q, deficient modulo 2039: the proof prime never proves it,
-        # and Bareiss does
+        # full rank over Q, deficient modulo 2039 and with no echelon
+        # certificate: the proof prime never proves it, and Bareiss does
         size = len(columns)
         matrix = SparseIntMatrix((size, size), columns)
         ((entries, shape, _),) = oracle._component_blocks(matrix)
@@ -298,6 +326,19 @@ class TestExactRank:
         result = exact_rank(matrix)
         assert (result.rank, result.certified, result.primes) == (size, True, ())
         assert bareiss_calls == [(size, size)]
+
+    @pytest.mark.parametrize("shape, columns, message", [
+        ((1, 1), (((0, 1), (0, -1)),), "column 0 repeats a row"),
+        ((2, 1), (((5, 1),),), r"column 0 has a row outside range\(2\)"),
+        ((2, 2), ((), ((-1, 3),)), r"column 1 has a row outside range\(2\)"),
+        ((2, 3), (((0, 1),),), "shape has 3 columns, got 1"),
+    ], ids=["repeated", "past_the_end", "negative", "column_count"])
+    def test_malformed_eager_columns_are_refused(self, shape, columns, message):
+        # a repeated row would sum to 0 modulo p and Bareiss would keep the
+        # last value; a row past the end would be ranked as if it existed; a
+        # missing column would count in the kernel but not in to_dense
+        with pytest.raises(ValueError, match=message):
+            SparseIntMatrix(shape, columns)
 
     def test_rank_never_builds_the_column_list(self, monkeypatch):
         def refuse(*tables):
@@ -498,6 +539,70 @@ class TestModularElimination:
         entries = [(i, i, self.P if i == width // 2 else 1) for i in range(width)]
         assert oracle._rank_mod_p(entries, width, width, self.P) == width - 1
         assert oracle._rank_bareiss(entries, width, width) == width
+
+
+class TestEchelonCertificate:
+    """_echelon_rank proves full rank only where Bareiss agrees."""
+
+    @staticmethod
+    def random_block(rng):
+        # up to 6x6, tall and wide, with zero entries and multiples of 2039 that
+        # are nonzero over Q, the entries in shuffled order
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+        density = rng.choice((0.2, 0.35, 0.6))
+        values = (0, 1, -1, 3, oracle._PROOF_PRIME, -2 * oracle._PROOF_PRIME)
+        entries = [(i, j, rng.choice(values)) for i in range(nrows) for j in range(ncols)
+                   if rng.random() < density]
+        rng.shuffle(entries)
+        return entries, nrows, ncols
+
+    def test_random_blocks_agree_with_bareiss(self):
+        seen = Counter()
+        rng = random.Random(2039)
+        for _ in range(3000):
+            entries, nrows, ncols = self.random_block(rng)
+            got = oracle._echelon_rank(entries, nrows, ncols)
+            assert got == oracle._echelon_rank(sorted(entries), nrows, ncols)
+            if got is None:
+                seen["none"] += 1
+                continue
+            assert got == oracle._rank_bareiss(entries, nrows, ncols) == min(nrows, ncols)
+            seen["tall" if nrows > ncols else "wide" if nrows < ncols else "square"] += 1
+            seen["zero"] += any(val == 0 for _, _, val in entries)
+            seen["multiple"] += any(val and val % oracle._PROOF_PRIME == 0 for _, _, val in entries)
+        assert min(seen.values()) >= 50, seen
+
+    def test_all_ones_has_no_certificate_in_any_order(self):
+        # every vector leads at 0 and ends at 1; a rule that took the first
+        # entry in entry order would find distinct leads in some orders
+        ones = [(i, j, 1) for i in range(2) for j in range(2)]
+        for order in itertools.permutations(ones):
+            assert oracle._echelon_rank(list(order), 2, 2) is None
+
+    def test_zero_valued_vector_has_no_certificate(self):
+        # the wide block's row 1 holds only a stored 0: its rank is 1, not 2
+        entries = [(0, 0, 1), (1, 1, 0), (1, 2, 0)]
+        assert oracle._echelon_rank(entries, 2, 3) is None
+        assert oracle._echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) is None
+        assert oracle._rank_bareiss(entries, 2, 3) == 1
+
+    def test_first_or_last_positions(self):
+        # [[1, 1, 0], [1, 0, 1]]: the rows lead alike but end apart, and its
+        # transpose's columns too; [[0, 1, 1], [1, 1, 0]] leads apart only
+        ends_apart = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1)]
+        leads_apart = [(0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1)]
+        for entries in (ends_apart, leads_apart):
+            assert oracle._echelon_rank(entries, 2, 3) == 2
+            assert oracle._echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) == 2
+
+    def test_grid_certificates(self):
+        # the 598 maps of the engine grid: 8,267 of their 8,897 representative
+        # blocks are proven by the echelon route, the rest by elimination
+        ops = {(n, k): special_fiber_operator(n, k) for n in (1, 2) for k in (1, 2)}
+        blocks = [block for (n, k), op in ops.items() for A in range(13) for B in range(k, 13)
+                  for block in build_matrix(op, A, B).blocks]
+        certified = [oracle._echelon_rank(entries, *shape) for entries, shape, _ in blocks]
+        assert (len(blocks), sum(r is not None for r in certified)) == (8897, 8267)
 
 
 class TestEquivariance:

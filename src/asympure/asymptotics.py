@@ -2,22 +2,18 @@
 
 For a divisor class D, h-hat^i is the limit of h^i(mD) * dim!/m^dim.  Every
 series in scope is an integer series, eventually a polynomial in m of degree
-at most dim, so each limit is the series' dim-th difference there: an
-integer, never a floating-point fit.  A class is pure when at most one
-h-hat index survives; the special-fiber computation checks this for
-mixed-sign restrictions via the predicted kernel/cokernel growth of the
-contraction map.
+at most dim, so each limit is an integer, the series' dim-th difference, and
+each is read off an exact expression.  A class is pure when at most one
+h-hat index survives.
 
-The predicted kernel and cokernel of a mixed class are polynomial from
-stable_start, the first feasible multiple with (B - A - k)(a2 - a1) >= 0;
-its docstring derives that bound from a reflection symmetry of the Weyl
-dimension, and reptheory.series_polynomials writes the two polynomials
-out, times (2n-1)!, so their top coefficients are the h-hat values, with
-no sampled window.  The Kunneth series on P^n x P^n and the restriction Euler
-characteristic are fitted by finite differences, from m = 1, where they
-are proven polynomial: the closed forms of h^0 and h^n on P^n are
-polynomials on their whole bands.  Each fit samples degree + 3 multiples:
-degree + 2 to fit and one to check.
+A mixed class's predicted kernel and cokernel are polynomial from
+stable_start, whose docstring derives that bound, and
+reptheory.series_polynomials writes the two out times (2n-1)!, so their
+top coefficients are its h-hat values.  Every other class has its
+cohomology in one index, where by asymptotic Riemann-Roch h-hat is plus or
+minus the top self-intersection: asymptotic_product and
+intersection_number.  fit_leading_coefficient runs only in verify and the
+tests, as the independent reference for these closed forms.
 
 From the special fiber to a very general one: for every bidegree-(k, k)
 form F, h^(n-1) and h^n of a mixed class are the kernel and cokernel of the
@@ -37,7 +33,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .projspace import DivisorClass, euler_characteristic, kunneth_cohomology, series_exponents
+from .projspace import DivisorClass, series_exponents
 from .reptheory import kernel_series_rep, series_polynomials
 
 logger = logging.getLogger(__name__)
@@ -139,6 +135,8 @@ def fit_leading_coefficient(
     Takes (m, value) pairs at consecutive m inside the polynomial regime and
     returns delta^degree / degree!.  Raises SeriesNotStabilized when the
     (degree+1)-th difference is nonzero -- the caller must extend the range.
+    No h-hat value is fitted at run time: verify and the tests use this as
+    the independent reference for the closed forms.
 
     >>> fit_leading_coefficient([(m, m**3) for m in range(5, 10)], 3)
     Fraction(1, 1)
@@ -163,31 +161,23 @@ def fit_leading_coefficient(
     return Fraction(diffs[0], factorial(degree))
 
 
-def _window(start: int, degree: int) -> range:
-    """The multiples every h-hat fit samples: degree + 2 to fit, one more to check."""
-    return range(start, start + degree + 3)
-
-
 def asymptotic_product(n: int, divisor: DivisorClass) -> AsymptoticVector:
     """h-hat vector of a divisor class on P^n x P^n itself (dim = 2n).
 
-    At most one index is nonzero: each negative coefficient puts its factor's
-    cohomology in degree n, so the index is 0, n or 2n.  A class with
-    a1*a2 = 0, the zero class included, has a series of degree at most
-    n < 2n, so its fit returns 0 like any other.  The value is the fitted
-    leading coefficient times (2n)!, the 2n-th difference, an integer.  The
-    series is polynomial from m = 1: h^0 = C(d + n, n) and h^n = C(-d - 1, n)
-    are polynomials in d on their whole bands, and the latter vanishes as a
-    polynomial on the acyclic band -n <= d <= -1.
+    Each negative coefficient puts its factor's cohomology in degree n, so
+    only index n*((a1 < 0) + (a2 < 0)) can be nonzero.  By asymptotic
+    Riemann-Roch its value is the top self-intersection D^(2n) up to sign,
+    C(2n, n)*|a1*a2|^n, which is 0 when a1*a2 = 0.  verify checks it against
+    the fitted 2n-th difference of the Kunneth series.
 
     >>> asymptotic_product(1, DivisorClass(1, 1)).values
     (2, 0, 0)
     """
-    dim = 2 * n
-    values = [0] * (dim + 1)
+    if n < 1:
+        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    values = [0] * (2 * n + 1)
     index = n * ((divisor.a1 < 0) + (divisor.a2 < 0))
-    series = [(m, kunneth_cohomology(n, m * divisor)[index]) for m in _window(1, dim)]
-    values[index] = int(fit_leading_coefficient(series, dim) * factorial(dim))
+    values[index] = comb(2 * n, n) * abs(divisor.a1 * divisor.a2) ** n
     return AsymptoticVector(tuple(values))
 
 
@@ -253,13 +243,12 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     them to the prediction at run time: both polynomials must equal
     (2n-1)! times kernel_series_rep at stable_start, or SeriesNotStabilized
     names (n, k, a1, a2, m).  A boundary class (one or both coefficients
-    zero) has one allowed index i, and its value is (-1)^i times the
-    (2n-1)-th difference of the restriction Euler characteristic
-    chi(mD) - chi(mD - Y), fitted by finite differences.  That Euler
-    characteristic is a polynomial in m at every m, because chi(O(d)) on
-    P^n equals the polynomial C(d + n, n) at every integer d, so its fit
-    starts at m = 1.  For the zero class it is constant in m, so the fit
-    gives the all-zero vector.
+    zero) has one allowed index i, and its value is (-1)^i times
+    intersection_number(n, k, k, a1, a2), the top coefficient of the
+    restriction Euler characteristic chi(mD) - chi(mD - Y) times (2n-1)!:
+    k*a1 or k*a2 for n = 1, and 0 for n >= 2 and for the zero class.  verify
+    checks it against that Euler characteristic's fitted (2n-1)-th
+    difference.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     6
@@ -268,7 +257,7 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
 
 
 def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, AsymptoticVector]:
-    """(label, vector) of D = a1*H1 - a2*H2: classify runs once, and its label picks the fit."""
+    """(label, vector) of D = a1*H1 - a2*H2: classify runs once, and its label picks the route."""
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if a1 < 0 or a2 < 0:
@@ -298,16 +287,8 @@ def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, Asympto
         values[n - 1], values[n] = (poly[-1] for poly in polynomials)
     else:
         (index,) = label.allowed_indices
-        series = [(m, _restriction_euler(n, k, a1, a2, m)) for m in _window(1, dim)]
-        values[index] = int((-1) ** index * fit_leading_coefficient(series, dim) * scale)
+        values[index] = (-1) ** index * intersection_number(n, k, k, a1, a2)
     return label, AsymptoticVector(tuple(values))
-
-
-def _restriction_euler(n: int, k: int, a1: int, a2: int, m: int) -> int:
-    """chi of m*(a1*H1 - a2*H2) restricted to the bidegree-(k, k) fiber."""
-    full = euler_characteristic(n, DivisorClass(m * a1, -m * a2))
-    twisted = euler_characteristic(n, DivisorClass(m * a1 - k, -m * a2 - k))
-    return full - twisted
 
 
 def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:

@@ -2,7 +2,8 @@
 
 JSON is the canonical machine format; every integer in a result payload is
 serialized as a decimal string so arbitrary-precision values survive
-53-bit consumers, and rationals are serialized as "p/q".  Output is
+53-bit consumers, and no payload holds a rational: every h-hat value is an
+integer.  Output is
 deterministic: identical flags produce byte-identical JSON.  Every
 subcommand accepts --seed and echoes it in the JSON params, but no result
 depends on it, since every rank is proven.

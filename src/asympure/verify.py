@@ -20,7 +20,14 @@ from math import factorial
 from operator import attrgetter, sub
 from typing import Callable, Iterable
 
-from .asymptotics import fit_leading_coefficient, intersection_number, purity_report, stable_start
+from .asymptotics import (
+    SeriesNotStabilized,
+    asymptotic_product,
+    fit_leading_coefficient,
+    intersection_number,
+    purity_report,
+    stable_start,
+)
 from .oracle import (
     ContractionOperator,
     build_matrix,
@@ -185,8 +192,8 @@ def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
 
 
 def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
-    # what the per-class fit checked at run time: the polynomials that scan reads
-    # its mixed h-hat values off, against the prediction at 2n + 3 multiples
+    # the polynomials that scan reads its mixed h-hat values off, against the
+    # prediction at 2n + 3 multiples
     classes = list(product(range(1, n_max + 1), range(1, k_max + 1),
                            range(1, a_max + 1), range(1, a_max + 1)))
 
@@ -221,14 +228,47 @@ def _check_intersection_numbers(k_max: int, a_max: int) -> tuple[bool, str]:
                   f"n = 2, k <= {k_max}, a1, a2 in [0, {a_max}]")
 
 
+def _check_riemann_roch_fits(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
+    # the one-index closed forms against fits from m = 1, where both series are
+    # polynomial: chi(O(d)) = C(d + n, n) at every d, and h^0, h^n on their bands
+    def fitted(degree, values):
+        # no fit gives a string, which no closed form equals, so _agree names the case
+        try:
+            return int(fit_leading_coefficient([*enumerate(values, 1)], degree) * factorial(degree))
+        except SeriesNotStabilized:
+            return f"no polynomial of degree {degree} on m in [1, {len(values)}]"
+
+    def euler(n, k, a1, a2):
+        return fitted(2 * n - 1, [euler_characteristic(n, DivisorClass(m * a1, -m * a2))
+                                  - euler_characteristic(n, DivisorClass(m * a1 - k, -m * a2 - k))
+                                  for m in range(1, 2 * n + 3)])
+
+    def kunneth(n, a1, a2):
+        rows = [kunneth_cohomology(n, m * DivisorClass(a1, a2)).values for m in range(1, 2 * n + 4)]
+        return tuple(fitted(2 * n, column) for column in zip(*rows))
+
+    fiber = product(range(1, n_max + 1), range(1, k_max + 1), range(a_max + 1), range(a_max + 1))
+    ok, detail = _agree("fitted (2n-1)-th difference of chi(mD) - chi(mD - Y) vs "
+                        "intersection_number(n, k, k, a1, a2)", fiber, euler,
+                        lambda n, k, a1, a2: intersection_number(n, k, k, a1, a2), "")
+    if not ok:
+        return ok, detail
+    span = range(-a_max, a_max + 1)
+    return _agree("fitted 2n-th differences of kunneth_cohomology(n, m * (a1, a2)) vs "
+                  "asymptotic_product(n, (a1, a2))", product(range(1, n_max + 1), span, span),
+                  kunneth, lambda n, a1, a2: asymptotic_product(n, DivisorClass(a1, a2)).values,
+                  f"n <= {n_max}; k <= {k_max}, a1, a2 in [0, {a_max}] on the fiber; "
+                  f"|a1|, |a2| <= {a_max} on P^n x P^n")
+
+
 def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, str]:
     # Prediction-only growth laws at k = 1, 2: the kernel (a1 > a2) or cokernel
     # (a1 < a2) grows in degree 2n - 1, the other side is zero; for a1 = a2 neither.
     for k in (1, 2):
         for a1, a2 in pairs:
             start = stable_start(n, k, a1, a2)
-            # a sampled fit, one multiple wider than asymptotics._window: independent of the
-            # series polynomials that the mixed h-hat values are read off
+            # a sampled fit over 2n + 3 multiples: independent of the series
+            # polynomials that the mixed h-hat values are read off
             rows = kernel_series_rep(n, k, a1, a2, range(start, start + 2 * n + 3))
             for side, series in (
                 ("kernel", [(m, kd) for m, kd, _ in rows]),
@@ -269,6 +309,7 @@ _CHECKS = (
     ("purity scan", _check_purity_scan, (1, 3), (2, 5)),
     ("series polynomial vs prediction", _check_series_polynomials, (2, 2, 4), (4, 3, 6)),
     ("intersection numbers", _check_intersection_numbers, (1, 3), (2, 5)),
+    ("Riemann-Roch fits", _check_riemann_roch_fits, (2, 2, 4), (4, 3, 6)),
     ("rank-3 prediction identities", _check_growth_degrees,
      None, (3, [(2, 1), (1, 2), (1, 1)])),
 )

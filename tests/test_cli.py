@@ -739,6 +739,7 @@ class TestVerify:
             "Pieri dimension sums", "Euler consistency", "Euler vs Kunneth",
             "engine equivalence (series)", "corner closed form", "corner lower bound",
             "purity scan", "series polynomial vs prediction", "intersection numbers",
+            "Riemann-Roch fits",
         ]
         full = small[:8] + ["engine equivalence (grid)"] + small[8:]
         full.append("rank-3 prediction identities")

@@ -85,6 +85,18 @@ DISAGREEMENTS = {
         (2, 1, 1, 2, 1), (2, 1, 1, 3, 1),
         "sum_i (-1)^i h-hat^i of purity_report(2, k, [(a1, a2)]) vs "
         "intersection_number(2, k, k, a1, a2) at (1, 2, 1): -6 != -18"),
+    # one Euler characteristic off its polynomial leaves the series no fit
+    "Riemann-Roch fits (Euler)": (
+        verify._check_riemann_roch_fits, (2, 2, 4), verify, "euler_characteristic",
+        (1, DivisorClass(2, -2)), (1, DivisorClass(2, -3)),
+        "fitted (2n-1)-th difference of chi(mD) - chi(mD - Y) vs "
+        "intersection_number(n, k, k, a1, a2) at (1, 1, 1, 1): "
+        "no polynomial of degree 1 on m in [1, 4] != 0"),
+    "Riemann-Roch fits (Kunneth)": (
+        verify._check_riemann_roch_fits, (2, 2, 4), verify, "asymptotic_product",
+        (1, DivisorClass(1, -1)), (1, DivisorClass(2, -1)),
+        "fitted 2n-th differences of kunneth_cohomology(n, m * (a1, a2)) vs "
+        "asymptotic_product(n, (a1, a2)) at (1, 1, -1): (0, 2, 0) != (0, 4, 0)"),
     # the corners' oracle series build the matrix of multiple m at (A, B) = (m - 1, m - 2)
     "corner closed form": (
         verify._check_corner_closed_form, (8,), oracle, "build_matrix",

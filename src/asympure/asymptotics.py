@@ -283,7 +283,9 @@ def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, Asympto
             side = "cokernel" if any(polynomials[1]) else "kernel"
             logger.debug("mixed class (n, k, a1, a2) = (%d, %d, %d, %d): stable_start %d, "
                          "%s side, m^%d coefficient %s", n, k, a1, a2, start, side, dim,
-                         Fraction(polynomials[side == "cokernel"][-1], scale))
+                         Fraction(polynomials[side == "cokernel"][-1], scale),
+                         extra={"divisor_class": (n, k, a1, a2), "stable_start": start,
+                                "side": side})
         values[n - 1], values[n] = (poly[-1] for poly in polynomials)
     else:
         (index,) = label.allowed_indices

@@ -13,11 +13,14 @@ operator's own term set to itself permute those blocks without changing
 their ranks, so build_matrix builds only one representative block per
 orbit, with the orbit's size, from one table of hits per source monomial,
 all monomials coded as integers, and exact_rank eliminates each
-representative once.  The full column list is built from the same table
-only when something reads matrix.columns: the golden layout, to_dense,
-nnz, and operators that do not preserve weight, which fall back to the
-connected components of the sparsity pattern.  Every rank is a
-proof, by one of three routes (exact_rank states the rule): a block whose
+representative once.  The code base is the smallest power of two above
+A + B + k, so it depends on a map only through its size; the codes, the hit
+tables and the orbit representatives are built once per key and kept, and
+the maps of one operator share them.  The full column list is built from
+the same tables only when something reads matrix.columns: the golden
+layout, to_dense, nnz, and operators that do not preserve weight, which
+fall back to the connected components of the sparsity pattern.  Every rank
+is a proof, by one of three routes (exact_rank states the rule): a block whose
 shorter side's vectors lead at distinct positions is already in echelon
 form and needs no arithmetic; any other block of full rank modulo the small
 fixed prime 2039 is proven by that elimination, and a deficient one by
@@ -39,7 +42,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, perm, prod
-from operator import mul
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable
 
@@ -53,9 +55,8 @@ Monomial = tuple[int, ...]
 # (rows, cols) counting nonempty ones only, and how many blocks of the same
 # rank it stands for.
 Block = tuple[list[tuple[int, int, int]], tuple[int, int], int]
-# A monomial's code, and the per-source-v table of hits; see build_matrix.
-Coder = Callable[[Monomial], int]
-HitTable = dict[int, list[tuple[int, int, int]]]
+# Per source v's code, its hits (alpha's code, beta's code, value); see _hit_table.
+HitTable = dict[int, tuple[tuple[int, int, int], ...]]
 
 DEFAULT_SIZE_CAP = 200_000
 
@@ -295,8 +296,11 @@ def build_matrix(
     series scans.  Bases follow the graded-lex contract, and the size cap
     applies to the full bases.  When op preserves weight, only its orbit
     representative weight blocks are built here (see SparseIntMatrix.blocks);
-    the full column list is built from the same per-source table the first
-    time matrix.columns is read.
+    the full column list is built the first time matrix.columns is read.
+    Both are read off tables kept across calls, each built once per key: the
+    monomial codes per (n, degree, base), the per-v hits per (op, B, base)
+    and the orbit representatives per (op, A + B), so maps of one operator
+    share them.
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -307,36 +311,63 @@ def build_matrix(
             f"basis sizes {dim_source} (source) and {dim_target} (target) "
             f"exceed the cap {size_cap}"
         )
-    # Each monomial is coded once, in mixed radix with x0 the most significant
-    # digit and a base above every exponent that occurs: multiplying by x^alpha
-    # adds alpha's code, d^beta subtracts beta's, and among monomials of one
-    # degree a larger code comes earlier in graded-lex (descending lex) order.
-    radix = [(A + B + k + 1) ** (n - c) for c in range(n + 1)]
-
-    def code(e: Monomial) -> int:
-        return sum(map(mul, e, radix))
-
-    # Per source v, the terms that survive on y^v (a falling factorial is zero
-    # when d^beta kills it), alpha descending, then beta ascending: for every
-    # source u that is the row order of the column of (u, v), since a larger
-    # alpha gives an earlier u + alpha and a smaller beta an earlier v - beta.
-    # Terms are distinct, so no two of them hit one target pair.
-    terms = [(code(alpha), code(beta), coeff, beta) for coeff, alpha, beta in op.terms]
-    terms.sort(key=lambda t: (-t[0], t[1]))
-    hits_by_v = {
-        code(v): [(a, b, c * f) for a, b, c, beta in terms if (f := prod(map(perm, v, beta)))]
-        for v in monomial_basis(n, B)
-    }
-    u_codes = [code(u) for u in monomial_basis(n, A)]
+    base = _code_base(k, A + B)
+    hits = _hit_table(op, B, base)
+    orbits = _orbit_representatives(op, A + B)
     return SparseIntMatrix(
         (dim_target, dim_source),
-        lambda: _build_columns(op, A, B, code, u_codes, hits_by_v),
-        _representative_blocks(op, A, B, code, u_codes, hits_by_v),
+        lambda: _build_columns(op, A, B, base, hits),
+        None if orbits is None else _representative_blocks(_basis_codes(n, A, base), hits, orbits),
     )
 
 
+# Each monomial is coded as an integer in a base above every exponent that
+# occurs, with x0 the most significant digit: multiplying by x^alpha adds
+# alpha's code, d^beta subtracts beta's, and among monomials of one degree a
+# larger code comes earlier in graded-lex (descending lex) order.  The base is
+# the smallest power of two above A + B + k, so it depends on the map only
+# through its size, and maps of one operator share their codes and tables.
+def _code_base(k: int, degree: int) -> int:
+    """The code base of an operator of degree k on Sym^A (x) Sym^B, A + B = degree."""
+    return 1 << (degree + k).bit_length()
+
+
+def _code(e: Monomial, base: int) -> int:
+    out = 0
+    for digit in e:
+        out = out * base + digit
+    return out
+
+
+@lru_cache(maxsize=None)
+def _basis_codes(n: int, degree: int, base: int) -> tuple[int, ...]:
+    """The codes of monomial_basis(n, degree), in its order."""
+    return tuple(_code(e, base) for e in monomial_basis(n, degree))
+
+
+@lru_cache(maxsize=None)
+def _hit_table(op: ContractionOperator, B: int, base: int) -> HitTable:
+    """Per source v of degree B, in basis order, the terms that survive on y^v.
+
+    Each hit is (alpha's code, beta's code, coeff * falling factorial); a
+    falling factorial is zero when d^beta kills y^v.  Hits are ordered alpha
+    descending, then beta ascending: for every source u that is the row order
+    of the column of (u, v), since a larger alpha gives an earlier u + alpha
+    and a smaller beta an earlier v - beta.  Terms are distinct, so no two
+    hits reach one target pair.  Callers only read the table.
+    """
+    terms = sorted(
+        ((_code(alpha, base), _code(beta, base), coeff, beta) for coeff, alpha, beta in op.terms),
+        key=lambda t: (-t[0], t[1]),
+    )
+    return {
+        v_code: tuple((a, b, c * f) for a, b, c, beta in terms if (f := prod(map(perm, v, beta))))
+        for v_code, v in zip(_basis_codes(op.n, B, base), monomial_basis(op.n, B))
+    }
+
+
 def _build_columns(
-    op: ContractionOperator, A: int, B: int, code: Coder, u_codes: list[int], hits_by_v: HitTable
+    op: ContractionOperator, A: int, B: int, base: int, hits: HitTable
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every column in graded-lex order, first-factor-major, from the per-v table.
 
@@ -345,26 +376,31 @@ def _build_columns(
     target row per hit of each v, give each column by integer adds alone.
     """
     n, k = op.n, op.k
-    target_u = {code(u): i for i, u in enumerate(monomial_basis(n, A + k))}
-    target_v = {code(v): i for i, v in enumerate(monomial_basis(n, B - k))}
+    target_u = {c: i for i, c in enumerate(_basis_codes(n, A + k, base))}
+    target_v = {c: i for i, c in enumerate(_basis_codes(n, B - k, base))}
     width = len(target_v)
-    slot = {a: s for s, a in enumerate({code(alpha) for _, alpha, _ in op.terms})}
-    offsets = [tuple([target_u[u + a] * width for a in slot]) for u in u_codes]
-    v_rows = [[(slot[a], target_v[v - b], val) for a, b, val in hits]
-              for v, hits in hits_by_v.items()]
+    alphas = dict.fromkeys(a for row in hits.values() for a, _, _ in row)
+    slot = {a: s for s, a in enumerate(alphas)}
+    offsets = [tuple([target_u[u + a] * width for a in slot]) for u in _basis_codes(n, A, base)]
+    v_rows = [[(slot[a], target_v[v - b], val) for a, b, val in row] for v, row in hits.items()]
     return tuple(
-        tuple([(offset[a] + vrow, val) for a, vrow, val in hits])
+        tuple([(offset[a] + vrow, val) for a, vrow, val in row])
         for offset in offsets
-        for hits in v_rows
+        for row in v_rows
     )
 
 
-def _interchangeable_classes(op: ContractionOperator) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _interchangeable_classes(op: ContractionOperator) -> tuple[tuple[int, ...], ...] | None:
     """Classes of coordinates whose transpositions map op's term set to itself.
 
     Such transpositions generate the full symmetric group on each class,
     since (i k) = (i j)(j k)(i j); so one member stands in for its class.
+    None when the terms have more than one shift alpha - beta, since then op
+    has no weight blocks.
     """
+    if len({tuple(a - b for a, b in zip(alpha, beta)) for _, alpha, beta in op.terms}) > 1:
+        return None
     terms = set(op.terms)
 
     def swapped(e: Monomial, i: int, j: int) -> Monomial:
@@ -384,13 +420,14 @@ def _interchangeable_classes(op: ContractionOperator) -> list[list[int]]:
                 break
         else:
             classes.append([j])
-    return classes
+    return tuple(map(tuple, classes))
 
 
-def _representative_blocks(
-    op: ContractionOperator, A: int, B: int, code: Coder, u_codes: list[int], hits_by_v: HitTable
-) -> tuple[Block, ...] | None:
-    """Orbit representative weight blocks of op's matrix, or None.
+@lru_cache(maxsize=None)
+def _orbit_representatives(
+    op: ContractionOperator, degree: int
+) -> tuple[tuple[int, int], ...] | None:
+    """(code, multiplicity) of each orbit representative weight of the degree, or None.
 
     Every term maps weight w = u + v to w + alpha - beta, so with a single
     shift the columns of one weight share no rows with any other weight.  A
@@ -398,36 +435,49 @@ def _representative_blocks(
     of weight w to that of the permuted w by a permutation of rows and
     columns.  The representative of an orbit has w non-increasing within
     each class of interchangeable coordinates; the multiplicity counts the
-    distinct rearrangements of w within the classes.  The block of weight w
-    is built from the codes and the per-v table: its columns are the source
-    pairs (u, w - u) with u <= w, in graded-lex order of u, less the empty ones.
+    distinct rearrangements of w within the classes.  None when op does not
+    preserve weight.
     """
-    if len({tuple(a - b for a, b in zip(alpha, beta)) for _, alpha, beta in op.terms}) > 1:
-        return None
     classes = _interchangeable_classes(op)
-    blocks = []
-    for w in monomial_basis(op.n, A + B):
+    if classes is None:
+        return None
+    base = _code_base(op.k, degree)
+    reps = []
+    for w in monomial_basis(op.n, degree):
         if any(w[a] < w[b] for cls in classes for a, b in zip(cls, cls[1:])):
             continue
-        # A coordinate of w - u below zero forces a borrow, which adds the base
-        # less one to the digit sum, so w_code - u_code is the code of a
-        # degree-B source v exactly when u <= w.  In one block the target
-        # u + alpha fixes the target pair, so its code keys the row.
-        w_code = code(w)
+        multiplicity = 1
+        for cls in classes:
+            counts = Counter(w[c] for c in cls).values()
+            multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
+        reps.append((_code(w, base), multiplicity))
+    return tuple(reps)
+
+
+def _representative_blocks(
+    u_codes: tuple[int, ...], hits: HitTable, orbits: tuple[tuple[int, int], ...]
+) -> tuple[Block, ...]:
+    """The nonempty weight blocks of the orbit representatives, in their order.
+
+    The block of weight w has as columns the source pairs (u, w - u) with
+    u <= w, in graded-lex order of u, less the empty ones.  A coordinate of
+    w - u below zero forces a borrow, which adds the base less one to the
+    digit sum, so w_code - u_code is the code of a degree-B source v exactly
+    when u <= w.  In one block the target u + alpha fixes the target pair,
+    so its code keys the row.
+    """
+    blocks = []
+    for w_code, multiplicity in orbits:
         rows: dict[int, int] = {}
         entries = []
         col = 0
         for u_code in u_codes:
-            hits = hits_by_v.get(w_code - u_code)
-            if hits:
-                for a, _, val in hits:
+            u_hits = hits.get(w_code - u_code)
+            if u_hits:
+                for a, _, val in u_hits:
                     entries.append((rows.setdefault(u_code + a, len(rows)), col, val))
                 col += 1
         if col:
-            multiplicity = 1
-            for cls in classes:
-                counts = Counter(w[c] for c in cls).values()
-                multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
             blocks.append((entries, (len(rows), col), multiplicity))
     return tuple(blocks)
 
@@ -675,21 +725,17 @@ def exact_rank(
             block_rank = _rank_bareiss(entries, nr, nc)
             by_bareiss += 1
         rank += multiplicity * block_rank
-    logger.debug(
-        "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "
-        "%d full rank modulo %d, %d by Bareiss, built %d of %d columns",
-        rank,
-        dim_target,
-        dim_source,
-        len(blocks),
-        *largest,
-        by_echelon,
-        len(blocks) - by_echelon - by_bareiss,
-        _PROOF_PRIME,
-        by_bareiss,
-        built,
-        dim_source,
-    )
+    if logger.isEnabledFor(logging.DEBUG):
+        routes = {"echelon": by_echelon, "modular": len(blocks) - by_echelon - by_bareiss,
+                  "bareiss": by_bareiss}
+        logger.debug(
+            "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "
+            "%d full rank modulo %d, %d by Bareiss, built %d of %d columns",
+            rank, dim_target, dim_source, len(blocks), *largest, routes["echelon"],
+            routes["modular"], _PROOF_PRIME, routes["bareiss"], built, dim_source,
+            extra={"blocks": len(blocks), "largest_block": largest, "routes": routes,
+                   "columns_built": built},
+        )
     return RankResult(
         dim_source=dim_source,
         dim_target=dim_target,

@@ -325,6 +325,16 @@ class TestAsymptoticSpecialFiber:
             "m^3 coefficient 0",
         ]
 
+    def test_debug_records_carry_class_start_and_side_as_fields(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="asympure.asymptotics")
+        purity_report(2, 1, [(a1, a2) for a1 in range(3) for a2 in range(3)])
+        assert [(r.divisor_class, r.stable_start, r.side) for r in caplog.records] == [
+            ((2, 1, 1, 1), 2, "kernel"),
+            ((2, 1, 1, 2), 2, "cokernel"),
+            ((2, 1, 2, 1), 2, "kernel"),
+            ((2, 1, 2, 2), 1, "kernel"),
+        ]
+
 
 class TestIntersectionNumber:
     def test_is_the_top_term_of_the_expansion(self):

@@ -312,6 +312,18 @@ class TestExactRank:
         ]
         assert (proven.rank, blocked.rank) == (4, 6)
 
+    def test_debug_record_carries_its_facts_as_fields(self, caplog):
+        # the same facts as the message, for a handler that reads fields
+        with caplog.at_level("DEBUG", logger="asympure.oracle"):
+            exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
+        (record,) = caplog.records
+        assert record.getMessage() == (
+            "rank 53130 of 53130x53361 matrix: 154 blocks, largest 153x154, 121 in echelon "
+            "form, 33 full rank modulo 2039, 0 by Bareiss, built 9724 of 53361 columns"
+        )
+        assert (record.blocks, record.largest_block, record.columns_built) == (154, (153, 154), 9724)
+        assert record.routes == {"echelon": 121, "modular": 33, "bareiss": 0}
+
     @pytest.mark.parametrize("columns", [
         (((0, 2039), (1, 1)), ((0, 2039), (1, 2))),  # [[2039, 2039], [1, 2]], entries 2039
         (((0, 2), (1, 1)), ((0, 1), (1, 1020))),  # [[2, 1], [1, 1020]], determinant 2039
@@ -770,3 +782,91 @@ class TestReferenceRanks:
         op = weight_changing_operator()
         for A, B in ((0, 1), (2, 2), (3, 1)):
             assert build_matrix(op, A, B).blocks is None
+
+
+TABLES = (oracle._basis_codes, oracle._hit_table, oracle._interchangeable_classes,
+          oracle._orbit_representatives)
+
+
+def clear_tables() -> None:
+    for table in TABLES:
+        table.cache_clear()
+
+
+def built(op: ContractionOperator, A: int, B: int):
+    matrix = build_matrix(op, A, B)
+    return matrix.shape, matrix.blocks, matrix.columns
+
+
+# (operator, targets, neighbours): the targets have A + B + k = 15, 16, 31, 32, on
+# both sides of the bases 16 and 32; the neighbours share a degree A, a degree B or
+# A + B, hence codes, a hit table or an orbit list, with a target
+HISTORY = [
+    (special_fiber_operator(2, 1), [(7, 7), (8, 7), (15, 15), (16, 15)],
+     [(7, 3), (4, 7), (8, 6), (14, 7), (7, 8), (15, 8), (14, 16), (16, 20), (20, 15)]),
+    (corner_operator(2), [(7, 7), (8, 7)], [(7, 3), (8, 6), (8, 8)]),
+    (special_fiber_operator(2, 2), [(7, 6), (7, 7), (15, 14), (15, 15)],
+     [(7, 2), (6, 7), (14, 7), (15, 9), (16, 14)]),
+    (special_fiber_operator(1, 1), [(7, 7), (8, 7), (15, 15), (16, 15)], [(6, 8), (16, 16)]),
+]
+
+
+class TestSharedTables:
+    """The tables build_matrix keeps across calls never change what it returns."""
+
+    def test_a_map_does_not_depend_on_call_history(self):
+        cold = {}
+        for op, targets, _ in HISTORY:
+            for A, B in targets:
+                clear_tables()
+                cold[op, A, B] = built(op, A, B)
+        calls = [(op, A, B) for op, targets, neighbours in HISTORY for A, B in targets + neighbours]
+        for order in (calls[::-1], random.Random(3).sample(calls, len(calls))):
+            clear_tables()
+            for op, A, B in order:
+                warm = built(op, A, B)
+                if (op, A, B) in cold:
+                    assert warm == cold[op, A, B], (op.n, op.k, A, B)
+
+    def test_same_support_other_coefficients_keep_their_own_ranks(self):
+        # the two operators hit the same pairs, so only the coefficients tell them apart
+        sympy = pytest.importorskip("sympy")
+        ops = [REFERENCE_OPERATORS["special_k2"], REFERENCE_OPERATORS["unequal_coefficients"]]
+        for order in (ops, ops[::-1]):
+            clear_tables()
+            ranks = {}
+            for A in range(3):
+                for B in range(2, 5 - A):
+                    for op in order:
+                        matrix = build_matrix(op, A, B)
+                        ranks[op, A, B] = exact_rank(matrix).rank
+                        assert ranks[op, A, B] == sympy.Matrix(matrix.to_dense()).rank(), (A, B)
+            assert (ranks[ops[0], 1, 3], ranks[ops[1], 1, 3]) == (30, 29)
+
+    def test_a_difference_of_codes_is_a_source_code_exactly_below_the_weight(self):
+        for n in range(1, 4):
+            for A in range(4):
+                for B in range(4):
+                    base = oracle._code_base(1, A + B)
+                    hits = oracle._hit_table(special_fiber_operator(n, 1), B, base)
+                    assert tuple(hits) == oracle._basis_codes(n, B, base)
+                    weights = zip(monomial_basis(n, A + B), oracle._basis_codes(n, A + B, base))
+                    sources = list(zip(monomial_basis(n, A), oracle._basis_codes(n, A, base)))
+                    for w, w_code in weights:
+                        for u, u_code in sources:
+                            below = all(a <= b for a, b in zip(u, w))
+                            assert (w_code - u_code in hits) == below, (n, A, B, u, w)
+
+    def test_base_is_the_power_of_two_above_a_plus_b_plus_k(self):
+        assert [oracle._code_base(1, d) for d in (14, 15, 30, 31)] == [16, 32, 32, 64]
+
+    def test_maps_of_one_operator_share_their_tables(self):
+        op = special_fiber_operator(2, 1)
+        clear_tables()
+        build_matrix(op, 7, 7)
+        build_matrix(op, 4, 7)  # A + B + k = 12: base 16 and B = 7 again
+        build_matrix(op, 8, 6)  # A + B = 14 again
+        # (hits, misses) of each table
+        assert oracle._hit_table.cache_info()[:2] == (1, 2)
+        assert oracle._orbit_representatives.cache_info()[:2] == (1, 2)
+        assert oracle._interchangeable_classes.cache_info()[:2] == (1, 1)

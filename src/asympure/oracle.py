@@ -25,7 +25,9 @@ shorter side's vectors lead at distinct positions is already in echelon
 form and needs no arithmetic; any other block of full rank modulo the small
 fixed prime 2039 is proven by that elimination, and a deficient one by
 Bareiss elimination.  Modular eliminations run in pure Python with each row
-packed into one integer (see _rank_mod_p).
+packed into one integer (see _rank_mod_p), from whichever end of the block
+its vectors' first or last nonzero positions are the more distinct, as read
+by the certificate's single pass.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -553,22 +555,18 @@ def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
     return blocks
 
 
-def _echelon_rank(
+def _distinct_ends(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int
-) -> int | None:
-    """min(nrows, ncols) if the block is visibly in echelon form, else None.
+) -> tuple[int, int]:
+    """How many distinct first and distinct last nonzero positions the shorter side has.
 
-    The vectors of the shorter side (the rows if nrows < ncols, else the
-    columns) are read by their first and last nonzero positions; entries of
-    value 0 count as absent.  If every vector has one and the first
-    positions are distinct, the vectors sorted by first position form an
-    echelon matrix whose pivots are nonzero integers, so they are linearly
-    independent over Q and the rank is the shorter side's length; the last
-    positions, distinct, give the same argument with the positions reversed.
-    This needs no arithmetic and no prime.  entries are (row, column, value)
-    at distinct positions; a block without a certificate returns None.
+    The vectors of the shorter side (the rows if nrows <= ncols, as in
+    _rank_mod_p, else the columns) are read by their first and last nonzero
+    positions; entries of value 0 count as absent.  A vector with no nonzero
+    entry makes both counts 0.  entries are (row, column, value) at distinct
+    positions.
     """
-    short = nrows < ncols
+    short = nrows <= ncols
     size = min(nrows, ncols)
     first = [max(nrows, ncols)] * size
     last = [-1] * size
@@ -579,20 +577,40 @@ def _echelon_rank(
                 first[vector] = position
             if position > last[vector]:
                 last[vector] = position
-    if -1 in last or (len(set(first)) < size and len(set(last)) < size):
-        return None
-    return size
+    if -1 in last:
+        return 0, 0
+    return len(set(first)), len(set(last))
+
+
+def _echelon_rank(
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int
+) -> int | None:
+    """min(nrows, ncols) if the block is visibly in echelon form, else None.
+
+    If the shorter side's vectors have distinct first nonzero positions
+    (see _distinct_ends), the vectors sorted by first position form an
+    echelon matrix whose pivots are nonzero integers, so they are linearly
+    independent over Q and the rank is the shorter side's length; the last
+    positions, distinct, give the same argument with the positions reversed.
+    This needs no arithmetic and no prime.
+    """
+    size = min(nrows, ncols)
+    return size if size in _distinct_ends(entries, nrows, ncols) else None
 
 
 def _rank_mod_p(
-    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int,
+    from_last: bool = False,
 ) -> int:
     """Rank of the block modulo the prime p, by inserting packed rows one at a time.
 
     entries are (row, column, value) at distinct positions.  The shorter
     side is taken as the rows (rank is that of the transpose), and each row
     is one Python int: its entries modulo p sit in slots of W bits,
-    W = (nrows * p * p).bit_length(), column j in slot j.
+    W = (nrows * p * p).bit_length(), column j in slot j, or in slot
+    ncols - 1 - j when from_last is set, so that the rows are eliminated
+    from their last nonzero positions.  A permutation of the columns changes
+    neither the rank nor the slot bound below.
 
     pivots maps a column to the reduced row that leads there, with
     -1/lead mod p.  Each row is kept shifted so that its current column is
@@ -619,7 +637,7 @@ def _rank_mod_p(
     mask = (1 << width) - 1
     rows = [0] * nrows
     for i, j, val in entries:
-        rows[i] += val % p << j * width
+        rows[i] += val % p << (ncols - 1 - j if from_last else j) * width
     pivots: dict[int, tuple[int, int]] = {}
     for row in rows:
         col = 0
@@ -700,9 +718,12 @@ def exact_rank(
        sorted, with nonzero integer pivots: its rank over Q is
        min(rows, cols), with no elimination (see _echelon_rank).
     2. Any other block is eliminated modulo the fixed prime
-       _PROOF_PRIME = 2039.  Rank modulo any prime is at most the rank over
-       Q, so a block whose rank mod 2039 is min(rows, cols) has that rank
-       over Q.
+       _PROOF_PRIME = 2039, from the end where its shorter side's vectors
+       lead apart: from the last nonzero positions when they are more
+       distinct than the first ones, so that more vectors become pivots
+       at no cost (the structural pivots of Faugere-Lachartre, PASCO 2010).
+       Rank modulo any prime is at most the rank over Q, so a block whose
+       rank mod 2039 is min(rows, cols) has that rank over Q.
     3. A block of lower rank mod 2039 is ranked exactly by fraction-free
        (Bareiss) elimination, whatever its width.
 
@@ -714,16 +735,21 @@ def exact_rank(
         blocks, built = _component_blocks(matrix), dim_source
     else:
         built = sum(nc for _, (_, nc), _ in blocks)
-    rank = by_echelon = by_bareiss = 0
+    rank = by_echelon = by_bareiss = from_last = 0
     largest = (0, 0)
     for entries, (nr, nc), multiplicity in blocks:
         largest = max(largest, (nr, nc), key=prod)
-        block_rank = _echelon_rank(entries, nr, nc)
-        if block_rank is not None:
+        size = min(nr, nc)
+        leads, ends = _distinct_ends(entries, nr, nc)
+        if size in (leads, ends):  # the certificate of _echelon_rank
+            block_rank = size
             by_echelon += 1
-        elif (block_rank := _rank_mod_p(entries, nr, nc, _PROOF_PRIME)) < min(nr, nc):
-            block_rank = _rank_bareiss(entries, nr, nc)
-            by_bareiss += 1
+        else:
+            reverse = ends > leads
+            from_last += reverse
+            if (block_rank := _rank_mod_p(entries, nr, nc, _PROOF_PRIME, reverse)) < size:
+                block_rank = _rank_bareiss(entries, nr, nc)
+                by_bareiss += 1
         rank += multiplicity * block_rank
     if logger.isEnabledFor(logging.DEBUG):
         routes = {"echelon": by_echelon, "modular": len(blocks) - by_echelon - by_bareiss,
@@ -734,7 +760,7 @@ def exact_rank(
             rank, dim_target, dim_source, len(blocks), *largest, routes["echelon"],
             routes["modular"], _PROOF_PRIME, routes["bareiss"], built, dim_source,
             extra={"blocks": len(blocks), "largest_block": largest, "routes": routes,
-                   "columns_built": built},
+                   "columns_built": built, "from_last": from_last},
         )
     return RankResult(
         dim_source=dim_source,

@@ -9,15 +9,19 @@ Every check but the purity scan and the rank-3 growth laws walks its cases
 through _agree, so its FAIL line names the first case that differs and both
 values: `FAIL - <check>: <what> at <case>: <got> != <want>`.  A check that
 raises is a failed check: `FAIL - <check>: raised <Type>: <message>`.
+With --verbose, each check's elapsed time also goes to stderr through the
+asympure.verify logger (see run_suite); stdout stays the same.
 """
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 from math import factorial
 from operator import attrgetter, sub
+from time import perf_counter
 from typing import Callable, Iterable
 
 from .asymptotics import (
@@ -51,6 +55,8 @@ from .reptheory import (
     series_polynomials,
     weyl_dimension,
 )
+
+logger = logging.getLogger(__name__)
 
 Check = tuple[str, Callable[[], tuple[bool, str]]]
 
@@ -327,13 +333,22 @@ def build_suite(suite: str) -> list[Check]:
 
 
 def run_suite(suite: str) -> int:
-    """Run all checks, print one line per check, return the failure count."""
+    """Run all checks, print one line per check, return the failure count.
+
+    With DEBUG on, each check also logs one record with its name and elapsed
+    seconds as the fields check and elapsed_s.
+    """
     failures = 0
     for name, check in build_suite(suite):
+        start = perf_counter()
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if logger.isEnabledFor(logging.DEBUG):
+            elapsed = perf_counter() - start
+            logger.debug("%s took %.3f s", name, elapsed,
+                         extra={"check": name, "elapsed_s": elapsed})
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

@@ -253,9 +253,9 @@ class TestExactRank:
         calls = []
         rank_mod_p = oracle._rank_mod_p
 
-        def counted(entries, nrows, ncols, p):
+        def counted(entries, nrows, ncols, p, from_last):
             calls.append(p)
-            return rank_mod_p(entries, nrows, ncols, p)
+            return rank_mod_p(entries, nrows, ncols, p, from_last)
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
         # the special operator is injective or surjective, so every block is
@@ -324,6 +324,23 @@ class TestExactRank:
         assert (record.blocks, record.largest_block, record.columns_built) == (154, (153, 154), 9724)
         assert record.routes == {"echelon": 121, "modular": 33, "bareiss": 0}
 
+    def test_debug_record_counts_blocks_eliminated_from_the_last_position(self, caplog, monkeypatch):
+        # the 33 blocks without a certificate all end apart more than they lead
+        # apart, so each is eliminated from its last nonzero positions
+        orders = []
+        rank_mod_p = oracle._rank_mod_p
+
+        def counted(entries, nrows, ncols, p, from_last):
+            orders.append(from_last)
+            return rank_mod_p(entries, nrows, ncols, p, from_last)
+
+        monkeypatch.setattr(oracle, "_rank_mod_p", counted)
+        with caplog.at_level("DEBUG", logger="asympure.oracle"):
+            exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
+        (record,) = caplog.records
+        assert record.routes["modular"] == record.from_last == 33
+        assert orders == [True] * 33
+
     @pytest.mark.parametrize("columns", [
         (((0, 2039), (1, 1)), ((0, 2039), (1, 2))),  # [[2039, 2039], [1, 2]], entries 2039
         (((0, 2), (1, 1)), ((0, 1), (1, 1020))),  # [[2, 1], [1, 1020]], determinant 2039
@@ -364,6 +381,16 @@ class TestExactRank:
             predicted.cokernel_dim,
         )
         assert result.certified
+
+    @pytest.mark.parametrize("n, k, A, B", [(3, 1, 8, 8), (2, 2, 16, 16), (3, 2, 7, 7), (4, 1, 5, 5)])
+    def test_large_maps_match_prediction(self, n, k, A, B):
+        # the other four maps of perfbench's oracle_large, next to (2, 1, 20, 20) above
+        result = exact_rank(build_matrix(special_fiber_operator(n, k), A, B))
+        predicted = predict_map_analysis(n, k, A, B)
+        assert (result.kernel_dim, result.cokernel_dim) == (
+            predicted.kernel_dim,
+            predicted.cokernel_dim,
+        )
 
     def test_zero_target_maps_match_prediction(self):
         # B in [0, k): the target is the zero space and the whole source is kernel
@@ -543,14 +570,43 @@ class TestModularElimination:
             entries = [(j, i, v) for i, j, v in entries]
             nrows, ncols = ncols, nrows
         for p in self.PRIMES:
-            assert oracle._rank_mod_p(entries, nrows, ncols, p) == want
+            for from_last in (False, True):
+                assert oracle._rank_mod_p(entries, nrows, ncols, p, from_last) == want
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_entry_equal_to_p(self, width):
         # the identity with one diagonal entry p: full rank over Q, not mod p
         entries = [(i, i, self.P if i == width // 2 else 1) for i in range(width)]
-        assert oracle._rank_mod_p(entries, width, width, self.P) == width - 1
+        for from_last in (False, True):
+            assert oracle._rank_mod_p(entries, width, width, self.P, from_last) == width - 1
         assert oracle._rank_bareiss(entries, width, width) == width
+
+    def test_random_blocks_in_both_column_orders(self):
+        # up to 8x8, tall and wide, with zero entries and multiples of 2039 that
+        # are nonzero over Q: forward and reversed elimination agree modulo
+        # 2039, and exact_rank, by whichever route, agrees with Bareiss
+        p = oracle._PROOF_PRIME
+        values = (0, 1, -1, 2, 5, p, -2 * p, p + 1)
+        rng = random.Random(8)
+        seen = Counter()
+        for _ in range(3000):
+            nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+            density = rng.choice((0.25, 0.5, 0.8))
+            cells = [(i, j) for i in range(nrows) for j in range(ncols) if rng.random() < density]
+            entries = [(i, j, rng.choice(values)) for i, j in cells]
+            modular = oracle._rank_mod_p(entries, nrows, ncols, p)
+            assert oracle._rank_mod_p(entries, nrows, ncols, p, True) == modular
+            want = oracle._rank_bareiss(entries, nrows, ncols)
+            assert modular <= want
+            columns = tuple(tuple((i, v) for i, c, v in entries if c == j) for j in range(ncols))
+            block = SparseIntMatrix((nrows, ncols), columns, ((entries, (nrows, ncols), 1),))
+            assert exact_rank(block).rank == want
+            seen["tall" if nrows > ncols else "wide" if nrows < ncols else "square"] += 1
+            seen["deficient mod p"] += modular < want
+            leads, ends = oracle._distinct_ends(entries, nrows, ncols)
+            seen["eliminated from the last position"] += (
+                ends > leads and min(nrows, ncols) not in (leads, ends))
+        assert min(seen.values()) >= 20, seen
 
 
 class TestEchelonCertificate:
@@ -606,6 +662,15 @@ class TestEchelonCertificate:
         for entries in (ends_apart, leads_apart):
             assert oracle._echelon_rank(entries, 2, 3) == 2
             assert oracle._echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) == 2
+
+    def test_square_blocks_are_read_by_rows(self):
+        # [[1, 0], [1, 1]]: the rows lead alike and end apart, the columns the
+        # other way round; a square block is read by its rows, the vectors
+        # _rank_mod_p eliminates, so its column order follows their ends
+        entries = [(0, 0, 1), (1, 0, 1), (1, 1, 1)]
+        assert oracle._distinct_ends(entries, 2, 2) == (1, 2)
+        assert oracle._distinct_ends(entries, 2, 3) == (1, 2)
+        assert oracle._distinct_ends([(j, i, v) for i, j, v in entries], 3, 2) == (1, 2)
 
     def test_grid_certificates(self):
         # the 598 maps of the engine grid: 8,267 of their 8,897 representative

@@ -143,3 +143,28 @@ def test_a_check_that_raises_is_one_counted_fail_line(capsys, monkeypatch):
         "PASS - Weyl goldens: 4 spot values\n"
         "1 check(s) failed\n"
     )
+
+
+def test_each_check_logs_its_name_and_elapsed_seconds(capsys, caplog, monkeypatch):
+    def broken():
+        raise RuntimeError("no answer")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DEBUG record was built with DEBUG off")
+
+    checks = verify._CHECKS[:1] + (("broken", broken, (), ()),) + verify._CHECKS[3:4]
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    with monkeypatch.context() as quiet:
+        caplog.set_level("WARNING", logger="asympure.verify")
+        quiet.setattr(verify.logger, "debug", refuse)
+        assert verify.run_suite("small") == 1
+        out = capsys.readouterr().out
+    with caplog.at_level("DEBUG", logger="asympure.verify"):
+        assert verify.run_suite("small") == 1
+    # the PASS/FAIL lines do not depend on the log level
+    assert capsys.readouterr().out == out
+    records = [r for r in caplog.records if r.name == "asympure.verify"]
+    assert [r.check for r in records] == ["bott goldens", "broken", "Weyl goldens"]
+    for record in records:
+        assert type(record.elapsed_s) is float and record.elapsed_s >= 0
+        assert record.getMessage() == f"{record.check} took {record.elapsed_s:.3f} s"

@@ -10,16 +10,32 @@ every term of the operator has the same shift alpha - beta, the operator
 preserves the weight u + v of a basis pair x^u (x) y^v, so the matrix is
 block diagonal by weight.  The transpositions of coordinates that map the
 operator's own term set to itself permute those blocks without changing
-their ranks, so build_matrix builds only one representative block per
-orbit, with the orbit's size, from one table of hits per source monomial,
-all monomials coded as integers, and exact_rank eliminates each
-representative once.  The code base is the smallest power of two above
+their ranks, so build_matrix records only one representative weight per
+orbit, with the orbit's size, and exact_rank ranks each representative
+block, built from one table of hits per source monomial, all monomials
+coded as integers.  The code base is the smallest power of two above
 A + B + k, so it depends on a map only through its size; the codes, the hit
 tables and the orbit representatives are built once per key and kept, and
-the maps of one operator share them.  The full column list is built from
-the same tables only when something reads matrix.columns: the golden
-layout, to_dense, nnz, and operators that do not preserve weight, which
-fall back to the connected components of the sparsity pattern.  Every rank
+the maps of one operator share them.
+
+A weight block is a function of (op, B, min(w, B)) alone, for every
+operator with a single shift: its columns are the sources v with |v| = B
+and v <= w, that is v <= min(w, B) coordinate by coordinate (|v| = B bounds
+each coordinate by B), each with u = w - v.  They come in ascending order
+of v's code, since u's code is w's code less v's and no digit borrows.
+The entry of a term in v's column is coeff times the falling factorial of
+v at beta, which depends on v and the term only, and two entries share a
+row exactly when v1 - alpha1 = v2 - alpha2, since their targets are
+u + alpha = w - (v - alpha).  So the entries, the shape and the order of
+rows and columns do not depend on w beyond min(w, B), nor on A or the code
+base.  exact_rank keeps each ranked block's facts (shape, rank, route,
+column order), never its entries, in one table per (op, B) keyed by
+min(w, B), and every later class with that key reads them instead of
+building and ranking its block again.  The blocks themselves are built on
+first read of matrix.blocks, and the full column list only when something
+reads matrix.columns: the golden layout, to_dense, nnz, and operators that
+do not preserve weight, which fall back to the connected components of the
+sparsity pattern.  Every rank
 is a proof, by one of three routes (exact_rank states the rule): a block whose
 shorter side's vectors lead at distinct positions is already in echelon
 form and needs no arithmetic; any other block of full rank modulo the small
@@ -42,7 +58,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, perm, prod
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable
@@ -59,6 +75,10 @@ Monomial = tuple[int, ...]
 Block = tuple[list[tuple[int, int, int]], tuple[int, int], int]
 # Per source v's code, its hits (alpha's code, beta's code, value); see _hit_table.
 HitTable = dict[int, tuple[tuple[int, int, int], ...]]
+# One orbit representative weight w of a map: (w's code, orbit size, min(w, B)).
+WeightClass = tuple[int, int, Monomial]
+# What exact_rank keeps of a ranked block: ((rows, cols), rank, route, from_last).
+BlockFacts = tuple[tuple[int, int], int, str, bool]
 
 DEFAULT_SIZE_CAP = 200_000
 
@@ -247,14 +267,24 @@ class SparseIntMatrix:
     blocks, when set, holds one Block per orbit of weight blocks: the
     representative block and the number of blocks in its orbit, all of the
     same rank.  Blocks share no rows, and the orbits cover every
-    nonempty column; None means the block structure is unknown.
+    nonempty column; None means the block structure is unknown.  blocks may
+    likewise be passed as a function, called the first time blocks is read
+    and its result kept.  build_matrix passes one, and exact_rank does not
+    read it on such a matrix: it ranks the weight classes instead (see
+    _weight_classes), building only the blocks the process has not ranked.
     """
+
+    # Set by build_matrix when op preserves weight: the _block_facts table of
+    # (op, B), the map's classes, and a function from w's code to its block.
+    _weight_classes: (
+        tuple[dict[Monomial, BlockFacts], tuple[WeightClass, ...], Callable] | None
+    ) = None
 
     def __init__(
         self,
         shape: tuple[int, int],
         columns: tuple[tuple[tuple[int, int], ...], ...] | Callable,
-        blocks: tuple[Block, ...] | None = None,
+        blocks: tuple[Block, ...] | Callable | None = None,
     ):
         if not callable(columns):
             if len(columns) != shape[1]:
@@ -267,13 +297,19 @@ class SparseIntMatrix:
                     raise ValueError(f"column {j} repeats a row: {rows}")
         self.shape = shape
         self._columns = columns
-        self.blocks = blocks
+        self._blocks = blocks
 
     @property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         if callable(self._columns):
             self._columns = self._columns()
         return self._columns
+
+    @property
+    def blocks(self) -> tuple[Block, ...] | None:
+        if callable(self._blocks):
+            self._blocks = self._blocks()
+        return self._blocks
 
     @property
     def nnz(self) -> int:
@@ -296,13 +332,15 @@ def build_matrix(
     B in [0, k) is allowed and yields a matrix with zero rows (the target
     space is zero); that case carries real content for small multiples in
     series scans.  Bases follow the graded-lex contract, and the size cap
-    applies to the full bases.  When op preserves weight, only its orbit
-    representative weight blocks are built here (see SparseIntMatrix.blocks);
-    the full column list is built the first time matrix.columns is read.
-    Both are read off tables kept across calls, each built once per key: the
-    monomial codes per (n, degree, base), the per-v hits per (op, B, base)
-    and the orbit representatives per (op, A + B), so maps of one operator
-    share them.
+    applies to the full bases.  When op preserves weight, build_matrix
+    records each orbit representative weight w with its orbit's size and its
+    key min(w, B), and the block-facts table of (op, B), for exact_rank; the
+    representative blocks (SparseIntMatrix.blocks) are built the first time
+    matrix.blocks is read, and the full column list the first time
+    matrix.columns is read.  All are read off tables kept across calls, each
+    built once per key: the monomial codes per (n, degree, base), the per-v
+    hits per (op, B, base) and the orbit representatives per (op, A + B), so
+    maps of one operator share them.
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -316,11 +354,19 @@ def build_matrix(
     base = _code_base(k, A + B)
     hits = _hit_table(op, B, base)
     orbits = _orbit_representatives(op, A + B)
-    return SparseIntMatrix(
-        (dim_target, dim_source),
-        lambda: _build_columns(op, A, B, base, hits),
-        None if orbits is None else _representative_blocks(_basis_codes(n, A, base), hits, orbits),
+    columns = partial(_build_columns, op, A, B, base, hits)
+    if orbits is None:
+        return SparseIntMatrix((dim_target, dim_source), columns)
+    u_codes = _basis_codes(n, A, base)
+    classes = tuple(
+        (w_code, multiplicity, tuple([e if e < B else B for e in w]))
+        for w_code, multiplicity, w in orbits
     )
+    matrix = SparseIntMatrix(
+        (dim_target, dim_source), columns, partial(_representative_blocks, u_codes, hits, classes)
+    )
+    matrix._weight_classes = (_block_facts(op, B), classes, partial(_weight_block, u_codes, hits))
+    return matrix
 
 
 # Each monomial is coded as an integer in a base above every exponent that
@@ -428,8 +474,8 @@ def _interchangeable_classes(op: ContractionOperator) -> tuple[tuple[int, ...], 
 @lru_cache(maxsize=None)
 def _orbit_representatives(
     op: ContractionOperator, degree: int
-) -> tuple[tuple[int, int], ...] | None:
-    """(code, multiplicity) of each orbit representative weight of the degree, or None.
+) -> tuple[tuple[int, int, Monomial], ...] | None:
+    """(code, multiplicity, weight) of each orbit representative weight of the degree, or None.
 
     Every term maps weight w = u + v to w + alpha - beta, so with a single
     shift the columns of one weight share no rows with any other weight.  A
@@ -452,14 +498,14 @@ def _orbit_representatives(
         for cls in classes:
             counts = Counter(w[c] for c in cls).values()
             multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
-        reps.append((_code(w, base), multiplicity))
+        reps.append((_code(w, base), multiplicity, w))
     return tuple(reps)
 
 
-def _representative_blocks(
-    u_codes: tuple[int, ...], hits: HitTable, orbits: tuple[tuple[int, int], ...]
-) -> tuple[Block, ...]:
-    """The nonempty weight blocks of the orbit representatives, in their order.
+def _weight_block(
+    u_codes: tuple[int, ...], hits: HitTable, w_code: int
+) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
+    """The entries and (rows, cols) of the weight-w block; (0, 0) when it is empty.
 
     The block of weight w has as columns the source pairs (u, w - u) with
     u <= w, in graded-lex order of u, less the empty ones.  A coordinate of
@@ -468,20 +514,38 @@ def _representative_blocks(
     when u <= w.  In one block the target u + alpha fixes the target pair,
     so its code keys the row.
     """
+    rows: dict[int, int] = {}
+    entries = []
+    col = 0
+    for u_code in u_codes:
+        u_hits = hits.get(w_code - u_code)
+        if u_hits:
+            for a, _, val in u_hits:
+                entries.append((rows.setdefault(u_code + a, len(rows)), col, val))
+            col += 1
+    return entries, (len(rows), col)
+
+
+def _representative_blocks(
+    u_codes: tuple[int, ...], hits: HitTable, classes: Iterable[WeightClass]
+) -> tuple[Block, ...]:
+    """The nonempty weight blocks of the classes, in their order."""
     blocks = []
-    for w_code, multiplicity in orbits:
-        rows: dict[int, int] = {}
-        entries = []
-        col = 0
-        for u_code in u_codes:
-            u_hits = hits.get(w_code - u_code)
-            if u_hits:
-                for a, _, val in u_hits:
-                    entries.append((rows.setdefault(u_code + a, len(rows)), col, val))
-                col += 1
-        if col:
-            blocks.append((entries, (len(rows), col), multiplicity))
+    for w_code, multiplicity, _ in classes:
+        entries, shape = _weight_block(u_codes, hits, w_code)
+        if shape[1]:
+            blocks.append((entries, shape, multiplicity))
     return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _block_facts(op: ContractionOperator, B: int) -> dict[Monomial, BlockFacts]:
+    """The facts of each weight block of op at source degree B ranked so far, by min(w, B).
+
+    exact_rank fills it.  The key determines the block whatever A and the
+    code base (see the module docstring), and no entries are kept.
+    """
+    return {}
 
 
 @dataclass(frozen=True)
@@ -697,6 +761,19 @@ def _rank_bareiss(
     return r
 
 
+def _rank_block(entries: list[tuple[int, int, int]], shape: tuple[int, int]) -> BlockFacts:
+    """The facts of one block, ranked by the first of exact_rank's three routes that applies."""
+    nrows, ncols = shape
+    size = min(nrows, ncols)
+    leads, ends = _distinct_ends(entries, nrows, ncols)
+    if size in (leads, ends):  # the certificate of _echelon_rank
+        return shape, size, "echelon", False
+    reverse = ends > leads
+    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME, reverse) == size:
+        return shape, size, "modular", reverse
+    return shape, _rank_bareiss(entries, nrows, ncols), "bareiss", reverse
+
+
 def exact_rank(
     matrix: SparseIntMatrix,
     *,
@@ -706,12 +783,12 @@ def exact_rank(
     """Rank of the matrix over the rationals, with kernel/cokernel dimensions.
 
     The matrix is split into blocks that share no rows: the orbit
-    representative weight blocks build_matrix built in matrix.blocks, each
-    counted with its orbit's multiplicity and read without building
-    matrix.columns, or else the connected components of the sparsity
-    pattern, found from matrix.columns.  The rank is the sum of
-    multiplicity x block rank, and each block is ranked by the first of
-    three routes that applies, all proofs:
+    representative weight blocks of build_matrix, each counted with its
+    orbit's multiplicity, or the blocks passed as matrix.blocks, or else
+    the connected components of the sparsity pattern, found from
+    matrix.columns.  The rank is the sum of multiplicity x block rank, and
+    each block is ranked by the first of three routes that applies, all
+    proofs:
 
     1. A block whose shorter side's vectors have distinct first nonzero
        positions, or distinct last ones, is in echelon form once they are
@@ -727,40 +804,54 @@ def exact_rank(
     3. A block of lower rank mod 2039 is ranked exactly by fraction-free
        (Bareiss) elimination, whatever its width.
 
+    A weight block of build_matrix is ranked once per process: its facts
+    (shape, rank, route, column order) are kept in the _block_facts table
+    of (op, B) under top = min(w, B), which determines the block, and a
+    later class with the same key reads them there without building its
+    block or matrix.blocks.  The DEBUG record counts those classes in the
+    field shared; its other counts are the same either way.
+
     seed and exact_limit are accepted for older callers and ignored.
     """
     dim_target, dim_source = matrix.shape
-    blocks = matrix.blocks
-    if blocks is None:
-        blocks, built = _component_blocks(matrix), dim_source
+    weight_classes, blocks = matrix._weight_classes, None
+    if weight_classes is not None:
+        table, classes, weight_block = weight_classes
+        ranked = []  # (facts, multiplicity, shared) of each class
+        for w_code, multiplicity, top in classes:
+            facts = table.get(top)
+            if facts is None:
+                facts = table[top] = _rank_block(*weight_block(w_code))
+                ranked.append((facts, multiplicity, False))
+            else:
+                ranked.append((facts, multiplicity, True))
     else:
-        built = sum(nc for _, (_, nc), _ in blocks)
-    rank = by_echelon = by_bareiss = from_last = 0
+        blocks = matrix.blocks
+        ranked = [(_rank_block(entries, shape), multiplicity, False)
+                  for entries, shape, multiplicity
+                  in (_component_blocks(matrix) if blocks is None else blocks)]
+    rank = nblocks = shared = from_last = columns = 0
+    routes = {"echelon": 0, "modular": 0, "bareiss": 0}
     largest = (0, 0)
-    for entries, (nr, nc), multiplicity in blocks:
-        largest = max(largest, (nr, nc), key=prod)
-        size = min(nr, nc)
-        leads, ends = _distinct_ends(entries, nr, nc)
-        if size in (leads, ends):  # the certificate of _echelon_rank
-            block_rank = size
-            by_echelon += 1
-        else:
-            reverse = ends > leads
+    for (shape, block_rank, route, reverse), multiplicity, hit in ranked:
+        if shape[1]:  # a weight class may have no nonempty column
+            rank += multiplicity * block_rank
+            nblocks += 1
+            shared += hit
+            columns += shape[1]
+            routes[route] += 1
             from_last += reverse
-            if (block_rank := _rank_mod_p(entries, nr, nc, _PROOF_PRIME, reverse)) < size:
-                block_rank = _rank_bareiss(entries, nr, nc)
-                by_bareiss += 1
-        rank += multiplicity * block_rank
+            largest = max(largest, shape, key=prod)
+    # the components are found from every column
+    built = dim_source if weight_classes is None and blocks is None else columns
     if logger.isEnabledFor(logging.DEBUG):
-        routes = {"echelon": by_echelon, "modular": len(blocks) - by_echelon - by_bareiss,
-                  "bareiss": by_bareiss}
         logger.debug(
             "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "
             "%d full rank modulo %d, %d by Bareiss, built %d of %d columns",
-            rank, dim_target, dim_source, len(blocks), *largest, routes["echelon"],
+            rank, dim_target, dim_source, nblocks, *largest, routes["echelon"],
             routes["modular"], _PROOF_PRIME, routes["bareiss"], built, dim_source,
-            extra={"blocks": len(blocks), "largest_block": largest, "routes": routes,
-                   "columns_built": built, "from_last": from_last},
+            extra={"blocks": nblocks, "largest_block": largest, "routes": routes,
+                   "columns_built": built, "from_last": from_last, "shared": shared},
         )
     return RankResult(
         dim_source=dim_source,

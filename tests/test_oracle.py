@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -36,6 +37,16 @@ def proof_prime_multiple() -> SparseIntMatrix:
     """
     p = oracle._PROOF_PRIME
     return SparseIntMatrix((2, 2), (((0, p), (1, 1)), ((0, p), (1, 2))))
+
+
+TABLES = (oracle._basis_codes, oracle._hit_table, oracle._interchangeable_classes,
+          oracle._orbit_representatives, oracle._block_facts)
+
+
+def clear_tables() -> None:
+    """Forget every table the oracle keeps across calls, the block facts included."""
+    for table in TABLES:
+        table.cache_clear()
 
 
 @pytest.fixture
@@ -260,7 +271,9 @@ class TestExactRank:
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
         # the special operator is injective or surjective, so every block is
         # full rank; 9 of its 12 blocks have an echelon certificate, and each
-        # of the other 3 takes one elimination modulo the proof prime
+        # of the other 3 takes one elimination modulo the proof prime.  The
+        # facts of blocks ranked earlier in the process would be read instead
+        clear_tables()
         matrix = build_matrix(special_fiber_operator(2, 1), 4, 5)
         uncertified = [b for b in matrix.blocks if oracle._echelon_rank(b[0], *b[1]) is None]
         assert (len(matrix.blocks), len(uncertified)) == (12, 3)
@@ -281,6 +294,8 @@ class TestExactRank:
     def test_corner_deficient_blocks_are_proven_by_bareiss(self, bareiss_calls):
         # the two-term corner map at m = 12: 45 blocks are deficient modulo
         # the proof prime, the widest 46x48, and Bareiss ranks each of them
+        # once the block facts are cleared
+        clear_tables()
         matrix = build_matrix(corner_operator(2), 11, 10)
         deficient = [
             (nrows, ncols) for entries, (nrows, ncols), _ in matrix.blocks
@@ -335,11 +350,58 @@ class TestExactRank:
             return rank_mod_p(entries, nrows, ncols, p, from_last)
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
+        clear_tables()  # so that no block's facts are read from an earlier rank
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
         (record,) = caplog.records
         assert record.routes["modular"] == record.from_last == 33
         assert orders == [True] * 33
+
+    def test_debug_record_counts_classes_read_from_the_facts_table(self, caplog, monkeypatch):
+        # ranked again, every class reads its block's facts from the table: no
+        # block is built, matrix.blocks is never read, and only shared changes
+        def refuse(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(oracle, "_representative_blocks", refuse)
+        clear_tables()
+        fields = ("blocks", "largest_block", "routes", "columns_built", "from_last")
+        records = []
+        for rank in ("cold", "warm"):
+            if rank == "warm":
+                monkeypatch.setattr(oracle, "_weight_block", refuse)
+            with caplog.at_level("DEBUG", logger="asympure.oracle"):
+                result = exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
+            (record,) = caplog.records
+            records.append((result, record.shared, [getattr(record, f) for f in fields]))
+            caplog.clear()
+        (cold, cold_shared, cold_fields), (warm, warm_shared, warm_fields) = records
+        assert (cold_shared, warm_shared) == (0, 154)
+        assert cold == warm and cold_fields == warm_fields
+        assert cold_fields[:2] == [154, (153, 154)]
+
+    def test_debug_record_counts_the_blocks_of_matrix_blocks(self, caplog):
+        # cold and warm, the record's counts are those of the blocks in
+        # matrix.blocks: a weight class whose block has no nonempty column
+        # (the corners' sources without y0, every class when B < k) counts
+        # for nothing
+        clear_tables()
+        for rank in ("cold", "warm"):
+            for name, op in sorted(REFERENCE_OPERATORS.items()):
+                if name == "no_weight":
+                    continue
+                for A in range(4):
+                    for B in range(5):
+                        matrix = build_matrix(op, A, B)
+                        with caplog.at_level("DEBUG", logger="asympure.oracle"):
+                            exact_rank(matrix)
+                        (record,) = caplog.records
+                        caplog.clear()
+                        shapes = [shape for _, shape, _ in matrix.blocks]
+                        assert (record.blocks, record.columns_built) == (
+                            len(shapes), sum(ncols for _, ncols in shapes)), (name, A, B, rank)
+                        assert record.largest_block == max(shapes, key=prod, default=(0, 0))
+                        assert sum(record.routes.values()) == len(shapes)
 
     @pytest.mark.parametrize("columns", [
         (((0, 2039), (1, 1)), ((0, 2039), (1, 2))),  # [[2039, 2039], [1, 2]], entries 2039
@@ -609,6 +671,11 @@ class TestModularElimination:
         assert min(seen.values()) >= 20, seen
 
 
+# the 598 maps of acceptance criterion 3 and the engine grid benchmark
+GRID = [(n, k, A, B) for n in (1, 2) for k in (1, 2) for A in range(13) for B in range(k, 13)]
+GRID_OPS = {(n, k): special_fiber_operator(n, k) for n in (1, 2) for k in (1, 2)}
+
+
 class TestEchelonCertificate:
     """_echelon_rank proves full rank only where Bareiss agrees."""
 
@@ -674,10 +741,10 @@ class TestEchelonCertificate:
 
     def test_grid_certificates(self):
         # the 598 maps of the engine grid: 8,267 of their 8,897 representative
-        # blocks are proven by the echelon route, the rest by elimination
-        ops = {(n, k): special_fiber_operator(n, k) for n in (1, 2) for k in (1, 2)}
-        blocks = [block for (n, k), op in ops.items() for A in range(13) for B in range(k, 13)
-                  for block in build_matrix(op, A, B).blocks]
+        # blocks, read from matrix.blocks, are proven by the echelon route, the
+        # rest by elimination
+        blocks = [block for n, k, A, B in GRID
+                  for block in build_matrix(GRID_OPS[n, k], A, B).blocks]
         certified = [oracle._echelon_rank(entries, *shape) for entries, shape, _ in blocks]
         assert (len(blocks), sum(r is not None for r in certified)) == (8897, 8267)
 
@@ -849,15 +916,6 @@ class TestReferenceRanks:
             assert build_matrix(op, A, B).blocks is None
 
 
-TABLES = (oracle._basis_codes, oracle._hit_table, oracle._interchangeable_classes,
-          oracle._orbit_representatives)
-
-
-def clear_tables() -> None:
-    for table in TABLES:
-        table.cache_clear()
-
-
 def built(op: ContractionOperator, A: int, B: int):
     matrix = build_matrix(op, A, B)
     return matrix.shape, matrix.blocks, matrix.columns
@@ -935,3 +993,51 @@ class TestSharedTables:
         assert oracle._hit_table.cache_info()[:2] == (1, 2)
         assert oracle._orbit_representatives.cache_info()[:2] == (1, 2)
         assert oracle._interchangeable_classes.cache_info()[:2] == (1, 1)
+        assert oracle._block_facts.cache_info()[:2] == (1, 2)  # B = 7 again
+
+    def test_a_weight_block_depends_only_on_b_and_its_top(self):
+        # every weight w of degree A + B, orbit representative or not, in the
+        # map's own code base and in base 64: the block equals, entry for entry
+        # and in shape, that of every weight with the same B and min(w, B)
+        blocks, count = {}, 0
+        for name, op in sorted(REFERENCE_OPERATORS.items()):
+            if oracle._interchangeable_classes(op) is None:
+                continue
+            for A in range(9):
+                for B in range(9):
+                    for base in (oracle._code_base(op.k, A + B), 64):
+                        u_codes = oracle._basis_codes(op.n, A, base)
+                        hits = oracle._hit_table(op, B, base)
+                        for w in monomial_basis(op.n, A + B):
+                            block = oracle._weight_block(u_codes, hits, oracle._code(w, base))
+                            top = tuple(min(e, B) for e in w)
+                            key = (name, B, top)
+                            assert blocks.setdefault(key, block) == block, (name, A, B, w)
+                            count += 1
+        assert (len(blocks), count) == (7475, 41850)
+
+    def test_grid_ranks_do_not_depend_on_order_or_warm_facts(self, caplog):
+        # two shuffled orders from cold tables, then the first again with every
+        # fact warm: the same results and DEBUG fields, shared aside; a cold
+        # pass reads 5,824 of its 8,897 blocks' facts from the table
+        fields = ("blocks", "largest_block", "routes", "columns_built", "from_last")
+
+        def ranked(order):
+            out, shared = {}, 0
+            for n, k, A, B in order:
+                with caplog.at_level("DEBUG", logger="asympure.oracle"):
+                    result = exact_rank(build_matrix(GRID_OPS[n, k], A, B))
+                (record,) = caplog.records
+                caplog.clear()
+                out[n, k, A, B] = result, [getattr(record, f) for f in fields]
+                shared += record.shared
+            return out, shared
+
+        first, second = (random.Random(seed).sample(GRID, len(GRID)) for seed in (1, 2))
+        clear_tables()
+        cold, cold_shared = ranked(first)
+        clear_tables()
+        other, other_shared = ranked(second)
+        warm, warm_shared = ranked(first)
+        assert cold == other == warm
+        assert (cold_shared, other_shared, warm_shared) == (5824, 5824, 8897)

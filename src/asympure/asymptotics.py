@@ -7,13 +7,15 @@ each is read off an exact expression.  A class is pure when at most one
 h-hat index survives.
 
 A mixed class's predicted kernel and cokernel are polynomial from
-stable_start, whose docstring derives that bound, and
-reptheory.series_polynomials writes the two out times (2n-1)!, so their
-top coefficients are its h-hat values.  Every other class has its
-cohomology in one index, where by asymptotic Riemann-Roch h-hat is plus or
-minus the top self-intersection: asymptotic_product and
-intersection_number.  fit_leading_coefficient runs only in verify and the
-tests, as the independent reference for these closed forms.
+stable_start, whose docstring derives that bound, and their top terms give
+its h-hat values in closed form: with c = k*C(2n-1, n)*(a1*a2)^(n-1),
+h-hat^(n-1) = c*max(a1 - a2, 0) and h-hat^n = c*max(a2 - a1, 0).  Every
+other class has its cohomology in one index, where by asymptotic
+Riemann-Roch h-hat is plus or minus the top self-intersection:
+asymptotic_product and intersection_number.  No series is evaluated at run
+time.  verify holds the independent references: reptheory.series_polynomials
+against the prediction and against the mixed closed form, and
+fit_leading_coefficient against the one-index ones.
 
 From the special fiber to a very general one: for every bidegree-(k, k)
 form F, h^(n-1) and h^n of a mixed class are the kernel and cokernel of the
@@ -34,17 +36,12 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .projspace import DivisorClass, series_exponents
-from .reptheory import kernel_series_rep, series_polynomials
 
 logger = logging.getLogger(__name__)
 
 
 class SeriesNotStabilized(ValueError):
-    """A series is not the polynomial it should be on the multiples looked at.
-
-    A fitted window whose last difference does not vanish, or a special-fiber
-    series polynomial that differs from the prediction at stable_start.
-    """
+    """A fitted window's last difference does not vanish: fit_leading_coefficient raises it."""
 
 
 @dataclass(frozen=True)
@@ -214,11 +211,12 @@ def stable_start(n: int, k: int, a1: int, a2: int) -> int:
       of w is 0 as a polynomial.
 
     Each is a sum of w over k values of i linear in m, a polynomial in m of
-    degree at most 2n - 1; reptheory.series_polynomials writes the two out,
-    and the mixed h-hat values are read off them, not fitted.  The bound is
-    also minimal on every class with n <= 6, k <= 5 and a1, a2 <= 8: one
-    multiple earlier the map does not exist or a series leaves its
-    polynomial.
+    degree at most 2n - 1, whose top term gives asymptotic_special_fiber's
+    closed form.  The bound is also minimal on every class with n <= 6,
+    k <= 5 and a1, a2 <= 8: one multiple earlier the map does not exist or a
+    series leaves its polynomial.  It serves the per-class DEBUG line of
+    asymptotic_special_fiber and verify's windows, where
+    reptheory.series_polynomials writes the two series out.
 
     >>> stable_start(2, 1, 1, 2)
     2
@@ -237,18 +235,18 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     """h-hat vector of (a1*H1 - a2*H2) restricted to the bidegree-(k, k) special fiber.
 
     dim = 2n - 1, and classify names the indices that can be nonzero.  For
-    a mixed class (a1, a2 > 0) the values at indices n-1 and n are the top
-    coefficients of reptheory.series_polynomials, the predicted kernel and
-    cokernel polynomials times (2n-1)!; no window is sampled.  One map ties
-    them to the prediction at run time: both polynomials must equal
-    (2n-1)! times kernel_series_rep at stable_start, or SeriesNotStabilized
-    names (n, k, a1, a2, m).  A boundary class (one or both coefficients
-    zero) has one allowed index i, and its value is (-1)^i times
-    intersection_number(n, k, k, a1, a2), the top coefficient of the
-    restriction Euler characteristic chi(mD) - chi(mD - Y) times (2n-1)!:
-    k*a1 or k*a2 for n = 1, and 0 for n >= 2 and for the zero class.  verify
-    checks it against that Euler characteristic's fitted (2n-1)-th
-    difference.
+    a mixed class (a1, a2 > 0), from stable_start on the kernel or the
+    cokernel is a sum of k Weyl dimensions whose leading factors are
+    m*|a1 - a2|, (m*a1)^(n-1) and (m*a2)^(n-1), so with
+    c = k*C(2n-1, n)*(a1*a2)^(n-1) the values at indices n-1 and n are
+    c*max(a1 - a2, 0) and c*max(a2 - a1, 0); no series is evaluated.  A
+    boundary class (one or both coefficients zero) has one allowed index
+    i, and its value is (-1)^i times intersection_number(n, k, k, a1, a2),
+    the top coefficient of the restriction Euler characteristic
+    chi(mD) - chi(mD - Y) times (2n-1)!: k*a1 or k*a2 for n = 1, and 0 for
+    n >= 2 and for the zero class.  verify checks the mixed values against
+    the top coefficients of reptheory.series_polynomials, and the boundary
+    ones against that Euler characteristic's fitted (2n-1)-th difference.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     6
@@ -265,28 +263,19 @@ def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, Asympto
     label = classify(n, DivisorClass(a1, -a2))
     dim = 2 * n - 1
     values = [0] * (dim + 1)
-    scale = factorial(dim)
     if label.kind == "mixed":
-        polynomials = series_polynomials(n, k, a1, a2)
-        # the one map that ties the polynomials to the prediction engine at run time
-        start = stable_start(n, k, a1, a2)
-        (_, *predicted), = kernel_series_rep(n, k, a1, a2, (start,))
-        got = [sum(c * start**i for i, c in enumerate(poly)) for poly in polynomials]
-        want = [d * scale for d in predicted]
-        if got != want:
-            raise SeriesNotStabilized(
-                f"series polynomials disagree with the prediction at (n, k, a1, a2, m) = "
-                f"({n}, {k}, {a1}, {a2}, {start}): {got} != (2n-1)! * {predicted} = {want}"
-            )
+        c = k * comb(dim, n) * (a1 * a2) ** (n - 1)
+        values[n - 1], values[n] = c * max(a1 - a2, 0), c * max(a2 - a1, 0)
         if logger.isEnabledFor(logging.DEBUG):
-            # series_polynomials gives the other side as 0; a kernel side may be 0 too
-            side = "cokernel" if any(polynomials[1]) else "kernel"
+            # the side that reptheory.series_polynomials writes out at m = 2^bits,
+            # where B - A = m*(a2 - a1) + 2k - n - 1
+            side = "cokernel" if a2 > a1 or (a1 == a2 and k > n + 1) else "kernel"
+            start = stable_start(n, k, a1, a2)
             logger.debug("mixed class (n, k, a1, a2) = (%d, %d, %d, %d): stable_start %d, "
                          "%s side, m^%d coefficient %s", n, k, a1, a2, start, side, dim,
-                         Fraction(polynomials[side == "cokernel"][-1], scale),
+                         Fraction(values[n - 1 + (side == "cokernel")], factorial(dim)),
                          extra={"divisor_class": (n, k, a1, a2), "stable_start": start,
                                 "side": side})
-        values[n - 1], values[n] = (poly[-1] for poly in polynomials)
     else:
         (index,) = label.allowed_indices
         values[index] = (-1) ** index * intersection_number(n, k, k, a1, a2)

@@ -809,7 +809,9 @@ def exact_rank(
     of (op, B) under top = min(w, B), which determines the block, and a
     later class with the same key reads them there without building its
     block or matrix.blocks.  The DEBUG record counts those classes in the
-    field shared; its other counts are the same either way.
+    field shared, and columns_built counts only the columns of the blocks
+    built in this call, so both depend on the calls before; its other
+    counts are the same either way.
 
     seed and exact_limit are accepted for older callers and ignored.
     """
@@ -838,7 +840,7 @@ def exact_rank(
             rank += multiplicity * block_rank
             nblocks += 1
             shared += hit
-            columns += shape[1]
+            columns += 0 if hit else shape[1]
             routes[route] += 1
             from_last += reverse
             largest = max(largest, shape, key=prod)

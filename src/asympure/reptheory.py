@@ -179,7 +179,10 @@ def series_polynomials(n: int, k: int, a1: int, a2: int) -> tuple[list[int], lis
     """Kernel and cokernel series from asymptotics.stable_start on, as polynomials in m.
 
     Each is the list of the coefficients of m^0..m^(2n-1), times (2n-1)!, so
-    the last coefficient is the h-hat value.  The stable_start docstring
+    the last coefficient is the h-hat value.  This is the prediction-side
+    reference for the closed form of asymptotics.asymptotic_special_fiber:
+    only verify's check "series polynomial vs prediction" and the tests
+    call it.  The stable_start docstring
     shows that from there on, with (A, B) = series_exponents(n, k, a1, a2, m),
     the kernel is the sum of w(A + B - i, i) over B - k < i <= B when
     B - A <= k, the cokernel is the sum over A < i <= A + k otherwise, and

@@ -27,6 +27,7 @@ from typing import Callable, Iterable
 from .asymptotics import (
     SeriesNotStabilized,
     asymptotic_product,
+    asymptotic_special_fiber,
     fit_leading_coefficient,
     intersection_number,
     purity_report,
@@ -198,26 +199,33 @@ def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
 
 
 def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
-    # the polynomials that scan reads its mixed h-hat values off, against the
-    # prediction at 2n + 3 multiples
+    # the prediction's kernel and cokernel polynomials against its rows at 2n + 3
+    # multiples, then their top coefficients against the closed form that scan
+    # reads its mixed h-hat values off
     classes = list(product(range(1, n_max + 1), range(1, k_max + 1),
                            range(1, a_max + 1), range(1, a_max + 1)))
+    polynomials = {case: series_polynomials(*case) for case in classes}
 
     def window(n, k, a1, a2):
         start = stable_start(n, k, a1, a2)
         return range(start, start + 2 * n + 3)
 
     def evaluated(*case):
-        polynomials = series_polynomials(*case)
-        return [(m, *(sum(c * m**i for i, c in enumerate(poly)) for poly in polynomials))
+        return [(m, *(sum(c * m**i for i, c in enumerate(poly)) for poly in polynomials[case]))
                 for m in window(*case)]
 
     def predicted(*case):
         scale = factorial(2 * case[0] - 1)
         return [(m, kd * scale, cd * scale) for m, kd, cd in kernel_series_rep(*case, window(*case))]
 
-    return _agree("series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start vs "
-                  "(2n-1)! * kernel_series_rep rows", classes, evaluated, predicted,
+    ok, detail = _agree("series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start "
+                        "vs (2n-1)! * kernel_series_rep rows", classes, evaluated, predicted, "")
+    if not ok:
+        return ok, detail
+    return _agree("top coefficients of series_polynomials(n, k, a1, a2) vs "
+                  "asymptotic_special_fiber(n, k, a1, a2).values[n-1:n+1]", classes,
+                  lambda *case: tuple(poly[-1] for poly in polynomials[case]),
+                  lambda n, *rest: asymptotic_special_fiber(n, *rest).values[n - 1:n + 1],
                   f"{len(classes)} classes, n <= {n_max}, k <= {k_max}, a1, a2 <= {a_max}")
 
 
@@ -274,7 +282,7 @@ def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, s
         for a1, a2 in pairs:
             start = stable_start(n, k, a1, a2)
             # a sampled fit over 2n + 3 multiples: independent of the series
-            # polynomials that the mixed h-hat values are read off
+            # polynomials and of the mixed closed form
             rows = kernel_series_rep(n, k, a1, a2, range(start, start + 2 * n + 3))
             for side, series in (
                 ("kernel", [(m, kd) for m, kd, _ in rows]),

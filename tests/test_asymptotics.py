@@ -303,13 +303,36 @@ class TestAsymptoticSpecialFiber:
                     vec = asymptotic_product(n, DivisorClass(a1, a2))
                     assert vec.values == product_closed_form(n, a1, a2), (n, a1, a2)
 
-    def test_a_polynomial_off_the_prediction_names_the_class(self, monkeypatch):
-        import asympure.asymptotics as asym
+    def test_no_series_is_evaluated_at_run_time(self, monkeypatch, caplog):
+        # the mixed values and their DEBUG lines need neither the series
+        # polynomials nor the predicted rows
+        import asympure.reptheory as rep
 
-        monkeypatch.setattr(asym, "series_polynomials", constant_off_by_one)
-        with pytest.raises(SeriesNotStabilized,
-                           match=r"at \(n, k, a1, a2, m\) = \(2, 1, 2, 1, 2\)"):
-            asymptotic_special_fiber(2, 1, 2, 1)
+        def refuse(*args):
+            raise AssertionError("a series evaluated at run time")
+
+        monkeypatch.setattr(rep, "series_polynomials", refuse)
+        monkeypatch.setattr(rep, "kernel_series_rep", refuse)
+        caplog.set_level(logging.DEBUG, logger="asympure.asymptotics")
+        grid = [(a1, a2) for a1 in range(7) for a2 in range(7)]
+        for n in range(1, 5):
+            for k in range(1, 4):
+                for (a1, a2), _, vec in purity_report(n, k, grid):
+                    assert vec.values == fiber_closed_form(n, k, a1, a2), (n, k, a1, a2)
+        assert len(caplog.records) == 4 * 3 * 36
+
+    def test_a_polynomial_off_the_prediction_names_the_class(self, monkeypatch):
+        # verify ties the polynomials to the prediction; the run-time values do
+        # not read them
+        import asympure.verify as verify
+
+        monkeypatch.setattr(verify, "series_polynomials", constant_off_by_one)
+        ok, detail = verify._check_series_polynomials(2, 1, 2)
+        assert not ok
+        assert detail.startswith("series_polynomials(n, k, a1, a2) at 2n + 3 multiples from "
+                                 "stable_start vs (2n-1)! * kernel_series_rep rows at "
+                                 "(1, 1, 1, 1): [(1, 2, 0), (2, 2, 0), ")
+        assert asymptotic_special_fiber(2, 1, 2, 1).values == (0, 6, 0, 0)
 
     def test_logs_one_debug_line_per_mixed_class(self, caplog):
         caplog.set_level(logging.DEBUG, logger="asympure.asymptotics")
@@ -324,6 +347,32 @@ class TestAsymptoticSpecialFiber:
             "mixed class (n, k, a1, a2) = (2, 1, 2, 2): stable_start 1, kernel side, "
             "m^3 coefficient 0",
         ]
+
+    def test_debug_line_is_the_one_built_from_the_series_polynomials(self, caplog):
+        # the side is the one whose polynomial is nonzero, and the coefficient
+        # its top one over (2n-1)!; at a1 == a2 with k > n + 1 that side is the
+        # cokernel, with coefficient 0
+        caplog.set_level(logging.DEBUG, logger="asympure.asymptotics")
+        expected = []
+        for n in range(1, 5):
+            for k in range(1, 7):
+                for a1 in range(1, 7):
+                    for a2 in range(1, 7):
+                        polynomials = series_polynomials(n, k, a1, a2)
+                        side = "cokernel" if any(polynomials[1]) else "kernel"
+                        start = stable_start(n, k, a1, a2)
+                        coefficient = Fraction(polynomials[side == "cokernel"][-1],
+                                               factorial(2 * n - 1))
+                        expected.append((
+                            f"mixed class (n, k, a1, a2) = ({n}, {k}, {a1}, {a2}): stable_start "
+                            f"{start}, {side} side, m^{2 * n - 1} coefficient {coefficient}",
+                            (n, k, a1, a2), start, side))
+                        asymptotic_special_fiber(n, k, a1, a2)
+        assert [(r.getMessage(), r.divisor_class, r.stable_start, r.side)
+                for r in caplog.records] == expected
+        assert expected[2 * 36] == (
+            "mixed class (n, k, a1, a2) = (1, 3, 1, 1): stable_start 3, cokernel side, "
+            "m^1 coefficient 0", (1, 3, 1, 1), 3, "cokernel")
 
     def test_debug_records_carry_class_start_and_side_as_fields(self, caplog):
         caplog.set_level(logging.DEBUG, logger="asympure.asymptotics")

@@ -210,20 +210,28 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
         assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
 
-    def test_a_polynomial_off_the_prediction_exits_2(self, capsys, monkeypatch):
-        import asympure.asymptotics as asym
+    def test_a_polynomial_off_the_prediction_fails_verify_not_scan(self, capsys, monkeypatch):
+        # verify ties the series polynomials to the prediction and exits 1; scan
+        # reads its mixed values off their closed form, so its output stays
+        import asympure.verify as verify
 
-        real = asym.series_polynomials
+        real = verify.series_polynomials
 
         def constant_off_by_one(n, k, a1, a2):
             kernel, cokernel = real(n, k, a1, a2)
             return [kernel[0] + 1, *kernel[1:]], cokernel
 
-        monkeypatch.setattr(asym, "series_polynomials", constant_off_by_one)
-        code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "1")
-        assert (code, out) == (2, "")
-        assert err == ("error: series polynomials disagree with the prediction at "
-                       "(n, k, a1, a2, m) = (2, 1, 1, 1, 2): [19, 0] != (2n-1)! * [3, 0] = [18, 0]\n")
+        argv = ("scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "1", "--verbose")
+        clean = run(capsys, *argv)
+        monkeypatch.setattr(verify, "series_polynomials", constant_off_by_one)
+        assert run(capsys, *argv) == clean and clean[0] == 0
+        code, out, _ = run(capsys, "verify", "--suite", "small")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL - series polynomial vs prediction: series_polynomials(n, k, a1, a2) at 2n + 3 "
+            "multiples from stable_start vs (2n-1)! * kernel_series_rep rows at (1, 1, 1, 1): "
+            "[(1, 2, 0), (2, 2, 0), (3, 2, 0), (4, 2, 0), (5, 2, 0)] != "
+            "[(1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 1, 0)]"]
 
     def test_verbose_logs_one_line_per_mixed_class(self, capsys, caplog):
         caplog.set_level(logging.DEBUG, logger="asympure")  # main sets it; restored after the test

@@ -316,6 +316,7 @@ class TestExactRank:
         # Sym^1 (x) Sym^1 on P^2: weights 2e_i (one column each) and e_i + e_j
         # (two columns, one row each); the representatives are 2e_0 and e_0 + e_1
         weights = build_matrix(special_fiber_operator(2, 1), 1, 1)
+        clear_tables()  # columns are counted as built only on a first rank of their block
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             proven = exact_rank(matrix)
             blocked = exact_rank(weights)
@@ -329,6 +330,7 @@ class TestExactRank:
 
     def test_debug_record_carries_its_facts_as_fields(self, caplog):
         # the same facts as the message, for a handler that reads fields
+        clear_tables()
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
         (record,) = caplog.records
@@ -359,13 +361,14 @@ class TestExactRank:
 
     def test_debug_record_counts_classes_read_from_the_facts_table(self, caplog, monkeypatch):
         # ranked again, every class reads its block's facts from the table: no
-        # block is built, matrix.blocks is never read, and only shared changes
+        # block is built, matrix.blocks is never read, and only shared and
+        # columns_built change
         def refuse(*args):
             raise AssertionError("a block was built")
 
         monkeypatch.setattr(oracle, "_representative_blocks", refuse)
         clear_tables()
-        fields = ("blocks", "largest_block", "routes", "columns_built", "from_last")
+        fields = ("blocks", "largest_block", "routes", "from_last")
         records = []
         for rank in ("cold", "warm"):
             if rank == "warm":
@@ -373,10 +376,11 @@ class TestExactRank:
             with caplog.at_level("DEBUG", logger="asympure.oracle"):
                 result = exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
             (record,) = caplog.records
-            records.append((result, record.shared, [getattr(record, f) for f in fields]))
+            records.append((result, (record.shared, record.columns_built),
+                            [getattr(record, f) for f in fields]))
             caplog.clear()
-        (cold, cold_shared, cold_fields), (warm, warm_shared, warm_fields) = records
-        assert (cold_shared, warm_shared) == (0, 154)
+        (cold, cold_counts, cold_fields), (warm, warm_counts, warm_fields) = records
+        assert (cold_counts, warm_counts) == ((0, 9724), (154, 0))
         assert cold == warm and cold_fields == warm_fields
         assert cold_fields[:2] == [154, (153, 154)]
 
@@ -384,7 +388,8 @@ class TestExactRank:
         # cold and warm, the record's counts are those of the blocks in
         # matrix.blocks: a weight class whose block has no nonempty column
         # (the corners' sources without y0, every class when B < k) counts
-        # for nothing
+        # for nothing.  columns_built counts the columns of the blocks whose
+        # key min(w, B) is new to the facts table in that call
         clear_tables()
         for rank in ("cold", "warm"):
             for name, op in sorted(REFERENCE_OPERATORS.items()):
@@ -393,13 +398,17 @@ class TestExactRank:
                 for A in range(4):
                     for B in range(5):
                         matrix = build_matrix(op, A, B)
+                        table, classes, weight_block = matrix._weight_classes
+                        new = {top: weight_block(w_code)[1][1]
+                               for w_code, _, top in classes if top not in table}
                         with caplog.at_level("DEBUG", logger="asympure.oracle"):
                             exact_rank(matrix)
                         (record,) = caplog.records
                         caplog.clear()
                         shapes = [shape for _, shape, _ in matrix.blocks]
                         assert (record.blocks, record.columns_built) == (
-                            len(shapes), sum(ncols for _, ncols in shapes)), (name, A, B, rank)
+                            len(shapes), sum(new.values())), (name, A, B, rank)
+                        assert rank == "cold" or not new, (name, A, B)
                         assert record.largest_block == max(shapes, key=prod, default=(0, 0))
                         assert sum(record.routes.values()) == len(shapes)
 
@@ -1018,12 +1027,14 @@ class TestSharedTables:
 
     def test_grid_ranks_do_not_depend_on_order_or_warm_facts(self, caplog):
         # two shuffled orders from cold tables, then the first again with every
-        # fact warm: the same results and DEBUG fields, shared aside; a cold
-        # pass reads 5,824 of its 8,897 blocks' facts from the table
-        fields = ("blocks", "largest_block", "routes", "columns_built", "from_last")
+        # fact warm: the same results and DEBUG fields, shared and columns_built
+        # aside; a cold pass reads 5,824 of its 8,897 blocks' facts from the
+        # table and builds each key's block once, whatever the order: 44,139
+        # columns in all
+        fields = ("blocks", "largest_block", "routes", "from_last")
 
         def ranked(order):
-            out, shared = {}, 0
+            out, shared, built = {}, 0, 0
             for n, k, A, B in order:
                 with caplog.at_level("DEBUG", logger="asympure.oracle"):
                     result = exact_rank(build_matrix(GRID_OPS[n, k], A, B))
@@ -1031,13 +1042,15 @@ class TestSharedTables:
                 caplog.clear()
                 out[n, k, A, B] = result, [getattr(record, f) for f in fields]
                 shared += record.shared
-            return out, shared
+                built += record.columns_built
+            return out, (shared, built)
 
         first, second = (random.Random(seed).sample(GRID, len(GRID)) for seed in (1, 2))
         clear_tables()
-        cold, cold_shared = ranked(first)
+        cold, cold_counts = ranked(first)
         clear_tables()
-        other, other_shared = ranked(second)
-        warm, warm_shared = ranked(first)
+        other, other_counts = ranked(second)
+        warm, warm_counts = ranked(first)
         assert cold == other == warm
-        assert (cold_shared, other_shared, warm_shared) == (5824, 5824, 8897)
+        assert cold_counts == other_counts == (5824, 44139)
+        assert warm_counts == (8897, 0)

@@ -80,6 +80,13 @@ DISAGREEMENTS = {
         "(2n-1)! * kernel_series_rep rows at (1, 1, 2, 1): "
         "[(1, 3, 0), (2, 5, 0), (3, 7, 0), (4, 9, 0), (5, 11, 0)] != "
         "[(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0)]"),
+    # the polynomials agree with the prediction, and a closed form answers for another class
+    "series polynomial vs prediction (top coefficients)": (
+        verify._check_series_polynomials, (1, 1, 3), verify, "asymptotic_special_fiber",
+        (1, 1, 2, 1), (1, 1, 3, 1),
+        "top coefficients of series_polynomials(n, k, a1, a2) vs "
+        "asymptotic_special_fiber(n, k, a1, a2).values[n-1:n+1] at (1, 1, 2, 1): "
+        "(1, 0) != (2, 0)"),
     "intersection numbers": (
         verify._check_intersection_numbers, (1, 3), verify, "intersection_number",
         (2, 1, 1, 2, 1), (2, 1, 1, 3, 1),

@@ -8,6 +8,9 @@ writer leaves, is skipped with a warning naming file:line and cut by the next
 put, which also ends an unterminated final line.  get decodes only the last
 line starting `{"key": <key>, ` (another first field is a miss) and raises
 ValueError naming file:line if it is malformed.  `verify --cache` checks all.
+A missing file is an empty cache; the file is read once, when the cache is made.
+With DEBUG on, get and put each log one record, with the fields key, hit and
+bytes (the record's line; 0 on a miss).
 """
 
 import json
@@ -23,7 +26,11 @@ logger = logging.getLogger(__name__)
 class ResultCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        data = self.path.read_bytes() if self.path.exists() else b""
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except (FileNotFoundError, NotADirectoryError):  # no file there: an empty cache
+            data = b""
         # the file's size, and the lines the next put appends to: each ended, none torn
         self._size, self._data = len(data), data + b"\n" if data and not data.endswith(b"\n") else data
         last = data.rfind(b"\n", 0, len(data.rstrip())) + 1  # the final non-blank line
@@ -55,8 +62,13 @@ class ResultCache:
         while (start := self._data.rfind(prefix, 0, start)) >= 0:
             at_line_start = self._data[start - 1:start] in (b"", b"\n")  # not a nested object
             if at_line_start and (record := self._record(start)) and record[0] == key:
-                return record[1]  # the key may differ only on a line that repeats "key"
-        return None
+                break  # the key may differ only on a line that repeats "key"
+        hit = start >= 0
+        if logger.isEnabledFor(logging.DEBUG):
+            size = self._data.index(b"\n", start) + 1 - start if hit else 0
+            logger.debug("get %s: %s", key, f"hit, {size} bytes" if hit else "miss",
+                         extra={"key": key, "hit": hit, "bytes": size})
+        return record[1] if hit else None
 
     def put(self, key: str, value: dict) -> None:
         record = {"key": key, "version": CACHE_VERSION, "value": value}
@@ -75,6 +87,9 @@ class ResultCache:
             raise OSError(f"{self.path}: short write of a cache record ({written} of {len(data)} bytes)")
         self._data += line
         self._size = len(self._data)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("put %s: %d bytes", key, len(line),
+                         extra={"key": key, "hit": False, "bytes": len(line)})
 
     def items(self) -> list[tuple[str, dict]]:
         """The last record per key, after checking every line: the full audit."""

@@ -17,6 +17,13 @@ JSON-lines cache with --cache.  `verify --cache` parses every stored key
 back into its fields and re-runs the same computation, failing loudly on
 any mismatch.  Only series, scan and verify declare their flags by hand.
 
+A call does only its own command's work.  When argv starts with a command,
+that command's parser alone parses it, built on first use and kept for the
+process; the top-level parser, with all nine subparsers, is built only for
+any other argv (none, -h, an unknown command) and to report arguments left
+over, so help, usage and errors read as before.  Each format is rendered only
+when asked for, and only `verify` imports the verify suite.
+
 Exit codes: 0 success, 1 verification or purity mismatch, 2 usage error,
 3 size cap exceeded.
 """
@@ -52,7 +59,6 @@ from .projspace import (
     source_target_dims,
 )
 from .reptheory import kernel_series_rep, pieri_decompose, predict_map_analysis, weyl_dimension
-from .verify import run_suite
 
 
 def _stringify(value):
@@ -85,20 +91,22 @@ def _write_csv(stream, header: list[str], rows: list[list]) -> None:
 
 
 def _emit(fmt: str, command: str, params: dict, result: dict,
-          header: list[str], rows: list[list], table_lines: list[str],
-          stringified: bool = False) -> None:
+          csv_rows: Callable[[], tuple[list[str], list[list]]],
+          table_lines: Callable[[], list[str]], stringified: bool = False) -> None:
     """Print result as the JSON envelope, as header and rows of CSV, or as table lines.
 
-    Only the JSON branch reads result, and stringifies it unless it is stringified already.
+    Each branch builds only its own format: csv_rows() returns the header and
+    rows, table_lines() the lines.  Only the JSON branch reads result, and
+    stringifies it unless it is stringified already.
     """
     if fmt == "json":
         payload = result if stringified else _stringify(result)
         envelope = {"command": command, "params": params, "result": payload}
         print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
     elif fmt == "csv":
-        _write_csv(sys.stdout, header, rows)
+        _write_csv(sys.stdout, *csv_rows())
     else:
-        for line in table_lines:
+        for line in table_lines():
             print(line)
 
 
@@ -329,10 +337,13 @@ def cmd_cached(args) -> int:
             cache.put(key, result)
     envelope = {("operator" if name == "op" else name): v for name, v in params.items()}
     envelope.update(seed=args.seed, size_cap=args.size_cap)
-    header = sorted(result)
+
+    def csv_rows():
+        header = sorted(result)
+        return header, [[_csv_cell(result[k]) for k in header]]
+
     _emit(args.format, args.command, envelope, result,
-          header, [[_csv_cell(result[k]) for k in header]], entry.table(params, result),
-          stringified=True)
+          csv_rows, lambda: entry.table(params, result), stringified=True)
     return 0
 
 
@@ -362,8 +373,8 @@ def cmd_series(args) -> int:
         ]
     header = list(rows[0])
     _emit(args.format, "series", params, {"rows": rows},
-          header, [[row[k] for k in header] for row in rows],
-          ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows])
+          lambda: (header, [[row[k] for k in header] for row in rows]),
+          lambda: ["  ".join(f"{k}={v}" for k, v in row.items()) for row in rows])
     return 0
 
 
@@ -389,7 +400,7 @@ def cmd_scan(args) -> int:
     # CSV written to --out leaves stdout the summary line
     fmt = "table" if args.out and args.format == "csv" else args.format
     _emit(fmt, "scan", params, result,
-          header, rows, [f"{len(rows)} rows ({summary}){destination}"])
+          lambda: (header, rows), lambda: [f"{len(rows)} rows ({summary}){destination}"])
     if impure:
         print(f"error: impure verdicts at {impure}", file=sys.stderr)
         return 1
@@ -425,6 +436,8 @@ def _verify_cache(path: str, size_cap: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite  # only verify runs the suite, so only verify imports it
+
     failures = run_suite(args.suite)
     if args.cache:
         failures += _verify_cache(args.cache, args.size_cap)
@@ -455,61 +468,88 @@ def _add_operator_flags(p: argparse.ArgumentParser) -> None:
     flags.add_argument("--operator-file", default=None)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    common.add_argument("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--verbose", action="store_true")
+# every command with its help line, in the order `asympure -h` lists them
+COMMANDS = {
+    **{command: entry.help for command, entry in CACHED.items()},
+    "series": "kernel/cokernel series over a range of multiples",
+    "scan": "purity scan over a coefficient grid (CSV)",
+    "verify": "cross-check the engines and any cache",
+}
 
-    parser = argparse.ArgumentParser(
-        prog="asympure",
-        description="Exact cohomology growth and asymptotic purity calculations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    for command, entry in CACHED.items():
-        p = sub.add_parser(command, parents=[common], help=entry.help)
-        for field in entry.fields:
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Give p the flags and the handler of command: the one definition both parsers use."""
+    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    p.add_argument("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--verbose", action="store_true")
+    if command in CACHED:
+        for field in CACHED[command].fields:
             if field == "op":
                 _add_operator_flags(p)
             else:
                 p.add_argument(f"--{field}", type=int, required=True)
         p.add_argument("--cache", metavar="PATH", default=None)
         p.set_defaults(handler=cmd_cached)
+    elif command == "series":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--a1", type=int, required=True)
+        p.add_argument("--a2", type=int, required=True)
+        p.add_argument("--m", required=True, help="range, e.g. 2..8")
+        p.add_argument("--engine", choices=("rep", "oracle"), default="rep")
+        _add_operator_flags(p)
+        p.set_defaults(handler=cmd_series)
+    elif command == "scan":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--a1", required=True, help="range, e.g. 0..4")
+        p.add_argument("--a2", required=True, help="range, e.g. 0..4")
+        p.add_argument("--out", default=None)
+        p.set_defaults(handler=cmd_scan)
+    else:
+        p.add_argument("--suite", choices=("small", "full"), default="small")
+        p.add_argument("--cache", metavar="PATH", default=None, help="cache file to audit")
+        p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("series", parents=[common], help="kernel/cokernel series over a range of multiples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--m", required=True, help="range, e.g. 2..8")
-    p.add_argument("--engine", choices=("rep", "oracle"), default="rep")
-    _add_operator_flags(p)
-    p.set_defaults(handler=cmd_series)
 
-    p = sub.add_parser("scan", parents=[common], help="purity scan over a coefficient grid (CSV)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a1", required=True, help="range, e.g. 0..4")
-    p.add_argument("--a2", required=True, help="range, e.g. 0..4")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_scan)
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, with the prog, usage and help its subparser has."""
+    p = argparse.ArgumentParser(prog=f"asympure {command}")
+    _add_flags(p, command)
+    return p
 
-    p = sub.add_parser("verify", parents=[common], help="cross-check the engines and any cache")
-    p.add_argument("--suite", choices=("small", "full"), default="small")
-    p.add_argument("--cache", metavar="PATH", default=None, help="cache file to audit")
-    p.set_defaults(handler=cmd_verify)
 
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="asympure",
+        description="Exact cohomology growth and asymptotic purity calculations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, text in COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=text), command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # basicConfig acts only once per process, so the level is set on every call
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # reported by the top-level parser, as its parse_args does
+            _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = _build_parser().parse_args(argv)
+    # basicConfig acts only once per process, so the level is checked on every call;
+    # setLevel clears every logger's level cache, so it runs only on a change
     logging.basicConfig(format="%(name)s: %(message)s")
-    logging.getLogger("asympure").setLevel(logging.DEBUG if args.verbose else logging.WARNING)
+    logger = logging.getLogger("asympure")
+    level = logging.DEBUG if args.verbose else logging.WARNING
+    if logger.level != level:
+        logger.setLevel(level)
     try:
         return args.handler(args)
     except SizeCapError as exc:

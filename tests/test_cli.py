@@ -366,21 +366,65 @@ class TestExitCodes:
         assert not cache.exists()
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
-        from asympure import cli
-
+        # each command's own parser is built on its first call; the top-level parser
+        # only for an argv whose first item names no command
         built = []
         real_init = argparse.ArgumentParser.__init__
 
         def counting_init(self, *args, **kwargs):
-            built.append(self)
+            built.append(kwargs.get("prog"))
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._command_parser.cache_clear()
         cli._build_parser.cache_clear()
         run(capsys, "bott", "--n", "2", "--d", "-4")
-        first = len(built)
+        assert built == ["asympure bott"]
+        run(capsys, "bott", "--n", "2", "--d", "-4")
+        assert built == ["asympure bott"]
         run(capsys, "predict", "--n", "2", "--k", "1", "--A", "9", "--B", "3")
-        assert first > 1 and len(built) == first
+        assert built == ["asympure bott", "asympure predict"]
+        for argv in (["-h"], ["bogus"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        # the top-level parser and its subparsers, once
+        assert built[2:] == ["asympure"] + [f"asympure {command}" for command in cli.COMMANDS]
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], [], ["bogus"], ["--format", "json", "bott"],
+        *([command, "-h"] for command in cli.COMMANDS),
+        ["bott", "--n", "2"],
+        ["bott", "--n", "x", "--d", "1"],
+        ["bott", "--n", "2", "--d", "1", "--bogus"],
+        ["bott", "--n", "2", "--d", "1", "extra", "--more"],
+        ["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1", "--operator", "special",
+         "--operator-file", "op.json"],
+        ["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "0..2", "--cache", "x"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_argparse_exits_as_the_top_level_parser_does(self, capsys, argv):
+        # a command's own parser prints and exits as its subparser of the top-level
+        # parser does, and what is left over is the top-level parser's error
+        with pytest.raises(SystemExit) as direct:
+            main(argv)
+        got = direct.value.code, *capsys.readouterr()
+        with pytest.raises(SystemExit) as top:
+            cli._build_parser().parse_args(argv)
+        assert got == (top.value.code, *capsys.readouterr())
+        code, out, err = got
+        assert (code, bool(out), bool(err)) == ((0, True, False) if "-h" in argv else (2, False, True))
+        assert (out or err).startswith("usage: asympure ")
+
+    def test_leftover_arguments_are_the_top_level_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bott", "--n", "2", "--d", "1", "--bogus"])
+        captured = capsys.readouterr()
+        assert (err.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: asympure [-h]")
+        assert captured.err.endswith("asympure: error: unrecognized arguments: --bogus\n")
+
+    def test_an_abbreviated_flag_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "bott", "--n", "2", "--d", "1", "--siz", "5", "--format", "json")
+        assert code == 0 and '"size_cap":5' in out
 
     def test_verbose_is_honoured_on_every_in_process_call(self, capsys, caplog):
         argv = ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "2"]
@@ -392,12 +436,38 @@ class TestExitCodes:
         assert lines[0] == lines[2] == []
         assert len(lines[1]) == 1 and lines[1][0].startswith("rank 45 of 45x60 matrix: ")
 
+    def test_the_level_is_set_only_when_it_changes(self, capsys, monkeypatch):
+        # setLevel clears every logger's level cache, so a call that keeps the level skips it
+        logging.getLogger("asympure").setLevel(logging.WARNING)
+        levels = []
+        real_set_level = logging.Logger.setLevel
+
+        def spy(self, level):
+            levels.append((self.name, level))
+            real_set_level(self, level)
+
+        monkeypatch.setattr(logging.Logger, "setLevel", spy)
+        argv = ["bott", "--n", "2", "--d", "-4"]
+        for flags in ([], ["--verbose"], ["--verbose"], [], []):
+            assert run(capsys, *argv, *flags)[0] == 0
+        assert levels == [("asympure", logging.DEBUG), ("asympure", logging.WARNING)]
+
     def test_import_loads_no_numpy(self):
         # a fresh interpreter: the package and its CLI need no third-party module
         src = os.path.dirname(os.path.dirname(asympure.__file__))
         script = "import sys, asympure, asympure.cli; sys.exit('numpy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+    def test_only_verify_imports_the_suite(self):
+        # a fresh interpreter: the other commands never load asympure.verify
+        src = os.path.dirname(os.path.dirname(asympure.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, loaded in ((["bott", "--n", "2", "--d", "-4"], False), (["verify"], True)):
+            script = ("import io, sys, contextlib; from asympure.cli import main\n"
+                      f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+                      "sys.exit('asympure.verify' in sys.modules)")
+            assert subprocess.run([sys.executable, "-c", script], env=env).returncode == loaded
 
     def test_unknown_operator_exits_2(self, capsys):
         # the empty name too: it names no operator, so it is not the special one
@@ -707,6 +777,60 @@ class TestCache:
             assert out.endswith("1 check(s) failed\n")
         assert not missing.parent.exists()
 
+    def test_a_directory_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bott", "--n", "2", "--d", "1", "--cache", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_a_call_opens_the_file_once(self, capsys, monkeypatch, tmp_path):
+        # a miss on no file, a hit, and a miss on a file each open it once, and only open it
+        from asympure import cache as cache_module
+
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        class WatchedPath(type(tmp_path)):
+            def exists(self, *args, **kwargs):
+                raise AssertionError("the cache looked at its file before opening it")
+
+            read_bytes = exists
+
+        monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+        monkeypatch.setattr(cache_module, "Path", WatchedPath)
+        cache = tmp_path / "cache.jsonl"
+        argv = ["bott", "--n", "2", "--d", "-4", "--cache", str(cache)]
+        miss, hit = run(capsys, *argv), run(capsys, *argv)
+        assert miss[0] == 0 and miss == hit
+        assert run(capsys, "bott", "--n", "2", "--d", "-5", "--cache", str(cache))[0] == 0
+        assert opened == [cache] * 3
+
+    def test_verbose_logs_each_get_and_put(self, capsys, caplog, monkeypatch, tmp_path):
+        from asympure import cache as cache_module
+
+        cache = tmp_path / "cache.jsonl"
+        argv = ["bott", "--n", "2", "--d", "-4", "--cache", str(cache)]
+        miss, hit = run(capsys, *argv, "--verbose"), run(capsys, *argv, "--verbose")
+        assert miss == hit and miss[0] == 0
+        size = len(cache.read_bytes())
+        records = [r for r in caplog.records if r.name == "asympure.cache"]
+        assert [(r.getMessage(), r.key, r.hit, r.bytes) for r in records] == [
+            (f"get {KEY}: miss", KEY, False, 0),
+            (f"put {KEY}: {size} bytes", KEY, False, size),
+            (f"get {KEY}: hit, {size} bytes", KEY, True, size),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache record was built with DEBUG off")
+
+        monkeypatch.setattr(cache_module.logger, "debug", refuse)
+        caplog.clear()
+        cache.unlink()
+        assert [run(capsys, *argv) for _ in range(2)] == [hit] * 2
+        assert caplog.records == []
+
     def test_put_is_one_write_on_an_append_descriptor(self, monkeypatch, tmp_path):
         from asympure import cache as cache_module
 
@@ -842,6 +966,29 @@ class TestCachedCommands:
 
         monkeypatch.setattr(cli, "_stringify", refuse)
         assert [run(capsys, *argv) for argv in argvs] == misses
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_each_format_renders_only_itself(self, capsys, monkeypatch, tmp_path, fmt):
+        # JSON builds neither the CSV cells nor the table, CSV no table, a table no cell:
+        # without a cache, on a miss and on a hit
+        cache = str(tmp_path / "cache.jsonl")
+        argvs = [argv + ["--format", fmt] + extra
+                 for argv, _ in CACHED_CALLS.values() for extra in ([], ["--cache", cache])]
+        expected = [run(capsys, *argv) for argv in argvs]
+        (tmp_path / "cache.jsonl").unlink()
+
+        def refuse(*args):
+            raise AssertionError(f"--format {fmt} rendered another format")
+
+        if fmt != "csv":
+            monkeypatch.setattr(cli, "_csv_cell", refuse)
+        if fmt != "table":
+            for command, entry in list(cli.CACHED.items()):
+                monkeypatch.setitem(cli.CACHED, command, entry._replace(table=refuse))
+        outputs = [run(capsys, *argv) for argv in argvs]
+        outputs += [run(capsys, *argv) for argv in argvs if "--cache" in argv]  # the hits
+        assert outputs == expected + expected[1::2]
+        assert all(code == 0 for code, _, _ in outputs)
 
     def test_every_cached_record_verifies(self, capsys, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -18,11 +18,17 @@ back into its fields and re-runs the same computation, failing loudly on
 any mismatch.  Only series, scan and verify declare their flags by hand.
 
 A call does only its own command's work.  When argv starts with a command,
-that command's parser alone parses it, built on first use and kept for the
-process; the top-level parser, with all nine subparsers, is built only for
-any other argv (none, -h, an unknown command) and to report arguments left
-over, so help, usage and errors read as before.  Each format is rendered only
-when asked for, and only `verify` imports the verify suite.
+that command's parser is built on first use and kept for the process, with a
+flag table read off its actions.  An argv of exact flags, each given once
+with its value, is parsed from the table alone: each value is converted by
+its flag's type and checked against its choices, and the Namespace equals
+argparse's.  Any other argv of the command (help, an abbreviation,
+--flag=value, a repeat, a bad value, a leftover) goes to the command's
+argparse parser.  The top-level parser, with all nine subparsers, is built
+only for an argv that starts with no command (none, -h, an unknown command)
+and to report arguments left over, so help, usage and errors are argparse's
+own.  Each format is rendered only when asked for, and only `verify` imports
+the verify suite.
 
 Exit codes: 0 success, 1 verification or purity mismatch, 2 usage error,
 3 size cap exceeded.
@@ -460,12 +466,12 @@ def _size_cap(text: str) -> int:
     return value
 
 
-def _add_operator_flags(p: argparse.ArgumentParser) -> None:
+def _add_operator_flags(p: argparse.ArgumentParser) -> tuple[argparse.Action, ...]:
     # None means special: argparse counts a flag as given only when its value is not
     # the default object, and an in-process argv may hold the interned "special"
     flags = p.add_mutually_exclusive_group()
-    flags.add_argument("--operator", default=None)
-    flags.add_argument("--operator-file", default=None)
+    return (flags.add_argument("--operator", default=None),
+            flags.add_argument("--operator-file", default=None))
 
 
 # every command with its help line, in the order `asympure -h` lists them
@@ -477,48 +483,119 @@ COMMANDS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """Give p the flags and the handler of command: the one definition both parsers use."""
-    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p.add_argument("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
+def _add_flags(p: argparse.ArgumentParser, command: str) -> list[tuple[argparse.Action, ...]]:
+    """Give p the flags and the handler of command: the one definition both parsers use.
+
+    Returns the flags' actions in the order they were added, grouped so that
+    an argv may give at most one flag of each group: the two operator flags
+    form one group, every other flag a group of its own.
+    """
+    groups = []
+
+    def flag(*args, **kwargs):
+        groups.append((p.add_argument(*args, **kwargs),))
+
+    flag("--format", choices=("json", "csv", "table"), default="table")
+    flag("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP)
+    flag("--seed", type=int, default=0)
+    flag("--verbose", action="store_true")
     if command in CACHED:
         for field in CACHED[command].fields:
             if field == "op":
-                _add_operator_flags(p)
+                groups.append(_add_operator_flags(p))
             else:
-                p.add_argument(f"--{field}", type=int, required=True)
-        p.add_argument("--cache", metavar="PATH", default=None)
+                flag(f"--{field}", type=int, required=True)
+        flag("--cache", metavar="PATH", default=None)
         p.set_defaults(handler=cmd_cached)
     elif command == "series":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--a1", type=int, required=True)
-        p.add_argument("--a2", type=int, required=True)
-        p.add_argument("--m", required=True, help="range, e.g. 2..8")
-        p.add_argument("--engine", choices=("rep", "oracle"), default="rep")
-        _add_operator_flags(p)
+        flag("--n", type=int, required=True)
+        flag("--k", type=int, required=True)
+        flag("--a1", type=int, required=True)
+        flag("--a2", type=int, required=True)
+        flag("--m", required=True, help="range, e.g. 2..8")
+        flag("--engine", choices=("rep", "oracle"), default="rep")
+        groups.append(_add_operator_flags(p))
         p.set_defaults(handler=cmd_series)
     elif command == "scan":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--a1", required=True, help="range, e.g. 0..4")
-        p.add_argument("--a2", required=True, help="range, e.g. 0..4")
-        p.add_argument("--out", default=None)
+        flag("--n", type=int, required=True)
+        flag("--k", type=int, required=True)
+        flag("--a1", required=True, help="range, e.g. 0..4")
+        flag("--a2", required=True, help="range, e.g. 0..4")
+        flag("--out", default=None)
         p.set_defaults(handler=cmd_scan)
     else:
-        p.add_argument("--suite", choices=("small", "full"), default="small")
-        p.add_argument("--cache", metavar="PATH", default=None, help="cache file to audit")
+        flag("--suite", choices=("small", "full"), default="small")
+        flag("--cache", metavar="PATH", default=None, help="cache file to audit")
         p.set_defaults(handler=cmd_verify)
+    return groups
+
+
+class _CommandParser(NamedTuple):
+    """A command's argparse parser and the flag table read off its actions.
+
+    flags maps each exact option string to its action and the index of its
+    group; defaults is the Namespace that `parse_known_args` starts from, in
+    its order: the command, every flag's default, then the handler.  The table
+    reads only the documented attributes of the actions `add_argument`
+    returns, and `get_default`, no private attribute of argparse.
+    """
+
+    parser: argparse.ArgumentParser
+    flags: dict[str, tuple[argparse.Action, int]]
+    required: frozenset[int]
+    defaults: dict
+
+    def parse_plain(self, words: list[str]) -> argparse.Namespace | None:
+        """The Namespace `parse_known_args` gives a well-formed argv, else None.
+
+        Well-formed: each word is an exact flag of a group not given before,
+        then its value unless the flag takes none; each value passes its
+        flag's type and choices; every required flag is given.
+        """
+        values = dict(self.defaults)
+        given = set()
+        rest = iter(words)
+        for word in rest:
+            action, group = self.flags.get(word, (None, None))
+            if action is None or group in given:
+                return None
+            given.add(group)
+            if action.nargs == 0:
+                values[action.dest] = action.const
+                continue
+            text = next(rest, None)
+            # argparse may read a word that starts with '-' as a flag; the table takes one as
+            # a value only if it is an ASCII integer, a negative number to argparse, since no
+            # flag here looks like one
+            if text is None or text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if not self.required <= given:
+            return None
+        return argparse.Namespace(**values)
 
 
 @functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command, with the prog, usage and help its subparser has."""
+def _command_parser(command: str) -> _CommandParser:
+    """One command's parser, with the prog, usage and help its subparser has, and its table."""
     p = argparse.ArgumentParser(prog=f"asympure {command}")
-    _add_flags(p, command)
-    return p
+    groups = _add_flags(p, command)
+    flags = {option: (action, group)
+             for group, actions in enumerate(groups)
+             for action in actions for option in action.option_strings}
+    required = frozenset(group for group, actions in enumerate(groups)
+                         if any(action.required for action in actions))
+    # no flag here has a string default with a type, which argparse would convert
+    defaults = {"command": command,
+                **{action.dest: action.default for actions in groups for action in actions},
+                "handler": p.get_default("handler")}
+    return _CommandParser(p, flags, required, defaults)
 
 
 @functools.cache
@@ -537,10 +614,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:  # reported by the top-level parser, as its parse_args does
-            _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        command = _command_parser(argv[0])
+        args = command.parse_plain(argv[1:])
+        if args is None:  # help, an error or a rare form: argparse parses it
+            args, extra = command.parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:  # reported by the top-level parser, as its parse_args does
+                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     else:
         args = _build_parser().parse_args(argv)
     # basicConfig acts only once per process, so the level is checked on every call;

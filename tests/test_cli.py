@@ -1042,3 +1042,131 @@ class TestCachedCommands:
         for key in keys:
             assert f"FAIL - cache key {key}: cannot recompute (" in out
         assert f"{len(keys)} check(s) failed" in out
+
+
+def table_parse_corpus() -> list[list[str]]:
+    """Well-formed argvs: the benchmark's cached calls and the other commands' common forms."""
+    pool = [["bott", "--n", n, "--d", d] for n in range(1, 6) for d in range(-10, 12)]
+    pool += [["product", "--n", n, "--a1", a1, "--a2", a2]
+             for n in range(1, 5) for a1 in range(-3, 4) for a2 in range(-3, 4)]
+    pool += [["predict", "--n", n, "--k", k, "--A", A, "--B", B]
+             for n in range(1, 4) for k in (1, 2) for A in range(6) for B in range(k, k + 6)]
+    pool += [["asymptotics", "--n", n, "--k", k, "--a1", a1, "--a2", a2]
+             for n in range(1, 5) for k in (1, 2) for a1 in range(4) for a2 in range(5)]
+    pool += [["decompose", "--n", n, "--A", A, "--B", B]
+             for n in range(1, 4) for A in range(-1, 4) for B in range(4)]
+    pool += [["oracle", "--n", n, "--k", k, "--A", A, "--B", B]
+             for n in (1, 2) for k in (1, 2) for A in range(-1, 3) for B in range(k, k + 3)]
+    pool = [[str(word) for word in argv] for argv in pool]
+    # each optional flag set, in each format, before and after the required flags
+    optional = [["--cache", "cache.jsonl"], ["--verbose"], ["--size-cap", "5"], ["--seed", "-3"]]
+    corpus = []
+    for index, argv in enumerate(argv + ["--format", fmt] for argv in pool for fmt in FORMATS):
+        extra = [word for bit, flag in enumerate(optional) if index >> bit & 1 for word in flag]
+        corpus.append(argv + extra if index % 32 < 16 else argv[:1] + extra + argv[1:])
+    oracle = ["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1"]
+    series = ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "2..4"]
+    scan = ["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "-1", "--out", "grid.csv"]
+    corpus += [
+        oracle + ["--operator", "special"], oracle + ["--operator-file", "op.json"],
+        oracle + ["--operator", "-4"], oracle + ["--operator", ""],
+        series, series + ["--engine", "rep"], series + ["--engine", "oracle"],
+        series + ["--engine", "oracle", "--operator", "special"],
+        series + ["--engine", "oracle", "--operator-file", "op.json", "--format", "json"],
+        scan, scan + ["--format", "csv", "--verbose", "--seed", "7"],
+        ["verify"], ["verify", "--suite", "full"], ["verify", "--suite", "small", "--cache", "c"],
+        ["verify", "--cache", "c", "--verbose", "--size-cap", "0"],
+    ]
+    return corpus
+
+
+# forms the table declines, each with the well-formed argv it means or None for an error
+DECLINED = {
+    "help": (["bott", "-h"], None),
+    "long help": (["bott", "--n", "2", "--help"], None),
+    "abbreviation": (["bott", "--n", "2", "--d", "1", "--siz", "5"],
+                     ["bott", "--n", "2", "--d", "1", "--size-cap", "5"]),
+    "flag=value": (["bott", "--n=2", "--d=1", "--size-cap=5"],
+                   ["bott", "--n", "2", "--d", "1", "--size-cap", "5"]),
+    "repeated flag": (["bott", "--n", "3", "--n", "2", "--d", "1"],
+                      ["bott", "--n", "2", "--d", "1"]),
+    "double dash": (["bott", "--n", "2", "--d", "1", "--", "x"], None),
+    "missing value": (["bott", "--n", "2", "--d"], None),
+    "value like a flag": (["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1",
+                           "--operator", "-x"], None),
+    "bad int": (["bott", "--n", "x", "--d", "1"], None),
+    "negative non-integer": (["bott", "--n", "2", "--d", "-1.5"], None),
+    "bad choice": (["bott", "--n", "2", "--d", "1", "--format", "xml"], None),
+    "negative size cap": (["bott", "--n", "2", "--d", "1", "--size-cap", "-1"], None),
+    "two operators": (["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1",
+                       "--operator", "special", "--operator-file", "op.json"], None),
+    "missing required flag": (["bott", "--n", "2"], None),
+    "leftover word": (["bott", "--n", "2", "--d", "1", "extra"], None),
+    "unknown flag": (["bott", "--n", "2", "--d", "1", "--bogus"], None),
+}
+
+# a well-formed argv of each command
+WELL_FORMED = [
+    ["bott", "--n", "2", "--d", "-4"],
+    ["product", "--n", "2", "--a1", "2", "--a2", "-4", "--format", "csv"],
+    ["decompose", "--n", "2", "--A", "3", "--B", "3", "--format", "json"],
+    ["predict", "--n", "2", "--k", "1", "--A", "3", "--B", "3"],
+    ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "3", "--operator", "special"],
+    ["asymptotics", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--seed", "4"],
+    ["series", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1", "--m", "3..4"],
+    ["scan", "--n", "2", "--k", "1", "--a1", "0..2", "--a2", "0..2", "--verbose"],
+    ["verify", "--suite", "small"],
+]
+
+
+class TestTableParse:
+    def test_the_table_parse_equals_argparse(self):
+        corpus = table_parse_corpus()
+        assert len(corpus) > 2300
+        differ = []
+        for argv in corpus:
+            command = cli._command_parser(argv[0])
+            args, extra = command.parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            parsed = command.parse_plain(argv[1:])
+            if extra or parsed is None or vars(parsed) != vars(args):
+                differ.append(argv)
+        assert differ == []
+
+    @pytest.mark.parametrize("form", sorted(DECLINED))
+    def test_a_declined_form_reaches_argparse_once(self, capsys, monkeypatch, form):
+        argv, meaning = DECLINED[form]
+        assert cli._command_parser(argv[0]).parse_plain(argv[1:]) is None
+        if meaning is None:  # the error or the help, as the top-level parser words it
+            with pytest.raises(SystemExit) as top:
+                cli._build_parser().parse_args(argv)
+            expected = (top.value.code, *capsys.readouterr())
+        else:
+            expected = run(capsys, *meaning)
+        calls = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        if meaning is None:
+            with pytest.raises(SystemExit) as direct:
+                main(argv)
+            got = (direct.value.code, *capsys.readouterr())
+        else:
+            got = run(capsys, *argv)
+        assert calls == [f"asympure {argv[0]}"]
+        assert got == expected
+
+    def test_a_well_formed_argv_calls_no_argparse_parse(self, capsys, monkeypatch):
+        assert [argv[0] for argv in WELL_FORMED] == list(cli.COMMANDS)
+        expected = [run(capsys, *argv) for argv in WELL_FORMED]
+        assert all(code == 0 for code, _, _ in expected)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a well-formed argv reached argparse")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert [run(capsys, *argv) for argv in WELL_FORMED] == expected

@@ -15,7 +15,8 @@ draw their table from the payload.  Their flags are generated from the
 fields, one handler serves all six, and each can keep its results in a
 JSON-lines cache with --cache.  `verify --cache` parses every stored key
 back into its fields and re-runs the same computation, failing loudly on
-any mismatch.  Only series, scan and verify declare their flags by hand.
+any mismatch and on a key that no call writes.  Only series, scan and
+verify declare their flags by hand.
 
 A call does only its own command's work.  When argv starts with a command,
 that command's parser is built on first use and kept for the process, with a
@@ -297,8 +298,17 @@ CACHED = {
 }
 
 
+def _cache_key(command: str, params: dict) -> str:
+    """The key name:field=value,... of a cached command's params, in key order."""
+    return f"{command}:" + ",".join(f"{name}={value}" for name, value in params.items())
+
+
 def _parse_key(key: str) -> tuple[Cached, dict]:
-    """Split name:field=value,... into its registry entry and typed fields."""
+    """Split name:field=value,... into its registry entry and typed fields.
+
+    The key must be one a call writes, since no call reads any other: re-formed
+    from its fields, with `op` as its operator's canonical_key, it is the same.
+    """
     command, _, rest = key.partition(":")
     if command not in CACHED:
         raise ValueError(f"unknown cache key prefix {command!r}")
@@ -306,7 +316,13 @@ def _parse_key(key: str) -> tuple[Cached, dict]:
     pairs = [part.partition("=") for part in rest.split(",")]
     if [name for name, _, _ in pairs] != list(entry.fields):
         raise ValueError(f"expected the fields {','.join(entry.fields)}")
-    return entry, {name: text if name == "op" else int(text) for name, _, text in pairs}
+    params = {name: text if name == "op" else int(text) for name, _, text in pairs}
+    if params.get("op", "special") != "special":
+        params["op"] = ContractionOperator.from_canonical_key(params["op"]).canonical_key()
+    canonical = _cache_key(command, params)
+    if canonical != key:
+        raise ValueError(f"a call writes this record under the key {canonical}")
+    return entry, params
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +350,7 @@ def cmd_cached(args) -> int:
         name: _operator_key(args) if name == "op" else getattr(args, name)
         for name in entry.fields
     }
-    key = f"{args.command}:" + ",".join(f"{name}={params[name]}" for name in entry.fields)
+    key = _cache_key(args.command, params)
     cache = ResultCache(args.cache) if args.cache else None
     result = cache.get(key) if cache is not None else None
     if result is None:

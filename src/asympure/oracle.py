@@ -31,19 +31,19 @@ rows and columns do not depend on w beyond min(w, B), nor on A or the code
 base.  exact_rank keeps each ranked block's facts (shape, rank, route,
 column order), never its entries, in one table per (op, B) keyed by
 min(w, B), and every later class with that key reads them instead of
-building and ranking its block again.  The blocks themselves are built on
-first read of matrix.blocks, and the full column list only when something
-reads matrix.columns: the golden layout, to_dense, nnz, and operators that
-do not preserve weight, which fall back to the connected components of the
-sparsity pattern.  Every rank
-is a proof, by one of three routes (exact_rank states the rule): a block whose
-shorter side's vectors lead at distinct positions is already in echelon
-form and needs no arithmetic; any other block of full rank modulo the small
-fixed prime 2039 is proven by that elimination, and a deficient one by
-Bareiss elimination.  Modular eliminations run in pure Python with each row
-packed into one integer (see _rank_mod_p), from whichever end of the block
-its vectors' first or last nonzero positions are the more distinct, as read
-by the certificate's single pass.
+building and ranking its block again.  So a block is built only when its
+key is new, and the full column list only when something reads
+matrix.columns: the golden layout, to_dense, nnz, and operators that do not
+preserve weight, which are ranked on the connected components of the
+sparsity pattern.  Every rank is a proof, by one of three routes
+(exact_rank states the rule): a block whose shorter side's vectors lead at
+distinct positions is already in echelon form and needs no arithmetic; any
+other block of full rank modulo the small fixed prime 2039 is proven by
+that elimination, and a deficient one by Bareiss elimination.  Modular
+eliminations run in pure Python with each row packed into one integer (see
+_rank_mod_p), from whichever end of the block its vectors' first or last
+nonzero positions are the more distinct, as read by the certificate's
+single pass.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -69,16 +69,18 @@ logger = logging.getLogger(__name__)
 
 # Exponent tuple of a monomial; its degree is the sum of the entries.
 Monomial = tuple[int, ...]
-# One block of a matrix in its own indices: (row, column, value) entries,
-# (rows, cols) counting nonempty ones only, and how many blocks of the same
-# rank it stands for.
-Block = tuple[list[tuple[int, int, int]], tuple[int, int], int]
+# One block of a matrix in its own indices: (row, column, value) entries and
+# (rows, cols), counting nonempty ones only.
+Block = tuple[list[tuple[int, int, int]], tuple[int, int]]
 # Per source v's code, its hits (alpha's code, beta's code, value); see _hit_table.
 HitTable = dict[int, tuple[tuple[int, int, int], ...]]
 # One orbit representative weight w of a map: (w's code, orbit size, min(w, B)).
 WeightClass = tuple[int, int, Monomial]
 # What exact_rank keeps of a ranked block: ((rows, cols), rank, route, from_last).
 BlockFacts = tuple[tuple[int, int], int, str, bool]
+# What build_matrix records of a map that preserves weight: the _block_facts
+# table of (op, B), the map's classes, and a function from w's code to its Block.
+WeightClasses = tuple[dict[Monomial, BlockFacts], tuple[WeightClass, ...], Callable[[int], Block]]
 
 DEFAULT_SIZE_CAP = 200_000
 
@@ -263,28 +265,17 @@ class SparseIntMatrix:
     each in range(rows); ValueError otherwise.  columns may instead be passed as a
     function of no arguments that returns them: it is called the first
     time columns is read, its result kept and not checked.  build_matrix
-    passes one, so a rank taken on the blocks never builds the columns.
-    blocks, when set, holds one Block per orbit of weight blocks: the
-    representative block and the number of blocks in its orbit, all of the
-    same rank.  Blocks share no rows, and the orbits cover every
-    nonempty column; None means the block structure is unknown.  blocks may
-    likewise be passed as a function, called the first time blocks is read
-    and its result kept.  build_matrix passes one, and exact_rank does not
-    read it on such a matrix: it ranks the weight classes instead (see
-    _weight_classes), building only the blocks the process has not ranked.
+    passes one, so a rank taken on the weight classes never builds the
+    columns.  build_matrix also passes the WeightClasses of an operator
+    that preserves weight; exact_rank ranks those classes, or, when
+    weight_classes is None, the connected components of the columns.
     """
-
-    # Set by build_matrix when op preserves weight: the _block_facts table of
-    # (op, B), the map's classes, and a function from w's code to its block.
-    _weight_classes: (
-        tuple[dict[Monomial, BlockFacts], tuple[WeightClass, ...], Callable] | None
-    ) = None
 
     def __init__(
         self,
         shape: tuple[int, int],
         columns: tuple[tuple[tuple[int, int], ...], ...] | Callable,
-        blocks: tuple[Block, ...] | Callable | None = None,
+        weight_classes: WeightClasses | None = None,
     ):
         if not callable(columns):
             if len(columns) != shape[1]:
@@ -297,19 +288,13 @@ class SparseIntMatrix:
                     raise ValueError(f"column {j} repeats a row: {rows}")
         self.shape = shape
         self._columns = columns
-        self._blocks = blocks
+        self._weight_classes = weight_classes
 
     @property
     def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         if callable(self._columns):
             self._columns = self._columns()
         return self._columns
-
-    @property
-    def blocks(self) -> tuple[Block, ...] | None:
-        if callable(self._blocks):
-            self._blocks = self._blocks()
-        return self._blocks
 
     @property
     def nnz(self) -> int:
@@ -333,14 +318,13 @@ def build_matrix(
     space is zero); that case carries real content for small multiples in
     series scans.  Bases follow the graded-lex contract, and the size cap
     applies to the full bases.  When op preserves weight, build_matrix
-    records each orbit representative weight w with its orbit's size and its
-    key min(w, B), and the block-facts table of (op, B), for exact_rank; the
-    representative blocks (SparseIntMatrix.blocks) are built the first time
-    matrix.blocks is read, and the full column list the first time
-    matrix.columns is read.  All are read off tables kept across calls, each
-    built once per key: the monomial codes per (n, degree, base), the per-v
-    hits per (op, B, base) and the orbit representatives per (op, A + B), so
-    maps of one operator share them.
+    passes exact_rank its WeightClasses: each orbit representative weight w
+    with its orbit's size and its key min(w, B), the block-facts table of
+    (op, B), and a function that builds a class's block.  The full column
+    list is built the first time matrix.columns is read.  All are read off
+    tables kept across calls, each built once per key: the monomial codes
+    per (n, degree, base), the per-v hits per (op, B, base) and the orbit
+    representatives per (op, A + B), so maps of one operator share them.
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -354,19 +338,17 @@ def build_matrix(
     base = _code_base(k, A + B)
     hits = _hit_table(op, B, base)
     orbits = _orbit_representatives(op, A + B)
-    columns = partial(_build_columns, op, A, B, base, hits)
-    if orbits is None:
-        return SparseIntMatrix((dim_target, dim_source), columns)
-    u_codes = _basis_codes(n, A, base)
-    classes = tuple(
-        (w_code, multiplicity, tuple([e if e < B else B for e in w]))
-        for w_code, multiplicity, w in orbits
+    weight_classes = None
+    if orbits is not None:
+        classes = tuple(
+            (w_code, multiplicity, tuple([e if e < B else B for e in w]))
+            for w_code, multiplicity, w in orbits
+        )
+        weight_block = partial(_weight_block, _basis_codes(n, A, base), hits)
+        weight_classes = (_block_facts(op, B), classes, weight_block)
+    return SparseIntMatrix(
+        (dim_target, dim_source), partial(_build_columns, op, A, B, base, hits), weight_classes
     )
-    matrix = SparseIntMatrix(
-        (dim_target, dim_source), columns, partial(_representative_blocks, u_codes, hits, classes)
-    )
-    matrix._weight_classes = (_block_facts(op, B), classes, partial(_weight_block, u_codes, hits))
-    return matrix
 
 
 # Each monomial is coded as an integer in a base above every exponent that
@@ -502,9 +484,7 @@ def _orbit_representatives(
     return tuple(reps)
 
 
-def _weight_block(
-    u_codes: tuple[int, ...], hits: HitTable, w_code: int
-) -> tuple[list[tuple[int, int, int]], tuple[int, int]]:
+def _weight_block(u_codes: tuple[int, ...], hits: HitTable, w_code: int) -> Block:
     """The entries and (rows, cols) of the weight-w block; (0, 0) when it is empty.
 
     The block of weight w has as columns the source pairs (u, w - u) with
@@ -524,18 +504,6 @@ def _weight_block(
                 entries.append((rows.setdefault(u_code + a, len(rows)), col, val))
             col += 1
     return entries, (len(rows), col)
-
-
-def _representative_blocks(
-    u_codes: tuple[int, ...], hits: HitTable, classes: Iterable[WeightClass]
-) -> tuple[Block, ...]:
-    """The nonempty weight blocks of the classes, in their order."""
-    blocks = []
-    for w_code, multiplicity, _ in classes:
-        entries, shape = _weight_block(u_codes, hits, w_code)
-        if shape[1]:
-            blocks.append((entries, shape, multiplicity))
-    return tuple(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -610,12 +578,12 @@ def _connected_components(
 
 
 def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
-    """The connected components as blocks, each of multiplicity one."""
+    """The connected components as blocks."""
     columns, blocks = matrix.columns, []
     for rows, cols in _connected_components(matrix):
         local = {r: i for i, r in enumerate(rows)}
         entries = [(local[r], j, val) for j, c in enumerate(cols) for r, val in columns[c]]
-        blocks.append((entries, (len(rows), len(cols)), 1))
+        blocks.append((entries, (len(rows), len(cols))))
     return blocks
 
 
@@ -784,11 +752,10 @@ def exact_rank(
 
     The matrix is split into blocks that share no rows: the orbit
     representative weight blocks of build_matrix, each counted with its
-    orbit's multiplicity, or the blocks passed as matrix.blocks, or else
-    the connected components of the sparsity pattern, found from
-    matrix.columns.  The rank is the sum of multiplicity x block rank, and
-    each block is ranked by the first of three routes that applies, all
-    proofs:
+    orbit's multiplicity, or else the connected components of the sparsity
+    pattern, found from matrix.columns, each counted once.  The rank is the
+    sum of multiplicity x block rank, and each block is ranked by the first
+    of three routes that applies, all proofs:
 
     1. A block whose shorter side's vectors have distinct first nonzero
        positions, or distinct last ones, is in echelon form once they are
@@ -808,7 +775,7 @@ def exact_rank(
     (shape, rank, route, column order) are kept in the _block_facts table
     of (op, B) under top = min(w, B), which determines the block, and a
     later class with the same key reads them there without building its
-    block or matrix.blocks.  The DEBUG record counts those classes in the
+    block.  The DEBUG record counts those classes in the
     field shared, and columns_built counts only the columns of the blocks
     built in this call, so both depend on the calls before; its other
     counts are the same either way.
@@ -816,8 +783,10 @@ def exact_rank(
     seed and exact_limit are accepted for older callers and ignored.
     """
     dim_target, dim_source = matrix.shape
-    weight_classes, blocks = matrix._weight_classes, None
-    if weight_classes is not None:
+    weight_classes = matrix._weight_classes
+    if weight_classes is None:
+        ranked = [(_rank_block(*block), 1, False) for block in _component_blocks(matrix)]
+    else:
         table, classes, weight_block = weight_classes
         ranked = []  # (facts, multiplicity, shared) of each class
         for w_code, multiplicity, top in classes:
@@ -827,11 +796,6 @@ def exact_rank(
                 ranked.append((facts, multiplicity, False))
             else:
                 ranked.append((facts, multiplicity, True))
-    else:
-        blocks = matrix.blocks
-        ranked = [(_rank_block(entries, shape), multiplicity, False)
-                  for entries, shape, multiplicity
-                  in (_component_blocks(matrix) if blocks is None else blocks)]
     rank = nblocks = shared = from_last = columns = 0
     routes = {"echelon": 0, "modular": 0, "bareiss": 0}
     largest = (0, 0)
@@ -845,7 +809,7 @@ def exact_rank(
             from_last += reverse
             largest = max(largest, shape, key=prod)
     # the components are found from every column
-    built = dim_source if weight_classes is None and blocks is None else columns
+    built = dim_source if weight_classes is None else columns
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "

@@ -1037,6 +1037,26 @@ class TestCachedCommands:
                 f"oracle:n=3,k=1,A=2,B=2,op={n2_operator}"]
         for key in keys:
             cache.put(key, {"rank": "0"})
+        # keys that no call writes, each holding the value its canonical call
+        # writes: integers not in plain decimal, and an operator's terms swapped
+        operator = tmp_path / "op.json"
+        operator.write_text(json.dumps({"n": 2, "k": 1, "terms": [
+            {"coeff": 1, "alpha": [1, 0, 0], "beta": [1, 0, 0]},
+            {"coeff": 1, "alpha": [0, 1, 0], "beta": [0, 1, 0]},
+        ]}))
+        canonical = tmp_path / "canonical.jsonl"
+        for argv in (["bott", "--n", "2", "--d", "1"],
+                     ["oracle", "--n", "2", "--k", "1", "--A", "2", "--B", "1",
+                      "--operator-file", str(operator)]):
+            assert run(capsys, *argv, "--cache", str(canonical))[0] == 0
+        (_, bott), (oracle_key, rank) = ResultCache(canonical).items()
+        assert oracle_key == "oracle:n=2,k=1,A=2,B=1,op=n2k1:1*x0.1.0d0.1.0+1*x1.0.0d1.0.0"
+        swapped = "oracle:n=2,k=1,A=2,B=1,op=n2k1:1*x1.0.0d1.0.0+1*x0.1.0d0.1.0"
+        unread = {"bott:n=2,d=01": bott, "bott:n=2,d=+1": bott, "bott:n=2,d=1_0": bott,
+                  swapped: rank}
+        for key, value in unread.items():
+            cache.put(key, value)
+        keys += list(unread)
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(path))
         assert code == 1
         for key in keys:

@@ -39,6 +39,13 @@ def proof_prime_multiple() -> SparseIntMatrix:
     return SparseIntMatrix((2, 2), (((0, p), (1, 1)), ((0, p), (1, 2))))
 
 
+def representative_blocks(matrix: SparseIntMatrix) -> list:
+    """(entries, shape, orbit size) of each nonempty representative block of the map."""
+    _, classes, weight_block = matrix._weight_classes
+    return [(*block, multiplicity) for w_code, multiplicity, _ in classes
+            if (block := weight_block(w_code))[1][1]]
+
+
 TABLES = (oracle._basis_codes, oracle._hit_table, oracle._interchangeable_classes,
           oracle._orbit_representatives, oracle._block_facts)
 
@@ -275,8 +282,9 @@ class TestExactRank:
         # facts of blocks ranked earlier in the process would be read instead
         clear_tables()
         matrix = build_matrix(special_fiber_operator(2, 1), 4, 5)
-        uncertified = [b for b in matrix.blocks if oracle._echelon_rank(b[0], *b[1]) is None]
-        assert (len(matrix.blocks), len(uncertified)) == (12, 3)
+        blocks = representative_blocks(matrix)
+        uncertified = [b for b in blocks if oracle._echelon_rank(b[0], *b[1]) is None]
+        assert (len(blocks), len(uncertified)) == (12, 3)
         result = exact_rank(matrix)
         assert result.rank == min(matrix.shape)
         assert result.primes == () and result.certified
@@ -298,7 +306,7 @@ class TestExactRank:
         clear_tables()
         matrix = build_matrix(corner_operator(2), 11, 10)
         deficient = [
-            (nrows, ncols) for entries, (nrows, ncols), _ in matrix.blocks
+            (nrows, ncols) for entries, (nrows, ncols), _ in representative_blocks(matrix)
             if oracle._rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME) < min(nrows, ncols)
         ]
         assert len(deficient) == 45 and max(deficient, key=max) == (46, 48)
@@ -361,12 +369,10 @@ class TestExactRank:
 
     def test_debug_record_counts_classes_read_from_the_facts_table(self, caplog, monkeypatch):
         # ranked again, every class reads its block's facts from the table: no
-        # block is built, matrix.blocks is never read, and only shared and
-        # columns_built change
+        # block is built, and only shared and columns_built change
         def refuse(*args):
             raise AssertionError("a block was built")
 
-        monkeypatch.setattr(oracle, "_representative_blocks", refuse)
         clear_tables()
         fields = ("blocks", "largest_block", "routes", "from_last")
         records = []
@@ -384,9 +390,9 @@ class TestExactRank:
         assert cold == warm and cold_fields == warm_fields
         assert cold_fields[:2] == [154, (153, 154)]
 
-    def test_debug_record_counts_the_blocks_of_matrix_blocks(self, caplog):
-        # cold and warm, the record's counts are those of the blocks in
-        # matrix.blocks: a weight class whose block has no nonempty column
+    def test_debug_record_counts_the_representative_blocks(self, caplog):
+        # cold and warm, the record's counts are those of the nonempty
+        # representative blocks: a weight class whose block has no nonempty column
         # (the corners' sources without y0, every class when B < k) counts
         # for nothing.  columns_built counts the columns of the blocks whose
         # key min(w, B) is new to the facts table in that call
@@ -405,7 +411,7 @@ class TestExactRank:
                             exact_rank(matrix)
                         (record,) = caplog.records
                         caplog.clear()
-                        shapes = [shape for _, shape, _ in matrix.blocks]
+                        shapes = [shape for _, shape, _ in representative_blocks(matrix)]
                         assert (record.blocks, record.columns_built) == (
                             len(shapes), sum(new.values())), (name, A, B, rank)
                         assert rank == "cold" or not new, (name, A, B)
@@ -421,7 +427,7 @@ class TestExactRank:
         # certificate: the proof prime never proves it, and Bareiss does
         size = len(columns)
         matrix = SparseIntMatrix((size, size), columns)
-        ((entries, shape, _),) = oracle._component_blocks(matrix)
+        ((entries, shape),) = oracle._component_blocks(matrix)
         assert oracle._rank_mod_p(entries, *shape, oracle._PROOF_PRIME) == size - 1
         result = exact_rank(matrix)
         assert (result.rank, result.certified, result.primes) == (size, True, ())
@@ -655,7 +661,8 @@ class TestModularElimination:
     def test_random_blocks_in_both_column_orders(self):
         # up to 8x8, tall and wide, with zero entries and multiples of 2039 that
         # are nonzero over Q: forward and reversed elimination agree modulo
-        # 2039, and exact_rank, by whichever route, agrees with Bareiss
+        # 2039, and exact_rank, by whichever route it ranks the block's
+        # components, agrees with Bareiss
         p = oracle._PROOF_PRIME
         values = (0, 1, -1, 2, 5, p, -2 * p, p + 1)
         rng = random.Random(8)
@@ -670,7 +677,7 @@ class TestModularElimination:
             want = oracle._rank_bareiss(entries, nrows, ncols)
             assert modular <= want
             columns = tuple(tuple((i, v) for i, c, v in entries if c == j) for j in range(ncols))
-            block = SparseIntMatrix((nrows, ncols), columns, ((entries, (nrows, ncols), 1),))
+            block = SparseIntMatrix((nrows, ncols), columns)
             assert exact_rank(block).rank == want
             seen["tall" if nrows > ncols else "wide" if nrows < ncols else "square"] += 1
             seen["deficient mod p"] += modular < want
@@ -750,10 +757,10 @@ class TestEchelonCertificate:
 
     def test_grid_certificates(self):
         # the 598 maps of the engine grid: 8,267 of their 8,897 representative
-        # blocks, read from matrix.blocks, are proven by the echelon route, the
-        # rest by elimination
+        # blocks, built from the weight classes, are proven by the echelon
+        # route, the rest by elimination
         blocks = [block for n, k, A, B in GRID
-                  for block in build_matrix(GRID_OPS[n, k], A, B).blocks]
+                  for block in representative_blocks(build_matrix(GRID_OPS[n, k], A, B))]
         certified = [oracle._echelon_rank(entries, *shape) for entries, shape, _ in blocks]
         assert (len(blocks), sum(r is not None for r in certified)) == (8897, 8267)
 
@@ -862,7 +869,7 @@ class TestReferenceRanks:
                 matrix = build_matrix(op, A, B)
                 want = sympy.Matrix(matrix.to_dense()).rank() if matrix.shape[0] else 0
                 components = SparseIntMatrix(matrix.shape, matrix.columns)
-                assert components.blocks is None
+                assert components._weight_classes is None
                 for route in (matrix, components):
                     assert exact_rank(route).rank == want, (A, B)
 
@@ -872,15 +879,16 @@ class TestReferenceRanks:
         op = REFERENCE_OPERATORS[name]
         for A in range(4):
             for B in range(5):
-                blocks = build_matrix(op, A, B).blocks
-                assert blocks is not None
+                matrix = build_matrix(op, A, B)
+                assert matrix._weight_classes is not None
+                blocks = representative_blocks(matrix)
                 assert sum(mult for _, _, mult in blocks) == nonempty_weight_classes(op, A, B)
 
     def test_orbit_representatives_are_fewer_than_classes(self):
         # full S_3 symmetry on the special operator, S_2 on the corners
         for name, ratio in (("special_k1", 3), ("corner_one_term", 1.5)):
             op = REFERENCE_OPERATORS[name]
-            blocks = build_matrix(op, 4, 4).blocks
+            blocks = representative_blocks(build_matrix(op, 4, 4))
             assert len(blocks) * ratio < nonempty_weight_classes(op, 4, 4)
 
     @pytest.mark.parametrize("name", ["special_k1", "special_k2", "corner_one_term",
@@ -892,7 +900,7 @@ class TestReferenceRanks:
         for A in range(7):
             for B in range(7 - A):
                 matrix = build_matrix(op, A, B)
-                blocks = matrix.blocks
+                blocks = representative_blocks(matrix)
                 nonempty = sum(mult * ncols for _, (_, ncols), mult in blocks)
                 nnz = sum(mult * len(entries) for entries, _, mult in blocks)
                 assert nonempty == sum(1 for col in matrix.columns if col), (A, B)
@@ -922,12 +930,12 @@ class TestReferenceRanks:
     def test_weight_changing_operator_has_no_blocks(self):
         op = weight_changing_operator()
         for A, B in ((0, 1), (2, 2), (3, 1)):
-            assert build_matrix(op, A, B).blocks is None
+            assert build_matrix(op, A, B)._weight_classes is None
 
 
 def built(op: ContractionOperator, A: int, B: int):
     matrix = build_matrix(op, A, B)
-    return matrix.shape, matrix.blocks, matrix.columns
+    return matrix.shape, representative_blocks(matrix), matrix.columns
 
 
 # (operator, targets, neighbours): the targets have A + B + k = 15, 16, 31, 32, on

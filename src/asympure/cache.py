@@ -8,11 +8,13 @@ writer leaves, is skipped with a warning naming file:line and cut by the next
 put, which also ends an unterminated final line.  get decodes only the last
 line starting `{"key": <key>, ` (another first field is a miss) and raises
 ValueError naming file:line if it is malformed.  `verify --cache` checks all.
-A missing file is an empty cache; the file is read once, when the cache is made.
+A missing file is an empty cache, and an empty path, which names no file, is a
+FileNotFoundError; the file is read once, when the cache is made.
 With DEBUG on, get and put each log one record, with the fields key, hit and
 bytes (the record's line; 0 on a miss).
 """
 
+import errno
 import json
 import logging
 import os
@@ -25,6 +27,8 @@ logger = logging.getLogger(__name__)
 
 class ResultCache:
     def __init__(self, path: str | Path):
+        if path == "":  # names no file, as open('') says; Path('') would be '.'
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         self.path = Path(path)
         try:
             with open(self.path, "rb") as handle:
@@ -33,7 +37,10 @@ class ResultCache:
             data = b""
         # the file's size, and the lines the next put appends to: each ended, none torn
         self._size, self._data = len(data), data + b"\n" if data and not data.endswith(b"\n") else data
-        last = data.rfind(b"\n", 0, len(data.rstrip())) + 1  # the final non-blank line
+        end = len(data)  # the end of data.rstrip(), found without copying data
+        while end and data[end - 1] in b" \t\n\r\x0b\x0c":
+            end -= 1
+        last = data.rfind(b"\n", 0, end) + 1  # the final non-blank line
         try:
             if data[last:].strip():
                 self._record(last)

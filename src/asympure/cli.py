@@ -16,20 +16,21 @@ fields, one handler serves all six, and each can keep its results in a
 JSON-lines cache with --cache.  `verify --cache` parses every stored key
 back into its fields and re-runs the same computation, failing loudly on
 any mismatch and on a key that no call writes.  Only series, scan and
-verify declare their flags by hand.
+verify list their flags by hand, in COMMANDS, with each command's help line
+and handler.
 
-A call does only its own command's work.  When argv starts with a command,
-that command's parser is built on first use and kept for the process, with a
-flag table read off its actions.  An argv of exact flags, each given once
-with its value, is parsed from the table alone: each value is converted by
-its flag's type and checked against its choices, and the Namespace equals
-argparse's.  Any other argv of the command (help, an abbreviation,
---flag=value, a repeat, a bad value, a leftover) goes to the command's
-argparse parser.  The top-level parser, with all nine subparsers, is built
-only for an argv that starts with no command (none, -h, an unknown command)
-and to report arguments left over, so help, usage and errors are argparse's
-own.  Each format is rendered only when asked for, and only `verify` imports
-the verify suite.
+A call does only its own command's work.  Each flag is declared once, as
+the keywords add_argument takes.  An argv of exact flags, each given once
+with its value, is parsed from its command's table of these declarations,
+built on first use: each value is converted by its flag's type and checked
+against its choices, the Namespace equals argparse's, and no argparse
+parser is built.  Any other argv (none, help, an unknown command, an
+abbreviation, --flag=value, a repeat, a bad value, a leftover) goes to the
+one argparse parser, built from the same declarations, so help, usage and
+errors are argparse's own.  An empty --cache or --out path names no file,
+so it is not the absent flag: it exits 2, or fails `verify --cache`'s check.
+Each format is rendered only when asked for, and only `verify` imports the
+verify suite.
 
 Exit codes: 0 success, 1 verification or purity mismatch, 2 usage error,
 3 size cap exceeded.
@@ -351,7 +352,7 @@ def cmd_cached(args) -> int:
         for name in entry.fields
     }
     key = _cache_key(args.command, params)
-    cache = ResultCache(args.cache) if args.cache else None
+    cache = ResultCache(args.cache) if args.cache is not None else None
     result = cache.get(key) if cache is not None else None
     if result is None:
         result = _stringify(entry.compute(params, args.size_cap))
@@ -408,7 +409,7 @@ def cmd_scan(args) -> int:
     rows = [[args.n, args.k, a1, a2, label.kind, *map(str, vector.values), str(verdict)]
             for ((a1, a2), label, vector), verdict in zip(records, verdicts)]
     impure = [pair for (pair, _, _), verdict in zip(records, verdicts) if verdict.kind == "impure"]
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             _write_csv(handle, header, rows)
     params = {
@@ -418,9 +419,9 @@ def cmd_scan(args) -> int:
     result = {"header": header, "rows": rows, "total": len(rows), "impure": impure}
     counts = Counter(verdict.kind for verdict in verdicts)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    destination = f" -> {args.out}" if args.out else ""
+    destination = f" -> {args.out}" if args.out is not None else ""
     # CSV written to --out leaves stdout the summary line
-    fmt = "table" if args.out and args.format == "csv" else args.format
+    fmt = "table" if args.out is not None and args.format == "csv" else args.format
     _emit(fmt, "scan", params, result,
           lambda: (header, rows), lambda: [f"{len(rows)} rows ({summary}){destination}"])
     if impure:
@@ -461,7 +462,7 @@ def cmd_verify(args) -> int:
     from .verify import run_suite  # only verify runs the suite, so only verify imports it
 
     failures = run_suite(args.suite)
-    if args.cache:
+    if args.cache is not None:
         failures += _verify_cache(args.cache, args.size_cap)
     if failures:
         print(f"{failures} check(s) failed")
@@ -482,162 +483,141 @@ def _size_cap(text: str) -> int:
     return value
 
 
-def _add_operator_flags(p: argparse.ArgumentParser) -> tuple[argparse.Action, ...]:
-    # None means special: argparse counts a flag as given only when its value is not
-    # the default object, and an in-process argv may hold the interned "special"
-    flags = p.add_mutually_exclusive_group()
-    return (flags.add_argument("--operator", default=None),
-            flags.add_argument("--operator-file", default=None))
+# A flag group is a tuple of (option, the keywords add_argument takes), of which an
+# argv may give at most one: the two operator flags form one group, every other
+# flag a group of its own.  Both the table parse and argparse are built from them.
+def _flag(option: str, **kwargs) -> tuple[tuple[str, dict]]:
+    return ((option, kwargs),)
 
 
-# every command with its help line, in the order `asympure -h` lists them
+# None means special: argparse counts a flag as given only when its value is not
+# the default object, and an in-process argv may hold the interned "special"
+_OPERATOR_FLAGS = (("--operator", {"default": None}), ("--operator-file", {"default": None}))
+
+_SHARED_FLAGS = (
+    _flag("--format", choices=("json", "csv", "table"), default="table"),
+    _flag("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP),
+    _flag("--seed", type=int, default=0),
+    _flag("--verbose", action="store_true", default=False),
+)
+
+
+def _command(text: str, handler: Callable, *flags) -> tuple[str, tuple, Callable]:
+    return text, _SHARED_FLAGS + flags, handler
+
+
+def _field_flags(*fields: str) -> tuple:
+    """A required integer flag --<field> for each field, and the operator flags for op."""
+    return tuple(_OPERATOR_FLAGS if field == "op" else _flag(f"--{field}", type=int, required=True)
+                 for field in fields)
+
+
+# every command's help line, flag groups and handler, in the order `asympure -h` lists them
 COMMANDS = {
-    **{command: entry.help for command, entry in CACHED.items()},
-    "series": "kernel/cokernel series over a range of multiples",
-    "scan": "purity scan over a coefficient grid (CSV)",
-    "verify": "cross-check the engines and any cache",
+    **{command: _command(entry.help, cmd_cached, *_field_flags(*entry.fields),
+                         _flag("--cache", metavar="PATH", default=None))
+       for command, entry in CACHED.items()},
+    "series": _command("kernel/cokernel series over a range of multiples", cmd_series,
+                       *_field_flags("n", "k", "a1", "a2"),
+                       _flag("--m", required=True, help="range, e.g. 2..8"),
+                       _flag("--engine", choices=("rep", "oracle"), default="rep"),
+                       _OPERATOR_FLAGS),
+    "scan": _command("purity scan over a coefficient grid (CSV)", cmd_scan,
+                     *_field_flags("n", "k"),
+                     _flag("--a1", required=True, help="range, e.g. 0..4"),
+                     _flag("--a2", required=True, help="range, e.g. 0..4"),
+                     _flag("--out", default=None)),
+    "verify": _command("cross-check the engines and any cache", cmd_verify,
+                       _flag("--suite", choices=("small", "full"), default="small"),
+                       _flag("--cache", metavar="PATH", default=None, help="cache file to audit")),
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str) -> list[tuple[argparse.Action, ...]]:
-    """Give p the flags and the handler of command: the one definition both parsers use.
-
-    Returns the flags' actions in the order they were added, grouped so that
-    an argv may give at most one flag of each group: the two operator flags
-    form one group, every other flag a group of its own.
-    """
-    groups = []
-
-    def flag(*args, **kwargs):
-        groups.append((p.add_argument(*args, **kwargs),))
-
-    flag("--format", choices=("json", "csv", "table"), default="table")
-    flag("--size-cap", type=_size_cap, default=DEFAULT_SIZE_CAP)
-    flag("--seed", type=int, default=0)
-    flag("--verbose", action="store_true")
-    if command in CACHED:
-        for field in CACHED[command].fields:
-            if field == "op":
-                groups.append(_add_operator_flags(p))
-            else:
-                flag(f"--{field}", type=int, required=True)
-        flag("--cache", metavar="PATH", default=None)
-        p.set_defaults(handler=cmd_cached)
-    elif command == "series":
-        flag("--n", type=int, required=True)
-        flag("--k", type=int, required=True)
-        flag("--a1", type=int, required=True)
-        flag("--a2", type=int, required=True)
-        flag("--m", required=True, help="range, e.g. 2..8")
-        flag("--engine", choices=("rep", "oracle"), default="rep")
-        groups.append(_add_operator_flags(p))
-        p.set_defaults(handler=cmd_series)
-    elif command == "scan":
-        flag("--n", type=int, required=True)
-        flag("--k", type=int, required=True)
-        flag("--a1", required=True, help="range, e.g. 0..4")
-        flag("--a2", required=True, help="range, e.g. 0..4")
-        flag("--out", default=None)
-        p.set_defaults(handler=cmd_scan)
-    else:
-        flag("--suite", choices=("small", "full"), default="small")
-        flag("--cache", metavar="PATH", default=None, help="cache file to audit")
-        p.set_defaults(handler=cmd_verify)
-    return groups
-
-
-class _CommandParser(NamedTuple):
-    """A command's argparse parser and the flag table read off its actions.
-
-    flags maps each exact option string to its action and the index of its
-    group; defaults is the Namespace that `parse_known_args` starts from, in
-    its order: the command, every flag's default, then the handler.  The table
-    reads only the documented attributes of the actions `add_argument`
-    returns, and `get_default`, no private attribute of argparse.
-    """
-
-    parser: argparse.ArgumentParser
-    flags: dict[str, tuple[argparse.Action, int]]
-    required: frozenset[int]
-    defaults: dict
-
-    def parse_plain(self, words: list[str]) -> argparse.Namespace | None:
-        """The Namespace `parse_known_args` gives a well-formed argv, else None.
-
-        Well-formed: each word is an exact flag of a group not given before,
-        then its value unless the flag takes none; each value passes its
-        flag's type and choices; every required flag is given.
-        """
-        values = dict(self.defaults)
-        given = set()
-        rest = iter(words)
-        for word in rest:
-            action, group = self.flags.get(word, (None, None))
-            if action is None or group in given:
-                return None
-            given.add(group)
-            if action.nargs == 0:
-                values[action.dest] = action.const
-                continue
-            text = next(rest, None)
-            # argparse may read a word that starts with '-' as a flag; the table takes one as
-            # a value only if it is an ASCII integer, a negative number to argparse, since no
-            # flag here looks like one
-            if text is None or text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
-                return None
-            try:
-                value = text if action.type is None else action.type(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-            values[action.dest] = value
-        if not self.required <= given:
-            return None
-        return argparse.Namespace(**values)
-
-
 @functools.cache
-def _command_parser(command: str) -> _CommandParser:
-    """One command's parser, with the prog, usage and help its subparser has, and its table."""
-    p = argparse.ArgumentParser(prog=f"asympure {command}")
-    groups = _add_flags(p, command)
-    flags = {option: (action, group)
-             for group, actions in enumerate(groups)
-             for action in actions for option in action.option_strings}
-    required = frozenset(group for group, actions in enumerate(groups)
-                         if any(action.required for action in actions))
-    # no flag here has a string default with a type, which argparse would convert
-    defaults = {"command": command,
-                **{action.dest: action.default for actions in groups for action in actions},
-                "handler": p.get_default("handler")}
-    return _CommandParser(p, flags, required, defaults)
+def _table(command: str) -> tuple[dict, frozenset, dict]:
+    """command's flag table, read off its declarations.
+
+    Each exact option with (dest, group index, whether it takes no value,
+    type, choices); the required groups; the Namespace argparse starts from:
+    the command, every flag's default, then the handler.
+    """
+    _, groups, handler = COMMANDS[command]
+    flags, required, defaults = {}, set(), {"command": command}
+    for group, declared in enumerate(groups):
+        for option, kwargs in declared:
+            dest = option[2:].replace("-", "_")  # argparse's dest for a long option
+            bare = kwargs.get("action") == "store_true"
+            flags[option] = (dest, group, bare, kwargs.get("type"), kwargs.get("choices"))
+            if kwargs.get("required"):
+                required.add(group)
+            # no flag here has a string default with a type, which argparse would convert
+            defaults[dest] = kwargs.get("default")
+    defaults["handler"] = handler
+    return flags, frozenset(required), defaults
+
+
+def _parse_plain(command: str, words: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives a well-formed argv of command, else None.
+
+    Well-formed: each word is an exact flag of a group not given before,
+    then its value unless the flag takes none; each value passes its
+    flag's type and choices; every required flag is given.
+    """
+    flags, required, defaults = _table(command)
+    values = dict(defaults)
+    given = set()
+    rest = iter(words)
+    for word in rest:
+        flag = flags.get(word)
+        if flag is None:
+            return None
+        dest, group, bare, kind, choices = flag
+        if group in given:
+            return None
+        given.add(group)
+        if bare:
+            values[dest] = True
+            continue
+        text = next(rest, None)
+        # argparse may read a word that starts with '-' as a flag; the table takes one as
+        # a value only if it is an ASCII integer, a negative number to argparse, since no
+        # flag here looks like one
+        if text is None or text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
+            return None
+        try:
+            value = text if kind is None else kind(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser: one subparser per command."""
+    """The one argparse parser: help, usage, errors and the forms the table declines."""
     parser = argparse.ArgumentParser(
         prog="asympure",
         description="Exact cohomology growth and asymptotic purity calculations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in COMMANDS.items():
-        _add_flags(sub.add_parser(command, help=text), command)
+    for command, (text, flags, handler) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for group in flags:
+            add = (p.add_mutually_exclusive_group() if len(group) > 1 else p).add_argument
+            for option, kwargs in group:
+                add(option, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        command = _command_parser(argv[0])
-        args = command.parse_plain(argv[1:])
-        if args is None:  # help, an error or a rare form: argparse parses it
-            args, extra = command.parser.parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:  # reported by the top-level parser, as its parse_args does
-                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
-    else:
+    args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:  # no command, help, an error or a rare form: argparse parses it
         args = _build_parser().parse_args(argv)
     # basicConfig acts only once per process, so the level is checked on every call;
     # setLevel clears every logger's level cache, so it runs only on a change

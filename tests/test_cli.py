@@ -366,8 +366,8 @@ class TestExitCodes:
         assert not cache.exists()
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
-        # each command's own parser is built on its first call; the top-level parser
-        # only for an argv whose first item names no command
+        # a well-formed argv builds no parser; the top-level parser, with its
+        # subparsers, is built once, on the first argv the table declines
         built = []
         real_init = argparse.ArgumentParser.__init__
 
@@ -376,19 +376,15 @@ class TestExitCodes:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli._command_parser.cache_clear()
+        cli._table.cache_clear()
         cli._build_parser.cache_clear()
-        run(capsys, "bott", "--n", "2", "--d", "-4")
-        assert built == ["asympure bott"]
-        run(capsys, "bott", "--n", "2", "--d", "-4")
-        assert built == ["asympure bott"]
-        run(capsys, "predict", "--n", "2", "--k", "1", "--A", "9", "--B", "3")
-        assert built == ["asympure bott", "asympure predict"]
+        for argv in WELL_FORMED:
+            assert run(capsys, *argv)[0] == 0
+        assert built == []
         for argv in (["-h"], ["bogus"]):
             with pytest.raises(SystemExit):
                 main(argv)
-        # the top-level parser and its subparsers, once
-        assert built[2:] == ["asympure"] + [f"asympure {command}" for command in cli.COMMANDS]
+        assert built == ["asympure"] + [f"asympure {command}" for command in cli.COMMANDS]
 
     @pytest.mark.parametrize("argv", [
         ["-h"], [], ["bogus"], ["--format", "json", "bott"],
@@ -515,6 +511,26 @@ class TestExitCodes:
         # an empty path names no file, so it is not the absent flag (the special operator)
         code, out, err = run(capsys, *argv, "--operator-file", "")
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["bott", "--n", "2", "--d", "1", "--cache", ""], 2,
+         "error: [Errno 2] No such file or directory: ''\n"),
+        (["scan", "--n", "2", "--k", "1", "--a1", "0..1", "--a2", "0..1", "--out", ""], 2,
+         "error: [Errno 2] No such file or directory: ''\n"),
+        (["verify", "--suite", "small", "--cache", ""], 1,
+         "FAIL - cache file : unreadable ([Errno 2] No such file or directory: '')\n"),
+    ], ids=["cached", "scan", "verify"])
+    def test_empty_path_is_not_the_absent_flag(self, capsys, monkeypatch, tmp_path, argv,
+                                               code, line):
+        # as for --operator-file '': an empty path names no file, so no file is written
+        monkeypatch.chdir(tmp_path)
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code == 2:
+            assert (out, err) == ("", line)
+        else:  # the suite's checks, then the cache file's FAIL line
+            assert err == "" and out.endswith(line + "1 check(s) failed\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_operator_file_of_another_n_exits_2(self, capsys, tmp_path):
         path = tmp_path / "corner.json"
@@ -1145,18 +1161,16 @@ class TestTableParse:
         assert len(corpus) > 2300
         differ = []
         for argv in corpus:
-            command = cli._command_parser(argv[0])
-            args, extra = command.parser.parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-            parsed = command.parse_plain(argv[1:])
-            if extra or parsed is None or vars(parsed) != vars(args):
+            args = cli._build_parser().parse_args(argv)
+            parsed = cli._parse_plain(argv[0], argv[1:])
+            if parsed is None or vars(parsed) != vars(args):
                 differ.append(argv)
         assert differ == []
 
     @pytest.mark.parametrize("form", sorted(DECLINED))
     def test_a_declined_form_reaches_argparse_once(self, capsys, monkeypatch, form):
         argv, meaning = DECLINED[form]
-        assert cli._command_parser(argv[0]).parse_plain(argv[1:]) is None
+        assert cli._parse_plain(argv[0], argv[1:]) is None
         if meaning is None:  # the error or the help, as the top-level parser words it
             with pytest.raises(SystemExit) as top:
                 cli._build_parser().parse_args(argv)
@@ -1177,7 +1191,7 @@ class TestTableParse:
             got = (direct.value.code, *capsys.readouterr())
         else:
             got = run(capsys, *argv)
-        assert calls == [f"asympure {argv[0]}"]
+        assert calls == ["asympure", f"asympure {argv[0]}"]  # the top-level parse and its subparser's
         assert got == expected
 
     def test_a_well_formed_argv_calls_no_argparse_parse(self, capsys, monkeypatch):
@@ -1189,4 +1203,6 @@ class TestTableParse:
             raise AssertionError("a well-formed argv reached argparse")
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        cli._table.cache_clear()
         assert [run(capsys, *argv) for argv in WELL_FORMED] == expected

@@ -604,9 +604,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact cohomology growth and asymptotic purity calculations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags, handler) in COMMANDS.items():
+    for command, (text, groups, handler) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        for group in flags:
+        for group in groups:
             add = (p.add_mutually_exclusive_group() if len(group) > 1 else p).add_argument
             for option, kwargs in group:
                 add(option, **kwargs)

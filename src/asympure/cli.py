@@ -437,10 +437,10 @@ def _verify_cache(path: str, size_cap: int) -> int:
         cache = ResultCache(path)
         records = cache.items()  # checks every line
     except (ValueError, OSError) as exc:  # a corrupt record, or a path that is no file
-        print(f"FAIL - cache file {path}: unreadable ({exc})")
+        print(f"FAIL - cache file {path!r}: unreadable ({exc})")
         return 1
     if not cache.path.exists():
-        print(f"FAIL - cache file {path}: not found")
+        print(f"FAIL - cache file {path!r}: not found")
         return 1
     for key, value in records:
         try:

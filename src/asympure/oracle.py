@@ -16,7 +16,9 @@ block, built from one table of hits per source monomial, all monomials
 coded as integers.  The code base is the smallest power of two above
 A + B + k, so it depends on a map only through its size; the codes, the hit
 tables and the orbit representatives are built once per key and kept, and
-the maps of one operator share them.
+the maps of one operator share them.  The representatives are enumerated
+class by class of interchangeable coordinates, from the non-increasing
+tuples of each class's total, without the degree-(A+B) monomial basis.
 
 A weight block is a function of (op, B, min(w, B)) alone, for every
 operator with a single shift: its columns are the sources v with |v| = B
@@ -86,7 +88,8 @@ DEFAULT_SIZE_CAP = 200_000
 
 # A block without an echelon certificate is eliminated modulo this prime
 # first (the rule is in exact_rank).  It is small, so the packed slots of _rank_mod_p are narrow:
-# nrows * 2039**2 < 2**32 up to 1033 rows.
+# nrows * 2039**2 < 2**32 up to 1033 rows, and each pivot's -1/lead mod 2039 is read
+# from the table of _minus_inverses, built once per process on first use.
 _PROOF_PRIME = 2039
 
 
@@ -324,7 +327,8 @@ def build_matrix(
     list is built the first time matrix.columns is read.  All are read off
     tables kept across calls, each built once per key: the monomial codes
     per (n, degree, base), the per-v hits per (op, B, base) and the orbit
-    representatives per (op, A + B), so maps of one operator share them.
+    representatives per (op, A + B), enumerated per class without the
+    degree-(A+B) basis, so maps of one operator share them.
     """
     n, k = op.n, op.k
     if A < 0 or B < 0:
@@ -454,6 +458,27 @@ def _interchangeable_classes(op: ContractionOperator) -> tuple[tuple[int, ...], 
 
 
 @lru_cache(maxsize=None)
+def _sorted_values(size: int, total: int) -> tuple[tuple[Monomial, int], ...]:
+    """Each non-increasing tuple of size values summing to total, with its rearrangements.
+
+    The tuples come in descending lex order, and a tuple's distinct
+    rearrangements number size! / prod(count!) over its values' counts.
+    """
+    if size == 1:
+        return (((total,), 1),)
+    out = []
+    for first in range(total, -1, -1):
+        if first * size < total:  # the other values, at most first each, cannot make up the rest
+            break
+        for rest, _ in _sorted_values(size - 1, total - first):
+            if rest[0] <= first:
+                values = (first, *rest)
+                counts = Counter(values).values()
+                out.append((values, factorial(size) // prod(map(factorial, counts))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _orbit_representatives(
     op: ContractionOperator, degree: int
 ) -> tuple[tuple[int, int, Monomial], ...] | None:
@@ -467,20 +492,38 @@ def _orbit_representatives(
     each class of interchangeable coordinates; the multiplicity counts the
     distinct rearrangements of w within the classes.  None when op does not
     preserve weight.
+
+    The representatives are enumerated class by class: each class takes a
+    total, the totals sum to the degree, and each class takes each
+    non-increasing tuple of its total (_sorted_values).  A monomial of the
+    degree that is non-increasing within every class splits into exactly one
+    such choice, so these are the weights that filtering monomial_basis(n,
+    degree) keeps, with the product of the classes' rearrangement counts as
+    multiplicity.  Sorted by code, descending, they come in that basis's
+    graded-lex order, since every exponent is below the code base; so the
+    tuple equals the filter's without building the basis.
     """
     classes = _interchangeable_classes(op)
     if classes is None:
         return None
+    # (values of the classes so far, in class order; multiplicity; their total)
+    chosen = [((), 1, 0)]
+    for i, cls in enumerate(classes):
+        last = i == len(classes) - 1
+        chosen = [
+            (values + more, multiplicity * count, used + total)
+            for values, multiplicity, used in chosen
+            for total in ((degree - used,) if last else range(degree - used + 1))
+            for more, count in _sorted_values(len(cls), total)
+        ]
+    order = [c for cls in classes for c in cls]
+    position = [order.index(c) for c in range(op.n + 1)]
     base = _code_base(op.k, degree)
     reps = []
-    for w in monomial_basis(op.n, degree):
-        if any(w[a] < w[b] for cls in classes for a, b in zip(cls, cls[1:])):
-            continue
-        multiplicity = 1
-        for cls in classes:
-            counts = Counter(w[c] for c in cls).values()
-            multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
+    for values, multiplicity, _ in chosen:
+        w = tuple([values[at] for at in position])
         reps.append((_code(w, base), multiplicity, w))
+    reps.sort(reverse=True)
     return tuple(reps)
 
 
@@ -598,13 +641,13 @@ def _distinct_ends(
     entry makes both counts 0.  entries are (row, column, value) at distinct
     positions.
     """
-    short = nrows <= ncols
-    size = min(nrows, ncols)
-    first = [max(nrows, ncols)] * size
-    last = [-1] * size
-    for i, j, val in entries:
+    if nrows > ncols:
+        entries = [(j, i, val) for i, j, val in entries]
+        nrows, ncols = ncols, nrows
+    first = [ncols] * nrows
+    last = [-1] * nrows
+    for vector, position, val in entries:
         if val:
-            vector, position = (i, j) if short else (j, i)
             if position < first[vector]:
                 first[vector] = position
             if position > last[vector]:
@@ -630,6 +673,20 @@ def _echelon_rank(
     return size if size in _distinct_ends(entries, nrows, ncols) else None
 
 
+@lru_cache(maxsize=None)
+def _minus_inverses() -> tuple[int, ...]:
+    """-1/x mod _PROOF_PRIME at index x of range(_PROOF_PRIME), and 0 at index 0.
+
+    Built on first use by the recurrence -1/x = -(p // x) * (-1/(p mod x))
+    mod p, which holds since p = (p // x) * x + p mod x is 0 mod p.
+    """
+    p = _PROOF_PRIME
+    table = [0, p - 1]
+    for x in range(2, p):
+        table.append(-(p // x) * table[p % x] % p)
+    return tuple(table)
+
+
 def _rank_mod_p(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int,
     from_last: bool = False,
@@ -645,10 +702,12 @@ def _rank_mod_p(
     neither the rank nor the slot bound below.
 
     pivots maps a column to the reduced row that leads there, with
-    -1/lead mod p.  Each row is kept shifted so that its current column is
-    its lowest slot, and walks right from its first nonzero slot: a run of
-    zero slots is skipped in one shift, and a lead slot that is a nonzero
-    multiple of p is zero mod p and shifted out.  At a column that has a
+    -1/lead mod p: read from the table of _minus_inverses when p is
+    _PROOF_PRIME, else computed by pow, so no other prime builds a table.
+    Each row is kept shifted so that its current column is its lowest slot,
+    and walks right from its first nonzero slot: a run of zero slots is
+    skipped in one shift, and a lead slot that is a nonzero multiple of p
+    is zero mod p and shifted out.  At a column that has a
     pivot, one big-integer multiply-add, row += lead * (-1/lead mod p) *
     pivot_row, clears the lead and the row moves on, its slots unreduced.
     At a column without one the row becomes its pivot, reduced mod p slot by
@@ -671,6 +730,7 @@ def _rank_mod_p(
     for i, j, val in entries:
         rows[i] += val % p << (ncols - 1 - j if from_last else j) * width
     pivots: dict[int, tuple[int, int]] = {}
+    minus_inverses = _minus_inverses() if p == _PROOF_PRIME else None
     for row in rows:
         col = 0
         touched = False
@@ -689,7 +749,8 @@ def _rank_mod_p(
                     if touched:
                         row = sum((row >> s & mask) % p << s
                                   for s in range(0, row.bit_length(), width))
-                    pivots[col] = (row, p - pow(lead, -1, p))
+                    minus_inv = minus_inverses[lead] if minus_inverses else p - pow(lead, -1, p)
+                    pivots[col] = (row, minus_inv)
                     break
                 pivot_row, minus_inv = pivot
                 row += lead * minus_inv % p * pivot_row

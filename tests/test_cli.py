@@ -518,7 +518,7 @@ class TestExitCodes:
         (["scan", "--n", "2", "--k", "1", "--a1", "0..1", "--a2", "0..1", "--out", ""], 2,
          "error: [Errno 2] No such file or directory: ''\n"),
         (["verify", "--suite", "small", "--cache", ""], 1,
-         "FAIL - cache file : unreadable ([Errno 2] No such file or directory: '')\n"),
+         "FAIL - cache file '': unreadable ([Errno 2] No such file or directory: '')\n"),
     ], ids=["cached", "scan", "verify"])
     def test_empty_path_is_not_the_absent_flag(self, capsys, monkeypatch, tmp_path, argv,
                                                code, line):
@@ -698,7 +698,7 @@ class TestCache:
         assert run(capsys, "bott", "--n", "2", "--d", "-4", "--cache", str(cache)) == miss
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
         assert code == 1
-        assert f"FAIL - cache file {cache}" in out and f"{cache}:1" in out
+        assert f"FAIL - cache file {str(cache)!r}" in out and f"{cache}:1" in out
 
     @pytest.mark.parametrize("record", [
         {"key": "bott:n=2,d=1", "version": "1", "value": 5},
@@ -731,7 +731,7 @@ class TestCache:
             assert (code, out, err) == (0, *run(capsys, "bott", "--n", "2", "--d", "1")[1:])
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
         assert code == 1
-        assert f"FAIL - cache file {cache}: unreadable ({cache}:1: corrupt cache record" in out
+        assert f"FAIL - cache file {str(cache)!r}: unreadable ({cache}:1: corrupt cache record" in out
 
     @pytest.mark.parametrize("lines, served", [
         ([{"key": KEY, "value": STALE, "version": "1"},
@@ -789,7 +789,7 @@ class TestCache:
         for cache, reason in ((missing, "not found"), (tmp_path, "unreadable (")):
             code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
             assert code == 1
-            assert f"FAIL - cache file {cache}: {reason}" in out
+            assert f"FAIL - cache file {str(cache)!r}: {reason}" in out
             assert out.endswith("1 check(s) failed\n")
         assert not missing.parent.exists()
 

@@ -1,8 +1,11 @@
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -47,7 +50,7 @@ def representative_blocks(matrix: SparseIntMatrix) -> list:
 
 
 TABLES = (oracle._basis_codes, oracle._hit_table, oracle._interchangeable_classes,
-          oracle._orbit_representatives, oracle._block_facts)
+          oracle._sorted_values, oracle._orbit_representatives, oracle._block_facts)
 
 
 def clear_tables() -> None:
@@ -658,6 +661,43 @@ class TestModularElimination:
             assert oracle._rank_mod_p(entries, width, width, self.P, from_last) == width - 1
         assert oracle._rank_bareiss(entries, width, width) == width
 
+    def test_minus_inverse_table(self):
+        p = oracle._PROOF_PRIME
+        table = oracle._minus_inverses()
+        assert len(table) == p and table[0] == 0
+        assert all(x * table[x] % p == p - 1 for x in range(1, p))
+
+    def test_only_the_proof_prime_reads_the_table(self, monkeypatch):
+        # the proof prime's pivots call no pow; another prime's call it once each
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(oracle, "pow", counted, raising=False)
+        entries, nrows, ncols, want = self.planted(49)
+        assert oracle._rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME) == want
+        assert calls == []
+        assert oracle._rank_mod_p(entries, nrows, ncols, self.P) == want
+        assert len(calls) == want and all(args[1:] == (-1, self.P) for args in calls)
+
+    def test_the_table_is_built_on_first_use(self):
+        # a fresh interpreter: importing the package builds no table; the
+        # special operator's maps (4, 4) and (8, 8) eliminate 1 and 5 blocks
+        # modulo 2039, and the first builds the table the other five read
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        script = ("import sys, asympure, asympure.cli\n"
+                  "from asympure import oracle\n"
+                  "built = oracle._minus_inverses.cache_info\n"
+                  "assert built().currsize == 0\n"
+                  "for A, rank in ((4, 210), (8, 1980)):\n"
+                  "    matrix = oracle.build_matrix(oracle.special_fiber_operator(2, 1), A, A)\n"
+                  "    assert oracle.exact_rank(matrix).rank == rank\n"
+                  "sys.exit(built()[:2] != (5, 1))")
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
     def test_random_blocks_in_both_column_orders(self):
         # up to 8x8, tall and wide, with zero entries and multiples of 2039 that
         # are nonzero over Q: forward and reversed elimination agree modulo
@@ -931,6 +971,78 @@ class TestReferenceRanks:
         op = weight_changing_operator()
         for A, B in ((0, 1), (2, 2), (3, 1)):
             assert build_matrix(op, A, B)._weight_classes is None
+
+
+def filtered_representatives(op: ContractionOperator, degree: int) -> tuple:
+    """The orbit representatives by their definition: each monomial of the degree
+    that is non-increasing within each class, in basis order, with its number of
+    distinct rearrangements within the classes."""
+    classes = oracle._interchangeable_classes(op)
+    base = oracle._code_base(op.k, degree)
+    reps = []
+    for w in monomial_basis(op.n, degree):
+        if any(w[a] < w[b] for cls in classes for a, b in zip(cls, cls[1:])):
+            continue
+        multiplicity = 1
+        for cls in classes:
+            counts = Counter(w[c] for c in cls).values()
+            multiplicity *= factorial(len(cls)) // prod(map(factorial, counts))
+        reps.append((oracle._code(w, base), multiplicity, w))
+    return tuple(reps)
+
+
+def diagonal_operator(n: int, coeffs: tuple[int, ...]) -> ContractionOperator:
+    """sum_i coeffs[i] x_i (x) d_i over the coordinates with a nonzero coefficient."""
+    units = monomial_basis(n, 1)  # x_i for i = 0..n
+    return ContractionOperator(n, 1, tuple((c, e, e) for c, e in zip(coeffs, units) if c))
+
+
+class TestOrbitEnumeration:
+    """_orbit_representatives enumerates per class what filtering the basis keeps."""
+
+    OPERATORS = {
+        **{name: op for name, op in REFERENCE_OPERATORS.items()
+           if oracle._interchangeable_classes(op) is not None},
+        **{f"special_n{n}_k{k}": special_fiber_operator(n, k)
+           for n in range(1, 5) for k in range(1, 4)},
+        # terms on x0 and x1 of P^3: two two-member classes
+        "corner_n3": diagonal_operator(3, (1, 1, 0, 0)),
+        # classes that are not runs of coordinates, and one of three members
+        "split_classes": diagonal_operator(3, (1, 2, 1, 3)),
+        "three_and_two": diagonal_operator(4, (1, 2, 1, 2, 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_equals_the_filter(self, name):
+        op = self.OPERATORS[name]
+        for degree in range(25):
+            assert oracle._orbit_representatives(op, degree) == filtered_representatives(
+                op, degree), degree
+
+    def test_the_classes_the_operators_cover(self):
+        classes = {oracle._interchangeable_classes(op) for op in self.OPERATORS.values()}
+        assert {((0, 1), (2, 3)), ((0, 2, 4), (1, 3)), ((0, 2), (1,), (3,))} <= classes
+
+    def test_sorted_values(self):
+        # the partitions of 4 into at most 3 parts, each with its arrangements
+        assert oracle._sorted_values(3, 4) == (
+            ((4, 0, 0), 3), ((3, 1, 0), 6), ((2, 2, 0), 3), ((2, 1, 1), 3))
+        assert oracle._sorted_values(2, 0) == (((0, 0), 1),)
+
+    def test_a_cold_rank_builds_no_basis_of_degree_a_plus_b(self, monkeypatch):
+        # oracle_large's (2, 1, 20, 20): the sources of degree 20 are built, the
+        # 861 weights of degree 40 are not
+        degrees = []
+        basis = oracle.monomial_basis
+
+        def recorded(n, degree):
+            degrees.append((n, degree))
+            return basis(n, degree)
+
+        clear_tables()
+        monkeypatch.setattr(oracle, "monomial_basis", recorded)
+        assert exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20)).rank == 53130
+        assert (2, 20) in degrees and (2, 40) not in degrees
 
 
 def built(op: ContractionOperator, A: int, B: int):

@@ -633,44 +633,23 @@ def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
 def _distinct_ends(
     entries: list[tuple[int, int, int]], nrows: int, ncols: int
 ) -> tuple[int, int]:
-    """How many distinct first and distinct last nonzero positions the shorter side has.
+    """How many distinct first and distinct last nonzero columns the rows have.
 
-    The vectors of the shorter side (the rows if nrows <= ncols, as in
-    _rank_mod_p, else the columns) are read by their first and last nonzero
-    positions; entries of value 0 count as absent.  A vector with no nonzero
-    entry makes both counts 0.  entries are (row, column, value) at distinct
-    positions.
+    The rows are read as given (_rank_block transposes a tall block); entries
+    of value 0 count as absent, and a row with no nonzero entry makes both
+    counts 0.  entries are (row, column, value) at distinct positions.
     """
-    if nrows > ncols:
-        entries = [(j, i, val) for i, j, val in entries]
-        nrows, ncols = ncols, nrows
     first = [ncols] * nrows
     last = [-1] * nrows
-    for vector, position, val in entries:
+    for row, col, val in entries:
         if val:
-            if position < first[vector]:
-                first[vector] = position
-            if position > last[vector]:
-                last[vector] = position
+            if col < first[row]:
+                first[row] = col
+            if col > last[row]:
+                last[row] = col
     if -1 in last:
         return 0, 0
     return len(set(first)), len(set(last))
-
-
-def _echelon_rank(
-    entries: list[tuple[int, int, int]], nrows: int, ncols: int
-) -> int | None:
-    """min(nrows, ncols) if the block is visibly in echelon form, else None.
-
-    If the shorter side's vectors have distinct first nonzero positions
-    (see _distinct_ends), the vectors sorted by first position form an
-    echelon matrix whose pivots are nonzero integers, so they are linearly
-    independent over Q and the rank is the shorter side's length; the last
-    positions, distinct, give the same argument with the positions reversed.
-    This needs no arithmetic and no prime.
-    """
-    size = min(nrows, ncols)
-    return size if size in _distinct_ends(entries, nrows, ncols) else None
 
 
 @lru_cache(maxsize=None)
@@ -693,13 +672,13 @@ def _rank_mod_p(
 ) -> int:
     """Rank of the block modulo the prime p, by inserting packed rows one at a time.
 
-    entries are (row, column, value) at distinct positions.  The shorter
-    side is taken as the rows (rank is that of the transpose), and each row
-    is one Python int: its entries modulo p sit in slots of W bits,
-    W = (nrows * p * p).bit_length(), column j in slot j, or in slot
-    ncols - 1 - j when from_last is set, so that the rows are eliminated
-    from their last nonzero positions.  A permutation of the columns changes
-    neither the rank nor the slot bound below.
+    entries are (row, column, value) at distinct positions, read by rows as
+    given (_rank_block transposes a tall block, so that fewer rows are
+    inserted).  Each row is one Python int: its entries modulo p sit in
+    slots of W bits, W = (nrows * p * p).bit_length(), column j in slot j,
+    or in slot ncols - 1 - j when from_last is set, so that the rows are
+    eliminated from their last nonzero positions.  A permutation of the
+    columns changes neither the rank nor the slot bound below.
 
     pivots maps a column to the reduced row that leads there, with
     -1/lead mod p: read from the table of _minus_inverses when p is
@@ -721,9 +700,6 @@ def _rank_mod_p(
     is inserted; and each update adds a product of two residues, below
     p * p.
     """
-    if nrows > ncols:
-        entries = [(j, i, val) for i, j, val in entries]
-        nrows, ncols = ncols, nrows
     width = (nrows * p * p).bit_length()
     mask = (1 << width) - 1
     rows = [0] * nrows
@@ -791,15 +767,24 @@ def _rank_bareiss(
 
 
 def _rank_block(entries: list[tuple[int, int, int]], shape: tuple[int, int]) -> BlockFacts:
-    """The facts of one block, ranked by the first of exact_rank's three routes that applies."""
+    """The facts of one block, ranked by the first of exact_rank's three routes that applies.
+
+    A tall block is transposed once, here, so every route reads rows and
+    nrows is the shorter side; the facts keep the block's own shape.  Rows
+    with distinct first nonzero positions, sorted by them, form an echelon
+    matrix with nonzero integer pivots, so the rank over Q is nrows with no
+    arithmetic or prime; distinct last positions give the same, reversed.
+    """
     nrows, ncols = shape
-    size = min(nrows, ncols)
+    if nrows > ncols:
+        entries = [(j, i, val) for i, j, val in entries]
+        nrows, ncols = ncols, nrows
     leads, ends = _distinct_ends(entries, nrows, ncols)
-    if size in (leads, ends):  # the certificate of _echelon_rank
-        return shape, size, "echelon", False
+    if nrows in (leads, ends):
+        return shape, nrows, "echelon", False
     reverse = ends > leads
-    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME, reverse) == size:
-        return shape, size, "modular", reverse
+    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME, reverse) == nrows:
+        return shape, nrows, "modular", reverse
     return shape, _rank_bareiss(entries, nrows, ncols), "bareiss", reverse
 
 
@@ -821,7 +806,7 @@ def exact_rank(
     1. A block whose shorter side's vectors have distinct first nonzero
        positions, or distinct last ones, is in echelon form once they are
        sorted, with nonzero integer pivots: its rank over Q is
-       min(rows, cols), with no elimination (see _echelon_rank).
+       min(rows, cols), with no elimination (_rank_block has the proof).
     2. Any other block is eliminated modulo the fixed prime
        _PROOF_PRIME = 2039, from the end where its shorter side's vectors
        lead apart: from the last nonzero positions when they are more

@@ -59,6 +59,12 @@ def clear_tables() -> None:
         table.cache_clear()
 
 
+def echelon_rank(entries, nrows, ncols):
+    """The block's rank if _rank_block proves it by the echelon route, else None."""
+    _, rank, route, _ = oracle._rank_block(entries, (nrows, ncols))
+    return rank if route == "echelon" else None
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
     """The (rows, cols) of each block that exact_rank ranks by Bareiss, in order."""
@@ -271,6 +277,16 @@ class TestExactRank:
         assert bareiss_calls == []
 
     def test_full_rank_blocks_take_one_elimination(self, monkeypatch):
+        # the special operator is injective or surjective, so every block is
+        # full rank; 9 of its 12 blocks have an echelon certificate, and each
+        # of the other 3 takes one elimination modulo the proof prime.  The
+        # facts of blocks ranked earlier in the process would be read instead
+        clear_tables()
+        matrix = build_matrix(special_fiber_operator(2, 1), 4, 5)
+        blocks = representative_blocks(matrix)
+        # counted before the spy, which would see their eliminations too
+        uncertified = [b for b in blocks if echelon_rank(b[0], *b[1]) is None]
+        assert (len(blocks), len(uncertified)) == (12, 3)
         calls = []
         rank_mod_p = oracle._rank_mod_p
 
@@ -279,15 +295,6 @@ class TestExactRank:
             return rank_mod_p(entries, nrows, ncols, p, from_last)
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
-        # the special operator is injective or surjective, so every block is
-        # full rank; 9 of its 12 blocks have an echelon certificate, and each
-        # of the other 3 takes one elimination modulo the proof prime.  The
-        # facts of blocks ranked earlier in the process would be read instead
-        clear_tables()
-        matrix = build_matrix(special_fiber_operator(2, 1), 4, 5)
-        blocks = representative_blocks(matrix)
-        uncertified = [b for b in blocks if oracle._echelon_rank(b[0], *b[1]) is None]
-        assert (len(blocks), len(uncertified)) == (12, 3)
         result = exact_rank(matrix)
         assert result.rank == min(matrix.shape)
         assert result.primes == () and result.certified
@@ -626,7 +633,7 @@ class TestModularElimination:
         for s, want in ((1, nrows), (p - last % p, nrows - 1)):
             entries = base + [(last, last, s)]
             assert oracle._rank_mod_p(entries, nrows, nrows, p) == want
-            # one more, empty row: ranked as the transpose, nrows rows again
+            # one more, empty row: the tall input is ranked as given, nrows + 1 rows
             assert oracle._rank_mod_p(entries, nrows + 1, nrows, p) == want
 
     @staticmethod
@@ -721,9 +728,8 @@ class TestModularElimination:
             assert exact_rank(block).rank == want
             seen["tall" if nrows > ncols else "wide" if nrows < ncols else "square"] += 1
             seen["deficient mod p"] += modular < want
-            leads, ends = oracle._distinct_ends(entries, nrows, ncols)
-            seen["eliminated from the last position"] += (
-                ends > leads and min(nrows, ncols) not in (leads, ends))
+            _, _, route, from_last = oracle._rank_block(entries, (nrows, ncols))
+            seen["eliminated from the last position"] += route != "echelon" and from_last
         assert min(seen.values()) >= 20, seen
 
 
@@ -733,7 +739,7 @@ GRID_OPS = {(n, k): special_fiber_operator(n, k) for n in (1, 2) for k in (1, 2)
 
 
 class TestEchelonCertificate:
-    """_echelon_rank proves full rank only where Bareiss agrees."""
+    """_rank_block's echelon route proves full rank only where Bareiss agrees."""
 
     @staticmethod
     def random_block(rng):
@@ -752,8 +758,8 @@ class TestEchelonCertificate:
         rng = random.Random(2039)
         for _ in range(3000):
             entries, nrows, ncols = self.random_block(rng)
-            got = oracle._echelon_rank(entries, nrows, ncols)
-            assert got == oracle._echelon_rank(sorted(entries), nrows, ncols)
+            got = echelon_rank(entries, nrows, ncols)
+            assert got == echelon_rank(sorted(entries), nrows, ncols)
             if got is None:
                 seen["none"] += 1
                 continue
@@ -768,13 +774,13 @@ class TestEchelonCertificate:
         # entry in entry order would find distinct leads in some orders
         ones = [(i, j, 1) for i in range(2) for j in range(2)]
         for order in itertools.permutations(ones):
-            assert oracle._echelon_rank(list(order), 2, 2) is None
+            assert echelon_rank(list(order), 2, 2) is None
 
     def test_zero_valued_vector_has_no_certificate(self):
         # the wide block's row 1 holds only a stored 0: its rank is 1, not 2
         entries = [(0, 0, 1), (1, 1, 0), (1, 2, 0)]
-        assert oracle._echelon_rank(entries, 2, 3) is None
-        assert oracle._echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) is None
+        assert echelon_rank(entries, 2, 3) is None
+        assert echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) is None
         assert oracle._rank_bareiss(entries, 2, 3) == 1
 
     def test_first_or_last_positions(self):
@@ -783,17 +789,19 @@ class TestEchelonCertificate:
         ends_apart = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1)]
         leads_apart = [(0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 1, 1)]
         for entries in (ends_apart, leads_apart):
-            assert oracle._echelon_rank(entries, 2, 3) == 2
-            assert oracle._echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) == 2
+            assert echelon_rank(entries, 2, 3) == 2
+            assert echelon_rank([(j, i, v) for i, j, v in entries], 3, 2) == 2
 
     def test_square_blocks_are_read_by_rows(self):
         # [[1, 0], [1, 1]]: the rows lead alike and end apart, the columns the
         # other way round; a square block is read by its rows, the vectors
-        # _rank_mod_p eliminates, so its column order follows their ends
+        # _rank_mod_p eliminates, so its column order follows their ends.
+        # _rank_block reads a tall block by its columns, as the wide one by rows
         entries = [(0, 0, 1), (1, 0, 1), (1, 1, 1)]
         assert oracle._distinct_ends(entries, 2, 2) == (1, 2)
         assert oracle._distinct_ends(entries, 2, 3) == (1, 2)
-        assert oracle._distinct_ends([(j, i, v) for i, j, v in entries], 3, 2) == (1, 2)
+        tall = oracle._rank_block([(j, i, v) for i, j, v in entries], (3, 2))
+        assert tall[1:] == oracle._rank_block(entries, (2, 3))[1:] == (2, "echelon", False)
 
     def test_grid_certificates(self):
         # the 598 maps of the engine grid: 8,267 of their 8,897 representative
@@ -801,8 +809,65 @@ class TestEchelonCertificate:
         # route, the rest by elimination
         blocks = [block for n, k, A, B in GRID
                   for block in representative_blocks(build_matrix(GRID_OPS[n, k], A, B))]
-        certified = [oracle._echelon_rank(entries, *shape) for entries, shape, _ in blocks]
+        certified = [echelon_rank(entries, *shape) for entries, shape, _ in blocks]
         assert (len(blocks), sum(r is not None for r in certified)) == (8897, 8267)
+
+
+class TestOrientation:
+    """_rank_block transposes a tall block once; every route reads rows of the shorter side."""
+
+    ROUTES = ("_distinct_ends", "_rank_mod_p", "_rank_bareiss")
+
+    def test_routes_never_see_a_tall_block(self, monkeypatch):
+        # the 598 grid maps with cold tables, the maps of the CI's rank lines
+        # (special 20/20 and 5/7, three shifts, two classes) and random blocks
+        shapes = {name: [] for name in ("_rank_block", *self.ROUTES)}
+
+        def spy(name):
+            inner = getattr(oracle, name)
+
+            def counted(entries, *args):
+                shapes[name].append(args[0] if name == "_rank_block" else args[:2])
+                return inner(entries, *args)
+            return counted
+
+        for name in shapes:
+            monkeypatch.setattr(oracle, name, spy(name))
+        clear_tables()
+        for n, k, A, B in GRID:
+            exact_rank(build_matrix(GRID_OPS[n, k], A, B))
+        three_shifts = ContractionOperator(2, 1, ((1, E0, E0), (1, E1, E0), (1, E0, E1)))
+        for op, A, B in ((special_fiber_operator(2, 1), 20, 20),
+                         (special_fiber_operator(2, 1), 5, 7),
+                         (three_shifts, 4, 4), (diagonal_operator(2, (1, 1, 0)), 8, 8)):
+            exact_rank(build_matrix(op, A, B))
+        rng = random.Random(37)
+        for _ in range(500):
+            entries, nrows, ncols = TestEchelonCertificate.random_block(rng)
+            oracle._rank_block(entries, (nrows, ncols))
+        assert sum(r > c for r, c in shapes["_rank_block"]) >= 1000
+        for name in self.ROUTES:
+            assert shapes[name] and all(r <= c for r, c in shapes[name]), name
+
+    def test_transpose_invariance(self):
+        # a non-square block and its transpose have the same rank, route and
+        # column order; a square one, read by rows either way, the same rank.
+        # The facts keep the shape given
+        rng = random.Random(3073)
+        seen = Counter()
+        for _ in range(3000):
+            entries, nrows, ncols = TestEchelonCertificate.random_block(rng)
+            facts = oracle._rank_block(entries, (nrows, ncols))
+            flipped = oracle._rank_block([(j, i, v) for i, j, v in entries], (ncols, nrows))
+            assert (facts[0], flipped[0]) == ((nrows, ncols), (ncols, nrows))
+            if nrows == ncols:
+                assert facts[1] == flipped[1]
+                seen["square"] += 1
+            else:
+                assert facts[1:] == flipped[1:]
+                seen[facts[2]] += 1
+                seen["from last"] += facts[3]
+        assert min(seen.values()) >= 20, seen
 
 
 class TestEquivariance:

@@ -12,10 +12,19 @@ its h-hat values in closed form: with c = k*C(2n-1, n)*(a1*a2)^(n-1),
 h-hat^(n-1) = c*max(a1 - a2, 0) and h-hat^n = c*max(a2 - a1, 0).  Every
 other class has its cohomology in one index, where by asymptotic
 Riemann-Roch h-hat is plus or minus the top self-intersection:
-asymptotic_product and intersection_number.  No series is evaluated at run
-time.  verify holds the independent references: reptheory.series_polynomials
-against the prediction and against the mixed closed form, and
-fit_leading_coefficient against the one-index ones.
+asymptotic_product and intersection_number.  On the special fiber the mixed
+closed form at a1*a2 = 0 gives exactly these boundary values, so it serves
+every class there.  No series is evaluated at run time.  verify holds the
+independent references: reptheory.series_polynomials against the
+prediction and against the mixed closed form, and fit_leading_coefficient
+against the one-index ones.
+
+A scan does its per-(n, k) work once per call: purity_report checks n and
+k and takes k*C(2n-1, n) once, and then each class costs its sign dispatch
+and its 2n values.  Labels and verdicts are shared frozen instances:
+classify returns one CaseLabel per (n, case), and AsymptoticVector.purity
+one PurityVerdict per tuple of nonzero indices, whose kind and string are
+each built once.
 
 From the special fiber to a very general one: for every bidegree-(k, k)
 form F, h^(n-1) and h^n of a mixed class are the kernel and cokernel of the
@@ -32,8 +41,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import compress, count
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .projspace import DivisorClass, series_exponents
 
@@ -62,17 +73,27 @@ class PurityVerdict:
 
     indices: tuple[int, ...]
 
-    @property
+    @cached_property
     def kind(self) -> str:
         """pure_zero with no index, pure with one, impure with more."""
         if not self.indices:
             return "pure_zero"
         return "pure" if len(self.indices) == 1 else "impure"
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         if not self.indices:
             return self.kind
         return f"{self.kind}({','.join(map(str, self.indices))})"
+
+    def __str__(self) -> str:
+        return self._text
+
+
+@lru_cache(maxsize=1024)
+def _verdict(indices: tuple[int, ...]) -> PurityVerdict:
+    """The shared verdict of one tuple of nonzero indices."""
+    return PurityVerdict(indices)
 
 
 @dataclass(frozen=True)
@@ -86,7 +107,7 @@ class AsymptoticVector:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
+        if self.values and min(self.values) < 0:
             raise ValueError("asymptotic cohomology values must be nonnegative")
 
     @property
@@ -95,7 +116,21 @@ class AsymptoticVector:
 
     @property
     def purity(self) -> PurityVerdict:
-        return PurityVerdict(tuple(i for i, v in enumerate(self.values) if v))
+        return _verdict(tuple(compress(count(), self.values)))
+
+
+@lru_cache(maxsize=64)
+def _case_labels(n: int) -> tuple[CaseLabel, ...]:
+    """The five labels of P^n x P^n, built once per n.
+
+    In order: nef, anti_nef, mixed, and boundary at index 0 and at 2n-1.
+    """
+    if n < 1:
+        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    top = 2 * n - 1
+    return (CaseLabel("nef", frozenset({0})), CaseLabel("anti_nef", frozenset({top})),
+            CaseLabel("mixed", frozenset({n - 1, n})), CaseLabel("boundary", frozenset({0})),
+            CaseLabel("boundary", frozenset({top})))
 
 
 def classify(n: int, divisor: DivisorClass) -> CaseLabel:
@@ -104,24 +139,22 @@ def classify(n: int, divisor: DivisorClass) -> CaseLabel:
     Both coefficients positive: nef, only index 0.  Both negative: anti-nef,
     only index 2n-1.  Opposite signs: only indices n-1 and n.  A zero
     coefficient is a boundary class whose allowed set is inherited from the
-    adjacent closed case by the sign of the other coefficient.
+    adjacent closed case by the sign of the other coefficient.  The label
+    is a shared frozen instance, built once per (n, case).
 
     >>> classify(2, DivisorClass(2, -1)).allowed_indices == frozenset({1, 2})
     True
     """
-    if n < 1:
-        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    nef, anti_nef, mixed, low, high = _case_labels(n)
     a1, a2 = divisor.a1, divisor.a2
     if a1 > 0 and a2 > 0:
-        return CaseLabel("nef", frozenset({0}))
+        return nef
     if a1 < 0 and a2 < 0:
-        return CaseLabel("anti_nef", frozenset({2 * n - 1}))
+        return anti_nef
     if a1 * a2 < 0:
-        return CaseLabel("mixed", frozenset({n - 1, n}))
+        return mixed
     # a1 * a2 == 0: boundary of the nef or anti-nef cone by the other sign
-    if a1 + a2 >= 0:
-        return CaseLabel("boundary", frozenset({0}))
-    return CaseLabel("boundary", frozenset({2 * n - 1}))
+    return low if a1 + a2 >= 0 else high
 
 
 def fit_leading_coefficient(
@@ -244,29 +277,43 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     i, and its value is (-1)^i times intersection_number(n, k, k, a1, a2),
     the top coefficient of the restriction Euler characteristic
     chi(mD) - chi(mD - Y) times (2n-1)!: k*a1 or k*a2 for n = 1, and 0 for
-    n >= 2 and for the zero class.  verify checks the mixed values against
-    the top coefficients of reptheory.series_polynomials, and the boundary
-    ones against that Euler characteristic's fitted (2n-1)-th difference.
+    n >= 2 and for the zero class.  The mixed closed form gives exactly
+    these values at a1*a2 = 0, so every class is read from it.  verify
+    checks the mixed values against the top coefficients of
+    reptheory.series_polynomials, intersection_number against that Euler
+    characteristic's fitted (2n-1)-th difference, and the alternating sum
+    of every class's values at n = 2 against intersection_number.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     6
     """
-    return _special_fiber(n, k, a1, a2)[1]
+    return _fiber(n, k)(a1, a2)[2]
 
 
-def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, AsymptoticVector]:
-    """(label, vector) of D = a1*H1 - a2*H2: classify runs once, and its label picks the route."""
+_Record = tuple[tuple[int, int], CaseLabel, AsymptoticVector]
+
+
+def _fiber(n: int, k: int) -> Callable[[int, int], _Record]:
+    """The function (a1, a2) -> ((a1, a2), label, vector) for this (n, k).
+
+    n and k are checked, and k*C(2n-1, n) taken, here: once, before any class.
+    """
     if n < 1 or k < 1:
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    if a1 < 0 or a2 < 0:
-        raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
-    label = classify(n, DivisorClass(a1, -a2))
+    _, _, mixed, low, high = _case_labels(n)
     dim = 2 * n - 1
-    values = [0] * (dim + 1)
-    if label.kind == "mixed":
-        c = k * comb(dim, n) * (a1 * a2) ** (n - 1)
-        values[n - 1], values[n] = c * max(a1 - a2, 0), c * max(a2 - a1, 0)
-        if logger.isEnabledFor(logging.DEBUG):
+    top = k * comb(dim, n)
+    zeros = (0,) * (n - 1)
+    debug = logger.isEnabledFor(logging.DEBUG)
+
+    def one_class(a1: int, a2: int) -> _Record:
+        if a1 < 0 or a2 < 0:
+            raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
+        c = top * (a1 * a2) ** (n - 1)
+        values = (*zeros, c * max(a1 - a2, 0), c * max(a2 - a1, 0), *zeros)
+        if not (a1 and a2):  # boundary: a2 = 0 lies on the nef side, a1 = 0 on the anti-nef side
+            return (a1, a2), high if a2 else low, AsymptoticVector(values)
+        if debug:
             # the side that reptheory.series_polynomials writes out at m = 2^bits,
             # where B - A = m*(a2 - a1) + 2k - n - 1
             side = "cokernel" if a2 > a1 or (a1 == a2 and k > n + 1) else "kernel"
@@ -276,10 +323,9 @@ def _special_fiber(n: int, k: int, a1: int, a2: int) -> tuple[CaseLabel, Asympto
                          Fraction(values[n - 1 + (side == "cokernel")], factorial(dim)),
                          extra={"divisor_class": (n, k, a1, a2), "stable_start": start,
                                 "side": side})
-    else:
-        (index,) = label.allowed_indices
-        values[index] = (-1) ** index * intersection_number(n, k, k, a1, a2)
-    return label, AsymptoticVector(tuple(values))
+        return (a1, a2), mixed, AsymptoticVector(values)
+
+    return one_class
 
 
 def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:
@@ -298,15 +344,16 @@ def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:
     return (-1) ** (n - 1) * comb(2 * n - 1, n - 1) * (a1 * a2) ** (n - 1) * (l * a1 - k * a2)
 
 
-def purity_report(
-    n: int, k: int, pairs: Iterable[tuple[int, int]]
-) -> list[tuple[tuple[int, int], CaseLabel, AsymptoticVector]]:
+def purity_report(n: int, k: int, pairs: Iterable[tuple[int, int]]) -> list[_Record]:
     """((a1, a2), label, vector) for each special-fiber class D = a1*H1 - a2*H2, in input order.
 
     Each pair (a1, a2) >= 0 is handed back as given, beside its classify
-    label and its asymptotic_special_fiber vector; each class is classified
-    once.  The zero pair comes out boundary and pure_zero.  Impure verdicts
-    are returned like the others; a caller that expects purity checks the
-    verdicts itself.
+    label and its asymptotic_special_fiber vector; each class is labelled
+    once.  n and k are checked, and k*C(2n-1, n) taken, once per call,
+    before any pair is read; no DivisorClass is built, and every label is
+    the shared instance that classify returns.  The zero pair comes out
+    boundary and pure_zero.  Impure verdicts are returned like the others;
+    a caller that expects purity checks the verdicts itself.
     """
-    return [((a1, a2), *_special_fiber(n, k, a1, a2)) for a1, a2 in pairs]
+    one_class = _fiber(n, k)
+    return [one_class(a1, a2) for a1, a2 in pairs]

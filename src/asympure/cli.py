@@ -402,13 +402,15 @@ def cmd_series(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    n, k = args.n, args.k
     a1_span, a2_span = _parse_span(args.a1), _parse_span(args.a2)
-    records = purity_report(args.n, args.k, [(a1, a2) for a1 in a1_span for a2 in a2_span])
-    header = ["n", "k", "a1", "a2", "case", *(f"h_hat_{i}" for i in range(2 * args.n)), "verdict"]
+    records = purity_report(n, k, [(a1, a2) for a1 in a1_span for a2 in a2_span])
+    header = ["n", "k", "a1", "a2", "case", *(f"h_hat_{i}" for i in range(2 * n)), "verdict"]
     verdicts = [vector.purity for _, _, vector in records]
-    rows = [[args.n, args.k, a1, a2, label.kind, *map(str, vector.values), str(verdict)]
+    kinds = [verdict.kind for verdict in verdicts]
+    rows = [[n, k, a1, a2, label.kind, *map(str, vector.values), str(verdict)]
             for ((a1, a2), label, vector), verdict in zip(records, verdicts)]
-    impure = [pair for (pair, _, _), verdict in zip(records, verdicts) if verdict.kind == "impure"]
+    impure = [pair for (pair, _, _), kind in zip(records, kinds) if kind == "impure"]
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             _write_csv(handle, header, rows)
@@ -417,7 +419,7 @@ def cmd_scan(args) -> int:
         "seed": args.seed, "size_cap": args.size_cap,
     }
     result = {"header": header, "rows": rows, "total": len(rows), "impure": impure}
-    counts = Counter(verdict.kind for verdict in verdicts)
+    counts = Counter(kinds)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     destination = f" -> {args.out}" if args.out is not None else ""
     # CSV written to --out leaves stdout the summary line

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 
 from asympure import (
     AsymptoticVector,
+    CaseLabel,
     DivisorClass,
+    PurityVerdict,
     SeriesNotStabilized,
     asymptotic_product,
     asymptotic_special_fiber,
@@ -246,6 +249,19 @@ class TestAsymptoticSpecialFiber:
                 assert label.kind == "boundary" and label.allowed_indices == {0}
                 assert purity_report(n, k, [(0, 0)]) == [((0, 0), label, vec)], (n, k)
 
+    def test_boundary_values_are_signed_intersection_numbers(self):
+        # a boundary class is read from the mixed closed form at a1*a2 = 0; its one
+        # allowed index i holds (-1)^i (D|_Y)^(2n-1), and every other index 0
+        for n in range(1, 7):
+            for k in range(1, 5):
+                for a in range(9):
+                    for a1, a2 in [(a, 0), (0, a)]:
+                        (i,) = classify(n, DivisorClass(a1, -a2)).allowed_indices
+                        expected = [0] * (2 * n)
+                        expected[i] = (-1) ** i * intersection_number(n, k, k, a1, a2)
+                        vec = asymptotic_special_fiber(n, k, a1, a2)
+                        assert vec.values == tuple(expected), (n, k, a1, a2)
+
     def test_antisymmetry(self):
         for k in (1, 2):
             for a1, a2 in [(2, 1), (3, 1), (1, 2), (2, 3), (1, 1)]:
@@ -428,7 +444,7 @@ class TestPurityReport:
 
         fake = AsymptoticVector((1, 2, 0, 0))
         label = classify(2, DivisorClass(1, -1))
-        monkeypatch.setattr(asym, "_special_fiber", lambda *a: (label, fake))
+        monkeypatch.setattr(asym, "_fiber", lambda n, k: lambda a1, a2: ((a1, a2), label, fake))
         (pair, _, vec), = asym.purity_report(2, 1, [(1, 1)])
         assert pair == (1, 1)
         assert vec.purity.kind == "impure"
@@ -448,6 +464,18 @@ class TestPurityReport:
             with pytest.raises(ValueError, match=rf"need n, k >= 1, got n={n}, k={k}"):
                 purity_report(n, k, [(1, 1)])
 
+    def test_checks_n_and_k_before_any_pair(self):
+        for n, k in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match=rf"need n, k >= 1, got n={n}, k={k}"):
+                purity_report(n, k, [])
+            with pytest.raises(ValueError, match=rf"need n, k >= 1, got n={n}, k={k}"):
+                purity_report(n, k, [(-1, 1)])
+
+    def test_takes_any_iterable_of_pairs(self):
+        pairs = [(3, 1), (0, 2), (2, 2)]
+        assert purity_report(3, 2, iter(pairs)) == purity_report(3, 2, pairs)
+        assert purity_report(3, 2, ()) == []
+
 
 class TestAsymptoticVector:
     def test_verdict_classification(self):
@@ -458,3 +486,58 @@ class TestAsymptoticVector:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             AsymptoticVector((0, -1, 0, 0))
+        for values in [(0, -1), (-1,), (5, 0, -2)]:
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                AsymptoticVector(values)
+        assert AsymptoticVector(()).dim == -1
+        assert AsymptoticVector((0, 0)).purity.kind == "pure_zero"
+
+
+class TestSharedInstances:
+    """classify and AsymptoticVector.purity hand out shared frozen instances."""
+
+    def test_labels_equal_fresh_ones(self):
+        for n in range(1, 7):
+            top = 2 * n - 1
+            fresh = {
+                (1, 1): CaseLabel("nef", frozenset({0})),
+                (-1, -1): CaseLabel("anti_nef", frozenset({top})),
+                (1, -1): CaseLabel("mixed", frozenset({n - 1, n})),
+                (-1, 1): CaseLabel("mixed", frozenset({n - 1, n})),
+                (1, 0): CaseLabel("boundary", frozenset({0})),
+                (0, 0): CaseLabel("boundary", frozenset({0})),
+                (0, -1): CaseLabel("boundary", frozenset({top})),
+            }
+            for (a1, a2), label in fresh.items():
+                shared = classify(n, DivisorClass(a1, a2))
+                assert shared == label, (n, a1, a2)
+                assert classify(n, DivisorClass(3 * a1, 2 * a2)) is shared
+        for a1, a2 in [(-1, -1), (1, -1), (0, -1)]:
+            assert classify(2, DivisorClass(a1, a2)) != classify(3, DivisorClass(a1, a2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            classify(2, DivisorClass(1, 1)).kind = "mixed"
+
+    def test_purity_report_labels_are_the_classify_ones(self):
+        for n in range(1, 5):
+            pairs = [(a1, a2) for a1 in range(4) for a2 in range(4)]
+            for (a1, a2), label, _ in purity_report(n, 2, pairs):
+                assert label is classify(n, DivisorClass(a1, -a2))
+
+    def test_verdicts_equal_fresh_ones_on_the_benchmark_grid(self):
+        pairs = [(a1, a2) for a1 in range(21) for a2 in range(21)]
+        seen = 0
+        for n in range(2, 7):
+            for k in range(1, 5):
+                for _, _, vector in purity_report(n, k, pairs):
+                    indices = tuple(i for i, v in enumerate(vector.values) if v)
+                    fresh = PurityVerdict(indices)
+                    shared = vector.purity
+                    kind = "pure_zero" if not indices else "pure" if len(indices) == 1 else "impure"
+                    text = f"{kind}({','.join(map(str, indices))})" if indices else kind
+                    assert shared == fresh and shared.kind == fresh.kind == kind
+                    assert str(shared) == str(fresh) == text
+                    assert AsymptoticVector(vector.values).purity is shared
+                    seen += 1
+        assert seen == 8820
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PurityVerdict((1,)).kind = "impure"

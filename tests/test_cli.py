@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -201,12 +202,32 @@ class TestScan:
         lines = out.strip().splitlines()
         assert len(lines) == 5
 
+    def test_benchmark_scan_bytes_are_pinned(self, capsys):
+        # the purity_scan benchmark's 420 calls, their stdout joined in (n, k, a1)
+        # order: the sha256 its workload records
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            for k in range(1, 5):
+                for a1 in range(21):
+                    code, out, err = run(capsys, "scan", "--n", str(n), "--k", str(k),
+                                         "--a1", str(a1), "--a2", "0..20", "--format", "csv")
+                    assert (code, err) == (0, ""), (n, k, a1)
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "55675343503a0c9598c8ce6f16921b38c2dac9122d5d0a1849b64044676ba8f6")
+
+    def test_table_summary_counts_each_verdict_kind(self, capsys):
+        # n >= 2: the seven boundary classes and the three with a1 == a2 vanish
+        code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..3", "--a2", "0..3")
+        assert (code, out, err) == (0, "16 rows (pure=6, pure_zero=10)\n", "")
+
     def test_impure_class_is_reported(self, capsys, monkeypatch):
         import asympure.asymptotics as asym
 
         fake = asympure.AsymptoticVector((1, 2, 0, 0))
         label = asympure.classify(2, asympure.DivisorClass(1, -1))
-        monkeypatch.setattr(asym, "_special_fiber", lambda *a: (label, fake))
+        # _fiber(n, k) returns the function that labels and evaluates one class
+        monkeypatch.setattr(asym, "_fiber", lambda n, k: lambda a1, a2: ((a1, a2), label, fake))
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
         assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
 
@@ -254,12 +275,18 @@ class TestScan:
         import asympure.asymptotics as asym
 
         labels = []
+        real = asym._fiber
 
-        def counted(n, divisor):
-            labels.append((divisor.a1, -divisor.a2))
-            return asympure.classify(n, divisor)
+        def counted(n, k):
+            one_class = real(n, k)  # labels and evaluates one class
 
-        monkeypatch.setattr(asym, "classify", counted)
+            def labelled(a1, a2):
+                labels.append((a1, a2))
+                return one_class(a1, a2)
+
+            return labelled
+
+        monkeypatch.setattr(asym, "_fiber", counted)
         code, _, _ = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..3", "--a2", "0..3")
         assert code == 0
         assert sorted(labels) == [(a1, a2) for a1 in range(4) for a2 in range(4)]

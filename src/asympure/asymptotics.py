@@ -19,12 +19,12 @@ independent references: reptheory.series_polynomials against the
 prediction and against the mixed closed form, and fit_leading_coefficient
 against the one-index ones.
 
-A scan does its per-(n, k) work once per call: purity_report checks n and
-k and takes k*C(2n-1, n) once, and then each class costs its sign dispatch
-and its 2n values.  Labels and verdicts are shared frozen instances:
-classify returns one CaseLabel per (n, case), and AsymptoticVector.purity
-one PurityVerdict per tuple of nonzero indices, whose kind and string are
-each built once.
+The sign rule is written once, in _case_labels(n), the table from the
+signs of (a1, a2) to the five CaseLabels of P^n x P^n; classify and
+purity_report read it.  A scan does its per-(n, k) work once per call, in
+purity_report, and then each class costs a sign test and its 2n values.
+Labels and verdicts are shared frozen instances: AsymptoticVector.purity
+returns one PurityVerdict per tuple of nonzero indices.
 
 From the special fiber to a very general one: for every bidegree-(k, k)
 form F, h^(n-1) and h^n of a mixed class are the kernel and cokernel of the
@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, count
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .projspace import DivisorClass, series_exponents
 
@@ -120,41 +120,37 @@ class AsymptoticVector:
 
 
 @lru_cache(maxsize=64)
-def _case_labels(n: int) -> tuple[CaseLabel, ...]:
-    """The five labels of P^n x P^n, built once per n.
+def _case_labels(n: int) -> dict[tuple[int, int], CaseLabel]:
+    """The label of each pair of signs (-1, 0, 1) of (a1, a2) on P^n x P^n, built once per n.
 
-    In order: nef, anti_nef, mixed, and boundary at index 0 and at 2n-1.
+    Both coefficients positive: nef, only index 0.  Both negative: anti-nef,
+    only index 2n-1.  Opposite signs: mixed, only indices n-1 and n.  A zero
+    coefficient is a boundary class whose allowed set is inherited from the
+    adjacent closed case by the sign of the other coefficient; the zero
+    class lies on the nef side.  The nine pairs share five frozen labels.
     """
     if n < 1:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
     top = 2 * n - 1
-    return (CaseLabel("nef", frozenset({0})), CaseLabel("anti_nef", frozenset({top})),
-            CaseLabel("mixed", frozenset({n - 1, n})), CaseLabel("boundary", frozenset({0})),
-            CaseLabel("boundary", frozenset({top})))
+    nef, anti_nef = CaseLabel("nef", frozenset({0})), CaseLabel("anti_nef", frozenset({top}))
+    low, high = CaseLabel("boundary", frozenset({0})), CaseLabel("boundary", frozenset({top}))
+    mixed = CaseLabel("mixed", frozenset({n - 1, n}))
+    return {(1, 1): nef, (1, 0): low, (0, 1): low, (0, 0): low,
+            (-1, -1): anti_nef, (-1, 0): high, (0, -1): high,
+            (1, -1): mixed, (-1, 1): mixed}
 
 
 def classify(n: int, divisor: DivisorClass) -> CaseLabel:
     """Sign-pattern dispatch for restrictions to a bidegree-(k, k) hypersurface.
 
-    Both coefficients positive: nef, only index 0.  Both negative: anti-nef,
-    only index 2n-1.  Opposite signs: only indices n-1 and n.  A zero
-    coefficient is a boundary class whose allowed set is inherited from the
-    adjacent closed case by the sign of the other coefficient.  The label
-    is a shared frozen instance, built once per (n, case).
+    The label of the signs of (a1, a2) in _case_labels(n), a shared frozen
+    instance.
 
     >>> classify(2, DivisorClass(2, -1)).allowed_indices == frozenset({1, 2})
     True
     """
-    nef, anti_nef, mixed, low, high = _case_labels(n)
     a1, a2 = divisor.a1, divisor.a2
-    if a1 > 0 and a2 > 0:
-        return nef
-    if a1 < 0 and a2 < 0:
-        return anti_nef
-    if a1 * a2 < 0:
-        return mixed
-    # a1 * a2 == 0: boundary of the nef or anti-nef cone by the other sign
-    return low if a1 + a2 >= 0 else high
+    return _case_labels(n)[(a1 > 0) - (a1 < 0), (a2 > 0) - (a2 < 0)]
 
 
 def fit_leading_coefficient(
@@ -278,54 +274,17 @@ def asymptotic_special_fiber(n: int, k: int, a1: int, a2: int) -> AsymptoticVect
     the top coefficient of the restriction Euler characteristic
     chi(mD) - chi(mD - Y) times (2n-1)!: k*a1 or k*a2 for n = 1, and 0 for
     n >= 2 and for the zero class.  The mixed closed form gives exactly
-    these values at a1*a2 = 0, so every class is read from it.  verify
-    checks the mixed values against the top coefficients of
-    reptheory.series_polynomials, intersection_number against that Euler
-    characteristic's fitted (2n-1)-th difference, and the alternating sum
-    of every class's values at n = 2 against intersection_number.
+    these values at a1*a2 = 0, so every class is read from it: this is
+    purity_report's vector for the one pair.  verify checks the mixed
+    values against the top coefficients of reptheory.series_polynomials,
+    intersection_number against that Euler characteristic's fitted
+    (2n-1)-th difference, and the alternating sum of every class's values,
+    from n = 1 on, against intersection_number.
 
     >>> asymptotic_special_fiber(2, 1, 2, 1).values[1]
     6
     """
-    return _fiber(n, k)(a1, a2)[2]
-
-
-_Record = tuple[tuple[int, int], CaseLabel, AsymptoticVector]
-
-
-def _fiber(n: int, k: int) -> Callable[[int, int], _Record]:
-    """The function (a1, a2) -> ((a1, a2), label, vector) for this (n, k).
-
-    n and k are checked, and k*C(2n-1, n) taken, here: once, before any class.
-    """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
-    _, _, mixed, low, high = _case_labels(n)
-    dim = 2 * n - 1
-    top = k * comb(dim, n)
-    zeros = (0,) * (n - 1)
-    debug = logger.isEnabledFor(logging.DEBUG)
-
-    def one_class(a1: int, a2: int) -> _Record:
-        if a1 < 0 or a2 < 0:
-            raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
-        c = top * (a1 * a2) ** (n - 1)
-        values = (*zeros, c * max(a1 - a2, 0), c * max(a2 - a1, 0), *zeros)
-        if not (a1 and a2):  # boundary: a2 = 0 lies on the nef side, a1 = 0 on the anti-nef side
-            return (a1, a2), high if a2 else low, AsymptoticVector(values)
-        if debug:
-            # the side that reptheory.series_polynomials writes out at m = 2^bits,
-            # where B - A = m*(a2 - a1) + 2k - n - 1
-            side = "cokernel" if a2 > a1 or (a1 == a2 and k > n + 1) else "kernel"
-            start = stable_start(n, k, a1, a2)
-            logger.debug("mixed class (n, k, a1, a2) = (%d, %d, %d, %d): stable_start %d, "
-                         "%s side, m^%d coefficient %s", n, k, a1, a2, start, side, dim,
-                         Fraction(values[n - 1 + (side == "cokernel")], factorial(dim)),
-                         extra={"divisor_class": (n, k, a1, a2), "stable_start": start,
-                                "side": side})
-        return (a1, a2), mixed, AsymptoticVector(values)
-
-    return one_class
+    return purity_report(n, k, [(a1, a2)])[0][2]
 
 
 def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:
@@ -344,16 +303,46 @@ def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:
     return (-1) ** (n - 1) * comb(2 * n - 1, n - 1) * (a1 * a2) ** (n - 1) * (l * a1 - k * a2)
 
 
+_Record = tuple[tuple[int, int], CaseLabel, AsymptoticVector]
+
+
 def purity_report(n: int, k: int, pairs: Iterable[tuple[int, int]]) -> list[_Record]:
     """((a1, a2), label, vector) for each special-fiber class D = a1*H1 - a2*H2, in input order.
 
     Each pair (a1, a2) >= 0 is handed back as given, beside its classify
     label and its asymptotic_special_fiber vector; each class is labelled
-    once.  n and k are checked, and k*C(2n-1, n) taken, once per call,
-    before any pair is read; no DivisorClass is built, and every label is
-    the shared instance that classify returns.  The zero pair comes out
-    boundary and pure_zero.  Impure verdicts are returned like the others;
-    a caller that expects purity checks the verdicts itself.
+    once, and builds one AsymptoticVector.  n and k are checked, and the
+    labels and k*C(2n-1, n) taken, once per call, before any pair is read.
+    No DivisorClass is built: the labels are _case_labels(n)'s at the signs
+    of (a1, -a2), the shared instances that classify returns.  The zero
+    pair comes out boundary and pure_zero.  Impure verdicts are returned
+    like the others; a caller that expects purity checks the verdicts itself.
     """
-    one_class = _fiber(n, k)
-    return [one_class(a1, a2) for a1, a2 in pairs]
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
+    labels = _case_labels(n)
+    # the signs of (a1, -a2): a2 = 0 lies on the nef side, a1 = 0 < a2 on the anti-nef side
+    mixed, nef_side, anti_nef_side = labels[1, -1], labels[1, 0], labels[0, -1]
+    dim = 2 * n - 1
+    top = k * comb(dim, n)
+    zeros = (0,) * (n - 1)
+    debug = logger.isEnabledFor(logging.DEBUG)
+    records = []
+    for a1, a2 in pairs:
+        if a1 < 0 or a2 < 0:
+            raise ValueError(f"coefficients must be >= 0, got ({a1}, {a2})")
+        c = top * (a1 * a2) ** (n - 1)
+        values = (*zeros, c * max(a1 - a2, 0), c * max(a2 - a1, 0), *zeros)
+        label = mixed if a1 and a2 else anti_nef_side if a2 else nef_side
+        if debug and label is mixed:
+            # the side that reptheory.series_polynomials writes out at m = 2^bits,
+            # where B - A = m*(a2 - a1) + 2k - n - 1
+            side = "cokernel" if a2 > a1 or (a1 == a2 and k > n + 1) else "kernel"
+            start = stable_start(n, k, a1, a2)
+            logger.debug("mixed class (n, k, a1, a2) = (%d, %d, %d, %d): stable_start %d, "
+                         "%s side, m^%d coefficient %s", n, k, a1, a2, start, side, dim,
+                         Fraction(values[n - 1 + (side == "cokernel")], factorial(dim)),
+                         extra={"divisor_class": (n, k, a1, a2), "stable_start": start,
+                                "side": side})
+        records.append(((a1, a2), label, AsymptoticVector(values)))
+    return records

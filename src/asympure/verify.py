@@ -229,17 +229,19 @@ def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool,
                   f"{len(classes)} classes, n <= {n_max}, k <= {k_max}, a1, a2 <= {a_max}")
 
 
-def _check_intersection_numbers(k_max: int, a_max: int) -> tuple[bool, str]:
+def _check_intersection_numbers(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
     # chi(O_Y(mD)) does not depend on the form, so its leading term is (D|_Y)^(2n-1):
-    # an identity for the purity scan's classes that uses no Weyl dimension
+    # an identity for the purity scan's classes that uses no Weyl dimension.  Only
+    # n = 1 has nonzero boundary values (k*a1 and k*a2), so the walk starts there
     grid = [(a1, a2) for a1 in range(a_max + 1) for a2 in range(a_max + 1)]
-    alternating = {(k, *pair): sum((-1) ** i * v for i, v in enumerate(vec.values))
-                   for k in range(1, k_max + 1) for pair, _, vec in purity_report(2, k, grid)}
-    return _agree("sum_i (-1)^i h-hat^i of purity_report(2, k, [(a1, a2)]) vs "
-                  "intersection_number(2, k, k, a1, a2)", alternating,
+    alternating = {(n, k, *pair): sum((-1) ** i * v for i, v in enumerate(vec.values))
+                   for n in range(1, n_max + 1) for k in range(1, k_max + 1)
+                   for pair, _, vec in purity_report(n, k, grid)}
+    return _agree("sum_i (-1)^i h-hat^i of purity_report(n, k, [(a1, a2)]) vs "
+                  "intersection_number(n, k, k, a1, a2)", alternating,
                   lambda *case: alternating[case],
-                  lambda k, a1, a2: intersection_number(2, k, k, a1, a2),
-                  f"n = 2, k <= {k_max}, a1, a2 in [0, {a_max}]")
+                  lambda n, k, a1, a2: intersection_number(n, k, k, a1, a2),
+                  f"n <= {n_max}, k <= {k_max}, a1, a2 in [0, {a_max}]")
 
 
 def _check_riemann_roch_fits(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
@@ -322,7 +324,7 @@ _CHECKS = (
     ("corner lower bound", _check_corner_lower_bound, (8,), (10,)),
     ("purity scan", _check_purity_scan, (1, 3), (2, 5)),
     ("series polynomial vs prediction", _check_series_polynomials, (2, 2, 4), (4, 3, 6)),
-    ("intersection numbers", _check_intersection_numbers, (1, 3), (2, 5)),
+    ("intersection numbers", _check_intersection_numbers, (2, 1, 3), (3, 2, 5)),
     ("Riemann-Roch fits", _check_riemann_roch_fits, (2, 2, 4), (4, 3, 6)),
     ("rank-3 prediction identities", _check_growth_degrees,
      None, (3, [(2, 1), (1, 2), (1, 1)])),

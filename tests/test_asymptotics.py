@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -23,6 +24,7 @@ from asympure import (
     source_target_dims,
     stable_start,
 )
+from asympure.asymptotics import _case_labels
 
 
 class TestClassify:
@@ -443,8 +445,8 @@ class TestPurityReport:
         import asympure.asymptotics as asym
 
         fake = AsymptoticVector((1, 2, 0, 0))
-        label = classify(2, DivisorClass(1, -1))
-        monkeypatch.setattr(asym, "_fiber", lambda n, k: lambda a1, a2: ((a1, a2), label, fake))
+        # the one class, (1, 1), builds the fake vector in place of its (0, 0, 0, 0)
+        monkeypatch.setattr(asym, "AsymptoticVector", lambda values: fake)
         (pair, _, vec), = asym.purity_report(2, 1, [(1, 1)])
         assert pair == (1, 1)
         assert vec.purity.kind == "impure"
@@ -506,20 +508,26 @@ class TestSharedInstances:
                 (-1, 1): CaseLabel("mixed", frozenset({n - 1, n})),
                 (1, 0): CaseLabel("boundary", frozenset({0})),
                 (0, 0): CaseLabel("boundary", frozenset({0})),
+                (0, 1): CaseLabel("boundary", frozenset({0})),
                 (0, -1): CaseLabel("boundary", frozenset({top})),
+                (-1, 0): CaseLabel("boundary", frozenset({top})),
             }
             for (a1, a2), label in fresh.items():
                 shared = classify(n, DivisorClass(a1, a2))
                 assert shared == label, (n, a1, a2)
                 assert classify(n, DivisorClass(3 * a1, 2 * a2)) is shared
+            # every sign pair is in the table, and the nine share five instances
+            table = _case_labels(n)
+            assert sorted(table) == sorted(product((-1, 0, 1), repeat=2))
+            assert len({id(label) for label in table.values()}) == 5
         for a1, a2 in [(-1, -1), (1, -1), (0, -1)]:
             assert classify(2, DivisorClass(a1, a2)) != classify(3, DivisorClass(a1, a2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             classify(2, DivisorClass(1, 1)).kind = "mixed"
 
     def test_purity_report_labels_are_the_classify_ones(self):
-        for n in range(1, 5):
-            pairs = [(a1, a2) for a1 in range(4) for a2 in range(4)]
+        pairs = [(a1, a2) for a1 in range(21) for a2 in range(21)]
+        for n in range(1, 7):
             for (a1, a2), label, _ in purity_report(n, 2, pairs):
                 assert label is classify(n, DivisorClass(a1, -a2))
 

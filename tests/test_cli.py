@@ -225,9 +225,8 @@ class TestScan:
         import asympure.asymptotics as asym
 
         fake = asympure.AsymptoticVector((1, 2, 0, 0))
-        label = asympure.classify(2, asympure.DivisorClass(1, -1))
-        # _fiber(n, k) returns the function that labels and evaluates one class
-        monkeypatch.setattr(asym, "_fiber", lambda n, k: lambda a1, a2: ((a1, a2), label, fake))
+        # the one class, (1, 1), builds the fake vector in place of its (0, 0, 0, 0)
+        monkeypatch.setattr(asym, "AsymptoticVector", lambda values: fake)
         code, out, err = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "1", "--a2", "1")
         assert (code, out, err) == (1, "1 rows (impure=1)\n", "error: impure verdicts at [(1, 1)]\n")
 
@@ -274,22 +273,20 @@ class TestScan:
     def test_each_class_is_classified_once(self, capsys, monkeypatch):
         import asympure.asymptotics as asym
 
-        labels = []
-        real = asym._fiber
+        classes = [(a1, a2) for a1 in range(4) for a2 in range(4)]
+        expected = [asym.asymptotic_special_fiber(2, 1, a1, a2).values for a1, a2 in classes]
+        built = []
+        real = asym.AsymptoticVector
 
-        def counted(n, k):
-            one_class = real(n, k)  # labels and evaluates one class
+        def counted(values):
+            built.append(values)
+            return real(values)
 
-            def labelled(a1, a2):
-                labels.append((a1, a2))
-                return one_class(a1, a2)
-
-            return labelled
-
-        monkeypatch.setattr(asym, "_fiber", counted)
+        monkeypatch.setattr(asym, "AsymptoticVector", counted)
         code, _, _ = run(capsys, "scan", "--n", "2", "--k", "1", "--a1", "0..3", "--a2", "0..3")
         assert code == 0
-        assert sorted(labels) == [(a1, a2) for a1 in range(4) for a2 in range(4)]
+        # one vector per class, in scan order, each that class's own
+        assert built == expected
 
     @pytest.mark.parametrize("argv,span", [
         (["scan", "--a1", "5..2", "--a2", "0..3"], "5..2"),

@@ -88,10 +88,16 @@ DISAGREEMENTS = {
         "asymptotic_special_fiber(n, k, a1, a2).values[n-1:n+1] at (1, 1, 2, 1): "
         "(1, 0) != (2, 0)"),
     "intersection numbers": (
-        verify._check_intersection_numbers, (1, 3), verify, "intersection_number",
+        verify._check_intersection_numbers, (2, 1, 3), verify, "intersection_number",
         (2, 1, 1, 2, 1), (2, 1, 1, 3, 1),
-        "sum_i (-1)^i h-hat^i of purity_report(2, k, [(a1, a2)]) vs "
-        "intersection_number(2, k, k, a1, a2) at (1, 2, 1): -6 != -18"),
+        "sum_i (-1)^i h-hat^i of purity_report(n, k, [(a1, a2)]) vs "
+        "intersection_number(n, k, k, a1, a2) at (2, 1, 2, 1): -6 != -18"),
+    # n = 1 is the only dimension whose boundary values are nonzero: k*a1 at index 0
+    "intersection numbers (n = 1)": (
+        verify._check_intersection_numbers, (2, 1, 3), verify, "intersection_number",
+        (1, 1, 1, 2, 0), (1, 1, 1, 3, 0),
+        "sum_i (-1)^i h-hat^i of purity_report(n, k, [(a1, a2)]) vs "
+        "intersection_number(n, k, k, a1, a2) at (1, 1, 2, 0): 2 != 3"),
     # one Euler characteristic off its polynomial leaves the series no fit
     "Riemann-Roch fits (Euler)": (
         verify._check_riemann_roch_fits, (2, 2, 4), verify, "euler_characteristic",

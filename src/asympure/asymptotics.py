@@ -41,7 +41,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import compress, count
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -90,9 +90,9 @@ class PurityVerdict:
         return self._text
 
 
-@lru_cache(maxsize=1024)
+@cache
 def _verdict(indices: tuple[int, ...]) -> PurityVerdict:
-    """The shared verdict of one tuple of nonzero indices."""
+    """The shared verdict of one tuple of nonzero indices, kept for the life of the process."""
     return PurityVerdict(indices)
 
 
@@ -119,7 +119,7 @@ class AsymptoticVector:
         return _verdict(tuple(compress(count(), self.values)))
 
 
-@lru_cache(maxsize=64)
+@cache
 def _case_labels(n: int) -> dict[tuple[int, int], CaseLabel]:
     """The label of each pair of signs (-1, 0, 1) of (a1, a2) on P^n x P^n, built once per n.
 

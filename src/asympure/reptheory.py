@@ -7,7 +7,8 @@ of the source and target decompositions.  By Schur, a component shared by
 both sides maps either isomorphically or to zero; the prediction assumes
 "isomorphically", so only the unshared components survive.  The exact-rank
 oracle is what tests that assumption.  One range rule, _index_ranges, gives
-the indices i of the surviving components (A+B-i, i) of every map.
+the indices i of the surviving components (A+B-i, i) to one prediction
+function, predict_map_analysis, which kernel_series_rep calls per multiple.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ def weyl_dimension(n: int, label: IrrepLabel) -> int:
     """Exact dimension of the SL(n+1) irreducible with the given label.
 
     Weyl's product over 1 <= p < q <= n+1 of (lambda_p - lambda_q + q - p)/(q - p)
-    collapses for lambda = (lambda1, lambda2, 0, ..., 0): the pair (1, 2)
-    gives lambda1 - lambda2 + 1, the pairs (1, q >= 3) give
-    C(lambda1 + n, n)/(lambda1 + 1), the pairs (2, q >= 3) give
-    C(lambda2 + n - 1, n - 1), and the pairs of zero rows give 1.
+    collapses for lambda = (lambda1, lambda2, 0, ..., 0): the pair (1, 2) gives
+    lambda1 - lambda2 + 1, the pairs (1, q >= 3) give C(lambda1 + n, n)/(lambda1 + 1),
+    the pairs (2, q >= 3) give C(lambda2 + n - 1, n - 1), and the pairs of zero
+    rows give 1.  The product is _weyl_numerator over n!(n-1)!, an exact division.
 
     >>> weyl_dimension(2, IrrepLabel(1, 0))
     3
@@ -53,19 +54,14 @@ def weyl_dimension(n: int, label: IrrepLabel) -> int:
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    return _weyl(n, label.lambda1, label.lambda2)
-
-
-def _weyl(n: int, lambda1: int, lambda2: int) -> int:
-    """weyl_dimension's closed form, for a rank and a label its caller has checked."""
-    numerator = _weyl_numerator(n, lambda1, lambda2)
+    numerator = _weyl_numerator(n, label.lambda1, label.lambda2)
     quotient, remainder = divmod(numerator, factorial(n) * factorial(n - 1))
     assert remainder == 0, "Weyl dimension must be an integer"
     return quotient
 
 
 def _weyl_numerator(n: int, l1: int, l2: int) -> int:
-    """n!(n-1)! times _weyl: (l1 - l2 + 1)(l1 + 2)...(l1 + n)(l2 + 1)...(l2 + n - 1).
+    """n!(n-1)! times weyl_dimension: (l1 - l2 + 1)(l1 + 2)...(l1 + n)(l2 + 1)...(l2 + n - 1).
 
     The runs are n! C(l1 + n, n)/(l1 + 1) and (n-1)! C(l2 + n - 1, n - 1).
     """
@@ -168,11 +164,12 @@ def kernel_series_rep(
     """Predicted (m, kernel_dim, cokernel_dim) rows over a range of multiples.
 
     The rows are those of feasible_multiples, which states which multiples
-    are kept and when the range is an error.  A row holds predict_map_analysis's
-    two dimensions, summed over the same index ranges without labels.
+    are kept and when the range is an error.  A row holds the two dimensions
+    of predict_map_analysis(n, k, A, B) at that multiple's exponents.
     """
-    return [(m, *(sum(_weyl(n, A + B - i, i) for i in span) for span in _index_ranges(n, k, A, B)))
-            for m, A, B in feasible_multiples(n, k, a1, a2, m_range)]
+    analyses = ((m, predict_map_analysis(n, k, A, B))
+                for m, A, B in feasible_multiples(n, k, a1, a2, m_range))
+    return [(m, analysis.kernel_dim, analysis.cokernel_dim) for m, analysis in analyses]
 
 
 def series_polynomials(n: int, k: int, a1: int, a2: int) -> tuple[list[int], list[int]]:

@@ -198,6 +198,12 @@ def _check_purity_scan(k_max: int, a_max: int) -> tuple[bool, str]:
     return True, f"k <= {k_max}, a1, a2 in [0, {a_max}]"
 
 
+def _window(n: int, k: int, a1: int, a2: int) -> range:
+    """The 2n + 3 multiples from stable_start(n, k, a1, a2) on which verify fits a series."""
+    start = stable_start(n, k, a1, a2)
+    return range(start, start + 2 * n + 3)
+
+
 def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool, str]:
     # the prediction's kernel and cokernel polynomials against its rows at 2n + 3
     # multiples, then their top coefficients against the closed form that scan
@@ -206,17 +212,13 @@ def _check_series_polynomials(n_max: int, k_max: int, a_max: int) -> tuple[bool,
                            range(1, a_max + 1), range(1, a_max + 1)))
     polynomials = {case: series_polynomials(*case) for case in classes}
 
-    def window(n, k, a1, a2):
-        start = stable_start(n, k, a1, a2)
-        return range(start, start + 2 * n + 3)
-
     def evaluated(*case):
         return [(m, *(sum(c * m**i for i, c in enumerate(poly)) for poly in polynomials[case]))
-                for m in window(*case)]
+                for m in _window(*case)]
 
     def predicted(*case):
         scale = factorial(2 * case[0] - 1)
-        return [(m, kd * scale, cd * scale) for m, kd, cd in kernel_series_rep(*case, window(*case))]
+        return [(m, kd * scale, cd * scale) for m, kd, cd in kernel_series_rep(*case, _window(*case))]
 
     ok, detail = _agree("series_polynomials(n, k, a1, a2) at 2n + 3 multiples from stable_start "
                         "vs (2n-1)! * kernel_series_rep rows", classes, evaluated, predicted, "")
@@ -282,10 +284,9 @@ def _check_growth_degrees(n: int, pairs: list[tuple[int, int]]) -> tuple[bool, s
     # (a1 < a2) grows in degree 2n - 1, the other side is zero; for a1 = a2 neither.
     for k in (1, 2):
         for a1, a2 in pairs:
-            start = stable_start(n, k, a1, a2)
             # a sampled fit over 2n + 3 multiples: independent of the series
             # polynomials and of the mixed closed form
-            rows = kernel_series_rep(n, k, a1, a2, range(start, start + 2 * n + 3))
+            rows = kernel_series_rep(n, k, a1, a2, _window(n, k, a1, a2))
             for side, series in (
                 ("kernel", [(m, kd) for m, kd, _ in rows]),
                 ("cokernel", [(m, cd) for m, _, cd in rows]),

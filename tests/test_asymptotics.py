@@ -549,3 +549,16 @@ class TestSharedInstances:
         assert seen == 8820
         with pytest.raises(dataclasses.FrozenInstanceError):
             PurityVerdict((1,)).kind = "impure"
+
+    def test_instances_outlive_many_other_keys(self):
+        # a label or verdict handed out once is the one handed out later in the
+        # same process, however many other n or index tuples came between
+        label = classify(1, DivisorClass(1, -1))
+        for n in range(2, 70):
+            classify(n, DivisorClass(1, -1))
+        assert classify(1, DivisorClass(1, -1)) is label
+        verdict = purity_report(1, 1, [(2, 1)])[0][2].purity
+        for n in range(2, 1100):
+            for _, _, vector in purity_report(n, 1, [(2, 1), (1, 2)]):
+                vector.purity
+        assert purity_report(1, 1, [(2, 1)])[0][2].purity is verdict

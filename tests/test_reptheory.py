@@ -214,8 +214,8 @@ class TestLabelFreePath:
                     for B in range(21):
                         kernel, cokernel = reptheory._index_ranges(n, k, A, B)
                         labelled = predict_map_analysis(n, k, A, B)
-                        dims = (sum(reptheory._weyl(n, A + B - i, i) for i in kernel),
-                                sum(reptheory._weyl(n, A + B - i, i) for i in cokernel))
+                        dims = (sum(weyl_dimension(n, IrrepLabel(A + B - i, i)) for i in kernel),
+                                sum(weyl_dimension(n, IrrepLabel(A + B - i, i)) for i in cokernel))
                         assert dims == (labelled.kernel_dim, labelled.cokernel_dim)
                 for a1, a2 in ((1, 1), (2, 1), (1, 2), (3, 2)):
                     for m, kd, cd in kernel_series_rep(n, k, a1, a2, range(1, 9)):

@@ -8,7 +8,7 @@ raises is one counted FAIL line, and `asympure verify` then exits 1.
 
 import pytest
 
-from asympure import oracle, verify
+from asympure import oracle, reptheory, verify
 from asympure.cli import main
 from asympure.oracle import ContractionOperator, special_fiber_operator
 from asympure.projspace import DivisorClass
@@ -68,6 +68,14 @@ DISAGREEMENTS = {
         "(8, 9, 0)] != "
         "[(1, 2, 0), (2, 4, 0), (3, 6, 0), (4, 8, 0), (5, 10, 0), (6, 12, 0), (7, 14, 0), "
         "(8, 16, 0)]"),
+    # the series rows are predict_map_analysis's: a fault there is one the series check sees
+    "engine equivalence (series, prediction)": (
+        verify._check_engine_series, (8,), reptheory, "predict_map_analysis",
+        (2, 1, 3, 2), (2, 1, 4, 2),
+        "(m, kernel, cokernel) rows of oracle_series vs kernel_series_rep(n, k, a1, a2) "
+        "at (2, 1, 1, 1): "
+        "[(2, 3, 0), (3, 8, 0), (4, 15, 0), (5, 24, 0), (6, 35, 0), (7, 48, 0), (8, 63, 0)] != "
+        "[(2, 3, 0), (3, 8, 0), (4, 27, 0), (5, 24, 0), (6, 35, 0), (7, 48, 0), (8, 63, 0)]"),
     "engine equivalence (grid)": (
         verify._check_engine_grid, ([2], 1, 4), verify, "build_matrix",
         (SPECIAL_21, 3, 4), (SPECIAL_21, 4, 4),

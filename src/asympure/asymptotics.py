@@ -250,6 +250,8 @@ def stable_start(n: int, k: int, a1: int, a2: int) -> int:
     >>> stable_start(2, 1, 1, 2)
     2
     """
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     if a1 < 1 or a2 < 1:
         raise ValueError(f"divisor coefficients must be >= 1, got ({a1}, {a2})")
     m = 1
@@ -300,6 +302,8 @@ def intersection_number(n: int, k: int, l: int, a1: int, a2: int) -> int:
     >>> intersection_number(2, 1, 1, 2, 1)
     -6
     """
+    if n < 1:
+        raise ValueError(f"projective dimension must be >= 1, got {n}")
     return (-1) ** (n - 1) * comb(2 * n - 1, n - 1) * (a1 * a2) ** (n - 1) * (l * a1 - k * a2)
 
 

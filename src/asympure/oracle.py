@@ -36,16 +36,15 @@ min(w, B), and every later class with that key reads them instead of
 building and ranking its block again.  So a block is built only when its
 key is new, and the full column list only when something reads
 matrix.columns: the golden layout, to_dense, nnz, and operators that do not
-preserve weight, which are ranked on the connected components of the
-sparsity pattern.  Every rank is a proof, by one of three routes
+preserve weight, whose connected components are ranked in the same loop,
+each a class of its own.  Every rank is a proof, by one of three routes
 (exact_rank states the rule): a block whose shorter side's vectors lead at
 distinct positions is already in echelon form and needs no arithmetic; any
 other block of full rank modulo the small fixed prime 2039 is proven by
-that elimination, and a deficient one by Bareiss elimination.  Modular
-eliminations run in pure Python with each row packed into one integer (see
-_rank_mod_p), from whichever end of the block its vectors' first or last
-nonzero positions are the more distinct, as read by the certificate's
-single pass.
+that elimination, and a deficient one by Bareiss elimination, each row
+packed into one integer (see _rank_mod_p).  _rank_block orients a block
+once for every route: it transposes a tall one, and reverses the columns
+of one whose vectors' last nonzero positions are the more distinct.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -270,8 +269,8 @@ class SparseIntMatrix:
     time columns is read, its result kept and not checked.  build_matrix
     passes one, so a rank taken on the weight classes never builds the
     columns.  build_matrix also passes the WeightClasses of an operator
-    that preserves weight; exact_rank ranks those classes, or, when
-    weight_classes is None, the connected components of the columns.
+    that preserves weight, and exact_rank ranks those classes; None: each
+    connected component of the columns is a class of its own.
     """
 
     def __init__(
@@ -666,19 +665,14 @@ def _minus_inverses() -> tuple[int, ...]:
     return tuple(table)
 
 
-def _rank_mod_p(
-    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int,
-    from_last: bool = False,
-) -> int:
+def _rank_mod_p(entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int) -> int:
     """Rank of the block modulo the prime p, by inserting packed rows one at a time.
 
-    entries are (row, column, value) at distinct positions, read by rows as
-    given (_rank_block transposes a tall block, so that fewer rows are
-    inserted).  Each row is one Python int: its entries modulo p sit in
-    slots of W bits, W = (nrows * p * p).bit_length(), column j in slot j,
-    or in slot ncols - 1 - j when from_last is set, so that the rows are
-    eliminated from their last nonzero positions.  A permutation of the
-    columns changes neither the rank nor the slot bound below.
+    entries are (row, column, value) at distinct positions, read as given:
+    _rank_block transposes a tall block, so that fewer rows are inserted,
+    and reverses the columns of one whose rows end more apart than they
+    lead.  Each row is one Python int: its entries modulo p sit in slots of
+    W bits, W = (nrows * p * p).bit_length(), column j in slot j.
 
     pivots maps a column to the reduced row that leads there, with
     -1/lead mod p: read from the table of _minus_inverses when p is
@@ -704,7 +698,7 @@ def _rank_mod_p(
     mask = (1 << width) - 1
     rows = [0] * nrows
     for i, j, val in entries:
-        rows[i] += val % p << (ncols - 1 - j if from_last else j) * width
+        rows[i] += val % p << j * width
     pivots: dict[int, tuple[int, int]] = {}
     minus_inverses = _minus_inverses() if p == _PROOF_PRIME else None
     for row in rows:
@@ -769,11 +763,13 @@ def _rank_bareiss(
 def _rank_block(entries: list[tuple[int, int, int]], shape: tuple[int, int]) -> BlockFacts:
     """The facts of one block, ranked by the first of exact_rank's three routes that applies.
 
-    A tall block is transposed once, here, so every route reads rows and
-    nrows is the shorter side; the facts keep the block's own shape.  Rows
-    with distinct first nonzero positions, sorted by them, form an echelon
-    matrix with nonzero integer pivots, so the rank over Q is nrows with no
-    arithmetic or prime; distinct last positions give the same, reversed.
+    The block is oriented here, once, for every route: a tall block is
+    transposed, so rows are the shorter side, and the columns are reversed
+    when the rows end more apart than they lead; the facts keep the block's
+    own shape.  Rows with distinct first nonzero positions, sorted by them,
+    form an echelon matrix with nonzero integer pivots, so the rank over Q
+    is nrows with no arithmetic or prime; distinct last positions give the
+    same, reversed.
     """
     nrows, ncols = shape
     if nrows > ncols:
@@ -783,7 +779,9 @@ def _rank_block(entries: list[tuple[int, int, int]], shape: tuple[int, int]) -> 
     if nrows in (leads, ends):
         return shape, nrows, "echelon", False
     reverse = ends > leads
-    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME, reverse) == nrows:
+    if reverse:
+        entries = [(i, ncols - 1 - j, val) for i, j, val in entries]
+    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME) == nrows:
         return shape, nrows, "modular", reverse
     return shape, _rank_bareiss(entries, nrows, ncols), "bareiss", reverse
 
@@ -796,12 +794,12 @@ def exact_rank(
 ) -> RankResult:
     """Rank of the matrix over the rationals, with kernel/cokernel dimensions.
 
-    The matrix is split into blocks that share no rows: the orbit
-    representative weight blocks of build_matrix, each counted with its
-    orbit's multiplicity, or else the connected components of the sparsity
-    pattern, found from matrix.columns, each counted once.  The rank is the
-    sum of multiplicity x block rank, and each block is ranked by the first
-    of three routes that applies, all proofs:
+    One loop ranks the classes of blocks that share no rows: the weight
+    classes of build_matrix, each counted with its orbit's multiplicity, or
+    else the connected components of the sparsity pattern, found from
+    matrix.columns, each a class of multiplicity 1.  The rank is the sum of
+    multiplicity x block rank, and each block is ranked by the first of
+    three routes that applies, all proofs:
 
     1. A block whose shorter side's vectors have distinct first nonzero
        positions, or distinct last ones, is in echelon form once they are
@@ -809,43 +807,40 @@ def exact_rank(
        min(rows, cols), with no elimination (_rank_block has the proof).
     2. Any other block is eliminated modulo the fixed prime
        _PROOF_PRIME = 2039, from the end where its shorter side's vectors
-       lead apart: from the last nonzero positions when they are more
-       distinct than the first ones, so that more vectors become pivots
+       lead apart: _rank_block reverses the columns when the last nonzero
+       positions are the more distinct, so that more vectors become pivots
        at no cost (the structural pivots of Faugere-Lachartre, PASCO 2010).
        Rank modulo any prime is at most the rank over Q, so a block whose
        rank mod 2039 is min(rows, cols) has that rank over Q.
     3. A block of lower rank mod 2039 is ranked exactly by fraction-free
        (Bareiss) elimination, whatever its width.
 
-    A weight block of build_matrix is ranked once per process: its facts
-    (shape, rank, route, column order) are kept in the _block_facts table
-    of (op, B) under top = min(w, B), which determines the block, and a
-    later class with the same key reads them there without building its
-    block.  The DEBUG record counts those classes in the
-    field shared, and columns_built counts only the columns of the blocks
-    built in this call, so both depend on the calls before; its other
-    counts are the same either way.
+    A block's facts (shape, rank, route, column order) are kept under its
+    class's key, and a later class with that key reads them without
+    building its block: a weight block's key is top = min(w, B) in the
+    _block_facts table of (op, B), so it is ranked once per process, and a
+    component's is its index in a table local to the call.  The DEBUG field
+    shared counts the classes that read their facts, and columns_built the
+    columns of the blocks built in this call, so both depend on the calls
+    before; on the component route they are 0 and every column.
 
     seed and exact_limit are accepted for older callers and ignored.
     """
     dim_target, dim_source = matrix.shape
     weight_classes = matrix._weight_classes
-    if weight_classes is None:
-        ranked = [(_rank_block(*block), 1, False) for block in _component_blocks(matrix)]
-    else:
-        table, classes, weight_block = weight_classes
-        ranked = []  # (facts, multiplicity, shared) of each class
-        for w_code, multiplicity, top in classes:
-            facts = table.get(top)
-            if facts is None:
-                facts = table[top] = _rank_block(*weight_block(w_code))
-                ranked.append((facts, multiplicity, False))
-            else:
-                ranked.append((facts, multiplicity, True))
+    if weight_classes is None:  # each component is a class of its own, keyed by its index
+        blocks = _component_blocks(matrix)
+        weight_classes = {}, [(i, 1, i) for i in range(len(blocks))], blocks.__getitem__
+    table, classes, weight_block = weight_classes
     rank = nblocks = shared = from_last = columns = 0
     routes = {"echelon": 0, "modular": 0, "bareiss": 0}
     largest = (0, 0)
-    for (shape, block_rank, route, reverse), multiplicity, hit in ranked:
+    for w_code, multiplicity, top in classes:
+        facts = table.get(top)
+        hit = facts is not None
+        if not hit:
+            facts = table[top] = _rank_block(*weight_block(w_code))
+        shape, block_rank, route, reverse = facts
         if shape[1]:  # a weight class may have no nonempty column
             rank += multiplicity * block_rank
             nblocks += 1
@@ -854,8 +849,7 @@ def exact_rank(
             routes[route] += 1
             from_last += reverse
             largest = max(largest, shape, key=prod)
-    # the components are found from every column
-    built = dim_source if weight_classes is None else columns
+    built = dim_source if matrix._weight_classes is None else columns
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "

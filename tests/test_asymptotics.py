@@ -207,6 +207,12 @@ class TestStableStart:
         rows = kernel_series_rep(2, 1, 1, 2, range(1, 8))
         assert not is_polynomial(rows[:6], 3) and is_polynomial(rows[1:], 3)
 
+    @pytest.mark.parametrize("n,k", [(0, 1), (2, 0), (-1, -1)])
+    def test_refuses_n_or_k_below_one(self, n, k):
+        # below 1 there is no special fiber, yet the walk would return a multiple
+        with pytest.raises(ValueError, match=rf"need n, k >= 1, got n={n}, k={k}"):
+            stable_start(n, k, 1, 1)
+
 
 class TestAsymptoticSpecialFiber:
     def test_kernel_side(self):
@@ -415,6 +421,11 @@ class TestIntersectionNumber:
                             top = sum(comb(2 * n - 1, i) * a1**i * (-a2) ** (2 * n - 1 - i)
                                       * {n - 1: k, n: l}.get(i, 0) for i in range(2 * n))
                             assert intersection_number(n, k, l, a1, a2) == top
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_refuses_projective_dimension_below_one(self, n):
+        with pytest.raises(ValueError, match=rf"projective dimension must be >= 1, got {n}"):
+            intersection_number(n, 1, 1, 1, 1)
 
 
 def constant_off_by_one(n, k, a1, a2):

@@ -32,6 +32,11 @@ def corner_operator(terms: int) -> ContractionOperator:
     return ContractionOperator(2, 1, tuple((1, e, e) for e in (E0, E1, E2)[:terms]))
 
 
+def three_shift_operator() -> ContractionOperator:
+    # x0 (x) d0 + x1 (x) d0 + x0 (x) d1: three shifts, so no weight blocks
+    return ContractionOperator(2, 1, ((1, E0, E0), (1, E1, E0), (1, E0, E1)))
+
+
 def proof_prime_multiple() -> SparseIntMatrix:
     """The dense [[2039, 2039], [1, 2]]: determinant 2039, rank 1 modulo 2039.
 
@@ -57,6 +62,11 @@ def clear_tables() -> None:
     """Forget every table the oracle keeps across calls, the block facts included."""
     for table in TABLES:
         table.cache_clear()
+
+
+def reversed_columns(entries, ncols):
+    """The entries with column j moved to ncols - 1 - j, as _rank_block reverses a block."""
+    return [(i, ncols - 1 - j, val) for i, j, val in entries]
 
 
 def echelon_rank(entries, nrows, ncols):
@@ -290,9 +300,9 @@ class TestExactRank:
         calls = []
         rank_mod_p = oracle._rank_mod_p
 
-        def counted(entries, nrows, ncols, p, from_last):
+        def counted(entries, nrows, ncols, p):
             calls.append(p)
-            return rank_mod_p(entries, nrows, ncols, p, from_last)
+            return rank_mod_p(entries, nrows, ncols, p)
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
         result = exact_rank(matrix)
@@ -361,21 +371,30 @@ class TestExactRank:
 
     def test_debug_record_counts_blocks_eliminated_from_the_last_position(self, caplog, monkeypatch):
         # the 33 blocks without a certificate all end apart more than they lead
-        # apart, so each is eliminated from its last nonzero positions
-        orders = []
-        rank_mod_p = oracle._rank_mod_p
+        # apart, so each is eliminated from its last nonzero positions: the
+        # column order of each elimination is read from _rank_block's facts
+        orders, eliminations = [], []
+        rank_mod_p, rank_block = oracle._rank_mod_p, oracle._rank_block
 
-        def counted(entries, nrows, ncols, p, from_last):
-            orders.append(from_last)
-            return rank_mod_p(entries, nrows, ncols, p, from_last)
+        def counted(entries, nrows, ncols, p):
+            eliminations.append(p)
+            return rank_mod_p(entries, nrows, ncols, p)
+
+        def ranked(entries, shape):
+            facts = rank_block(entries, shape)
+            if facts[2] != "echelon":
+                orders.append(facts[3])
+            return facts
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
+        monkeypatch.setattr(oracle, "_rank_block", ranked)
         clear_tables()  # so that no block's facts are read from an earlier rank
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
         (record,) = caplog.records
         assert record.routes["modular"] == record.from_last == 33
         assert orders == [True] * 33
+        assert eliminations == [oracle._PROOF_PRIME] * 33
 
     def test_debug_record_counts_classes_read_from_the_facts_table(self, caplog, monkeypatch):
         # ranked again, every class reads its block's facts from the table: no
@@ -427,6 +446,32 @@ class TestExactRank:
                         assert rank == "cold" or not new, (name, A, B)
                         assert record.largest_block == max(shapes, key=prod, default=(0, 0))
                         assert sum(record.routes.values()) == len(shapes)
+
+    def test_each_component_is_a_class_of_its_own(self, caplog, monkeypatch):
+        # the three-shift operator at (8, 10) has no weight classes: each of its
+        # 90 connected components is a class of multiplicity 1 under a key no
+        # other class shares, so every call ranks each component once, none
+        # is read from an earlier call, and every column counts as built
+        matrix = build_matrix(three_shift_operator(), 8, 10)
+        assert matrix._weight_classes is None
+        shapes = [shape for _, shape in oracle._component_blocks(matrix)]
+        calls = []
+        rank_block = oracle._rank_block
+
+        def counted(entries, shape):
+            calls.append(shape)
+            return rank_block(entries, shape)
+
+        monkeypatch.setattr(oracle, "_rank_block", counted)
+        for _ in range(2):
+            calls.clear()
+            with caplog.at_level("DEBUG", logger="asympure.oracle"):
+                result = exact_rank(matrix)
+            (record,) = caplog.records
+            caplog.clear()
+            assert calls == shapes and len(shapes) == 90
+            assert (record.shared, record.columns_built, record.blocks) == (0, 2970, 90)
+            assert (result.rank, record.routes["modular"], record.from_last) == (2805, 72, 72)
 
     @pytest.mark.parametrize("columns", [
         (((0, 2039), (1, 1)), ((0, 2039), (1, 2))),  # [[2039, 2039], [1, 2]], entries 2039
@@ -657,15 +702,15 @@ class TestModularElimination:
             entries = [(j, i, v) for i, j, v in entries]
             nrows, ncols = ncols, nrows
         for p in self.PRIMES:
-            for from_last in (False, True):
-                assert oracle._rank_mod_p(entries, nrows, ncols, p, from_last) == want
+            for oriented in (entries, reversed_columns(entries, ncols)):
+                assert oracle._rank_mod_p(oriented, nrows, ncols, p) == want
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_entry_equal_to_p(self, width):
         # the identity with one diagonal entry p: full rank over Q, not mod p
         entries = [(i, i, self.P if i == width // 2 else 1) for i in range(width)]
-        for from_last in (False, True):
-            assert oracle._rank_mod_p(entries, width, width, self.P, from_last) == width - 1
+        for oriented in (entries, reversed_columns(entries, width)):
+            assert oracle._rank_mod_p(oriented, width, width, self.P) == width - 1
         assert oracle._rank_bareiss(entries, width, width) == width
 
     def test_minus_inverse_table(self):
@@ -720,7 +765,7 @@ class TestModularElimination:
             cells = [(i, j) for i in range(nrows) for j in range(ncols) if rng.random() < density]
             entries = [(i, j, rng.choice(values)) for i, j in cells]
             modular = oracle._rank_mod_p(entries, nrows, ncols, p)
-            assert oracle._rank_mod_p(entries, nrows, ncols, p, True) == modular
+            assert oracle._rank_mod_p(reversed_columns(entries, ncols), nrows, ncols, p) == modular
             want = oracle._rank_bareiss(entries, nrows, ncols)
             assert modular <= want
             columns = tuple(tuple((i, v) for i, c, v in entries if c == j) for j in range(ncols))
@@ -836,10 +881,9 @@ class TestOrientation:
         clear_tables()
         for n, k, A, B in GRID:
             exact_rank(build_matrix(GRID_OPS[n, k], A, B))
-        three_shifts = ContractionOperator(2, 1, ((1, E0, E0), (1, E1, E0), (1, E0, E1)))
         for op, A, B in ((special_fiber_operator(2, 1), 20, 20),
                          (special_fiber_operator(2, 1), 5, 7),
-                         (three_shifts, 4, 4), (diagonal_operator(2, (1, 1, 0)), 8, 8)):
+                         (three_shift_operator(), 4, 4), (diagonal_operator(2, (1, 1, 0)), 8, 8)):
             exact_rank(build_matrix(op, A, B))
         rng = random.Random(37)
         for _ in range(500):
@@ -848,6 +892,44 @@ class TestOrientation:
         assert sum(r > c for r, c in shapes["_rank_block"]) >= 1000
         for name in self.ROUTES:
             assert shapes[name] and all(r <= c for r, c in shapes[name]), name
+
+    def test_every_route_reads_the_oriented_entries(self, monkeypatch):
+        # _rank_block transposes a tall block and reverses the columns when the
+        # facts say from_last: the elimination and Bareiss receive exactly
+        # those entries, and the rank and route are theirs on them
+        rank_mod_p, rank_bareiss = oracle._rank_mod_p, oracle._rank_bareiss
+        seen = []
+
+        def spy(name, inner):
+            def counted(entries, nrows, ncols, *p):
+                seen.append((name, entries, (nrows, ncols)))
+                return inner(entries, nrows, ncols, *p)
+            return counted
+
+        monkeypatch.setattr(oracle, "_rank_mod_p", spy("modular", rank_mod_p))
+        monkeypatch.setattr(oracle, "_rank_bareiss", spy("bareiss", rank_bareiss))
+        rng = random.Random(41)
+        counts = Counter()
+        for _ in range(3000):
+            entries, nrows, ncols = TestEchelonCertificate.random_block(rng)
+            seen.clear()
+            _, rank, route, from_last = oracle._rank_block(entries, (nrows, ncols))
+            if nrows > ncols:
+                entries = [(j, i, v) for i, j, v in entries]
+                nrows, ncols = ncols, nrows
+            if from_last:
+                entries = reversed_columns(entries, ncols)
+            if route == "echelon":
+                assert seen == [] and not from_last
+                continue
+            modular = rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME)
+            if route == "modular":
+                assert seen == [("modular", entries, (nrows, ncols))] and rank == modular == nrows
+            else:
+                assert seen == [(name, entries, (nrows, ncols)) for name in ("modular", "bareiss")]
+                assert modular < nrows and rank == rank_bareiss(entries, nrows, ncols)
+            counts[route, "from last" if from_last else "from first"] += 1
+        assert len(counts) == 4 and min(counts.values()) >= 20, counts
 
     def test_transpose_invariance(self):
         # a non-square block and its transpose have the same rank, route and

@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -204,19 +205,34 @@ class TestKernelSeries:
             assert cokernel == 0
 
 
-class TestLabelFreePath:
-    def test_kernel_series_equals_predict_map_analysis(self):
-        # the index ranges on every map with 0 <= A, B <= 20, and the series rows
-        # against the maps at their series_exponents
+class TestPredictionIsThePieriDifference:
+    def test_labels_and_dimensions_on_every_map(self):
+        # on every map with n <= 6, k <= 4 and 0 <= A, B <= 20, the kernel is the
+        # multiset difference source less target of the Pieri components, the
+        # cokernel target less source (the target is empty when B < k), and
+        # each dimension sums the general Weyl product over those labels
         for n in range(1, 7):
             for k in range(1, 5):
                 for A in range(21):
                     for B in range(21):
-                        kernel, cokernel = reptheory._index_ranges(n, k, A, B)
+                        source = Counter(pieri_decompose(n, A, B).components)
+                        target = Counter(pieri_decompose(n, A + k, B - k).components
+                                         if B >= k else ())
                         labelled = predict_map_analysis(n, k, A, B)
-                        dims = (sum(weyl_dimension(n, IrrepLabel(A + B - i, i)) for i in kernel),
-                                sum(weyl_dimension(n, IrrepLabel(A + B - i, i)) for i in cokernel))
-                        assert dims == (labelled.kernel_dim, labelled.cokernel_dim)
+                        for labels, dim, want in (
+                            (labelled.kernel_labels, labelled.kernel_dim, source - target),
+                            (labelled.cokernel_labels, labelled.cokernel_dim, target - source),
+                        ):
+                            assert labels == tuple(want.elements()), (n, k, A, B)
+                            assert dim == sum(weyl_product(n, c.lambda1, c.lambda2)
+                                              for c in labels), (n, k, A, B)
+
+
+class TestLabelFreePath:
+    def test_kernel_series_equals_predict_map_analysis(self):
+        # the series rows against the maps at their series_exponents
+        for n in range(1, 7):
+            for k in range(1, 5):
                 for a1, a2 in ((1, 1), (2, 1), (1, 2), (3, 2)):
                     for m, kd, cd in kernel_series_rep(n, k, a1, a2, range(1, 9)):
                         labelled = predict_map_analysis(n, k, *series_exponents(n, k, a1, a2, m))

@@ -30,8 +30,8 @@ v at beta, which depends on v and the term only, and two entries share a
 row exactly when v1 - alpha1 = v2 - alpha2, since their targets are
 u + alpha = w - (v - alpha).  So the entries, the shape and the order of
 rows and columns do not depend on w beyond min(w, B), nor on A or the code
-base.  exact_rank keeps each ranked block's facts (shape, rank, route,
-column order), never its entries, in one table per (op, B) keyed by
+base.  exact_rank keeps each ranked block's facts (shape, rank, route),
+never its entries, in one table per (op, B) keyed by
 min(w, B), and every later class with that key reads them instead of
 building and ranking its block again.  So a block is built only when its
 key is new, and the full column list only when something reads
@@ -42,9 +42,11 @@ each a class of its own.  Every rank is a proof, by one of three routes
 distinct positions is already in echelon form and needs no arithmetic; any
 other block of full rank modulo the small fixed prime 2039 is proven by
 that elimination, and a deficient one by Bareiss elimination, each row
-packed into one integer (see _rank_mod_p).  _rank_block orients a block
-once for every route: it transposes a tall one, and reverses the columns
-of one whose vectors' last nonzero positions are the more distinct.
+packed into one integer (see _rank_mod_p).  Every route reads a block by
+its shorter side, from the entries as they were built: the certificate
+and the elimination read a tall block's entries transposed in place,
+every elimination runs from the last column, and only Bareiss builds a
+transposed copy.
 
 The matrix layout is part of the golden-test contract: bases are ordered
 graded-lexicographically (within the fixed degree, exponent tuples in
@@ -77,8 +79,9 @@ Block = tuple[list[tuple[int, int, int]], tuple[int, int]]
 HitTable = dict[int, tuple[tuple[int, int, int], ...]]
 # One orbit representative weight w of a map: (w's code, orbit size, min(w, B)).
 WeightClass = tuple[int, int, Monomial]
-# What exact_rank keeps of a ranked block: ((rows, cols), rank, route, from_last).
-BlockFacts = tuple[tuple[int, int], int, str, bool]
+# What exact_rank keeps of a ranked block: ((rows, cols), rank, route), the
+# shape as built and the route of exact_rank's rule that proved the rank.
+BlockFacts = tuple[tuple[int, int], int, str]
 # What build_matrix records of a map that preserves weight: the _block_facts
 # table of (op, B), the map's classes, and a function from w's code to its Block.
 WeightClasses = tuple[dict[Monomial, BlockFacts], tuple[WeightClass, ...], Callable[[int], Block]]
@@ -630,22 +633,31 @@ def _component_blocks(matrix: SparseIntMatrix) -> list[Block]:
 
 
 def _distinct_ends(
-    entries: list[tuple[int, int, int]], nrows: int, ncols: int
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int, transpose: bool = False
 ) -> tuple[int, int]:
     """How many distinct first and distinct last nonzero columns the rows have.
 
-    The rows are read as given (_rank_block transposes a tall block); entries
-    of value 0 count as absent, and a row with no nonzero entry makes both
-    counts 0.  entries are (row, column, value) at distinct positions.
+    entries are (row, column, value) at distinct positions, or (column,
+    row, value) when transpose is set: _rank_block reads a tall block by its
+    columns in place.  Entries of value 0 count as absent, and a row with no
+    nonzero entry makes both counts 0.
     """
     first = [ncols] * nrows
     last = [-1] * nrows
-    for row, col, val in entries:
-        if val:
-            if col < first[row]:
-                first[row] = col
-            if col > last[row]:
-                last[row] = col
+    if transpose:
+        for col, row, val in entries:
+            if val:
+                if col < first[row]:
+                    first[row] = col
+                if col > last[row]:
+                    last[row] = col
+    else:
+        for row, col, val in entries:
+            if val:
+                if col < first[row]:
+                    first[row] = col
+                if col > last[row]:
+                    last[row] = col
     if -1 in last:
         return 0, 0
     return len(set(first)), len(set(last))
@@ -665,44 +677,52 @@ def _minus_inverses() -> tuple[int, ...]:
     return tuple(table)
 
 
-def _rank_mod_p(entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int) -> int:
+def _rank_mod_p(
+    entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: int, transpose: bool = False
+) -> int:
     """Rank of the block modulo the prime p, by inserting packed rows one at a time.
 
-    entries are (row, column, value) at distinct positions, read as given:
-    _rank_block transposes a tall block, so that fewer rows are inserted,
-    and reverses the columns of one whose rows end more apart than they
-    lead.  Each row is one Python int: its entries modulo p sit in slots of
-    W bits, W = (nrows * p * p).bit_length(), column j in slot j.
+    entries are (row, column, value) at distinct positions, or (column,
+    row, value) when transpose is set: _rank_block reads a tall block by its
+    columns in place, so that fewer rows are inserted.  Each row is one
+    Python int: its entries modulo p sit in slots of W bits,
+    W = (nrows * p * p).bit_length(), column j in slot ncols - 1 - j, so
+    every elimination runs from the last column.
 
-    pivots maps a column to the reduced row that leads there, with
+    pivots maps a slot to the reduced row that leads there, with
     -1/lead mod p: read from the table of _minus_inverses when p is
     _PROOF_PRIME, else computed by pow, so no other prime builds a table.
-    Each row is kept shifted so that its current column is its lowest slot,
-    and walks right from its first nonzero slot: a run of zero slots is
+    Each row is kept shifted so that its current slot is its lowest one,
+    and walks up from its first nonzero slot: a run of zero slots is
     skipped in one shift, and a lead slot that is a nonzero multiple of p
-    is zero mod p and shifted out.  At a column that has a
+    is zero mod p and shifted out.  At a slot that has a
     pivot, one big-integer multiply-add, row += lead * (-1/lead mod p) *
     pivot_row, clears the lead and the row moves on, its slots unreduced.
-    At a column without one the row becomes its pivot, reduced mod p slot by
+    At a slot without one the row becomes its pivot, reduced mod p slot by
     slot if an update touched it (an untouched row's slots are below p
     already); a row that runs out of slots is dependent.  The rank is the
     number of pivots.
 
     Every slot stays below nrows * p * p < 2**W, so none carries into the
     next: a slot starts below p; a row meets each pivot at most once, since
-    its column only grows; there are at most nrows - 1 pivots while a row
+    its slot only grows; there are at most nrows - 1 pivots while a row
     is inserted; and each update adds a product of two residues, below
     p * p.
     """
     width = (nrows * p * p).bit_length()
     mask = (1 << width) - 1
+    high = (ncols - 1) * width  # the shift of column 0
     rows = [0] * nrows
-    for i, j, val in entries:
-        rows[i] += val % p << j * width
+    if transpose:
+        for j, i, val in entries:
+            rows[i] += val % p << high - j * width
+    else:
+        for i, j, val in entries:
+            rows[i] += val % p << high - j * width
     pivots: dict[int, tuple[int, int]] = {}
     minus_inverses = _minus_inverses() if p == _PROOF_PRIME else None
     for row in rows:
-        col = 0
+        slot = 0
         touched = False
         while row:
             lead = row & mask
@@ -710,23 +730,23 @@ def _rank_mod_p(entries: list[tuple[int, int, int]], nrows: int, ncols: int, p: 
                 # the slot of the lowest set bit, which may be its slot's top bit
                 skip = ((row & -row).bit_length() - 1) // width
                 row >>= skip * width
-                col += skip
+                slot += skip
                 lead = row & mask
             lead %= p
             if lead:
-                pivot = pivots.get(col)
+                pivot = pivots.get(slot)
                 if pivot is None:
                     if touched:
                         row = sum((row >> s & mask) % p << s
                                   for s in range(0, row.bit_length(), width))
                     minus_inv = minus_inverses[lead] if minus_inverses else p - pow(lead, -1, p)
-                    pivots[col] = (row, minus_inv)
+                    pivots[slot] = (row, minus_inv)
                     break
                 pivot_row, minus_inv = pivot
                 row += lead * minus_inv % p * pivot_row
                 touched = True
             row >>= width
-            col += 1
+            slot += 1
     return len(pivots)
 
 
@@ -763,27 +783,25 @@ def _rank_bareiss(
 def _rank_block(entries: list[tuple[int, int, int]], shape: tuple[int, int]) -> BlockFacts:
     """The facts of one block, ranked by the first of exact_rank's three routes that applies.
 
-    The block is oriented here, once, for every route: a tall block is
-    transposed, so rows are the shorter side, and the columns are reversed
-    when the rows end more apart than they lead; the facts keep the block's
-    own shape.  Rows with distinct first nonzero positions, sorted by them,
-    form an echelon matrix with nonzero integer pivots, so the rank over Q
-    is nrows with no arithmetic or prime; distinct last positions give the
-    same, reversed.
+    Every route reads the block's shorter side as its rows: the
+    certificate and the elimination read a tall block's entries transposed
+    in place, and only Bareiss builds a transposed copy; the facts keep the
+    block's own shape.  Rows with distinct first nonzero
+    positions, sorted by them, form an echelon matrix with nonzero integer
+    pivots, so the rank over Q is nrows with no arithmetic or prime;
+    distinct last positions give the same, reversed.
     """
     nrows, ncols = shape
-    if nrows > ncols:
-        entries = [(j, i, val) for i, j, val in entries]
+    transpose = nrows > ncols
+    if transpose:
         nrows, ncols = ncols, nrows
-    leads, ends = _distinct_ends(entries, nrows, ncols)
-    if nrows in (leads, ends):
-        return shape, nrows, "echelon", False
-    reverse = ends > leads
-    if reverse:
-        entries = [(i, ncols - 1 - j, val) for i, j, val in entries]
-    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME) == nrows:
-        return shape, nrows, "modular", reverse
-    return shape, _rank_bareiss(entries, nrows, ncols), "bareiss", reverse
+    if nrows in _distinct_ends(entries, nrows, ncols, transpose):
+        return shape, nrows, "echelon"
+    if _rank_mod_p(entries, nrows, ncols, _PROOF_PRIME, transpose) == nrows:
+        return shape, nrows, "modular"
+    if transpose:
+        entries = [(j, i, val) for i, j, val in entries]
+    return shape, _rank_bareiss(entries, nrows, ncols), "bareiss"
 
 
 def exact_rank(
@@ -806,23 +824,28 @@ def exact_rank(
        sorted, with nonzero integer pivots: its rank over Q is
        min(rows, cols), with no elimination (_rank_block has the proof).
     2. Any other block is eliminated modulo the fixed prime
-       _PROOF_PRIME = 2039, from the end where its shorter side's vectors
-       lead apart: _rank_block reverses the columns when the last nonzero
-       positions are the more distinct, so that more vectors become pivots
-       at no cost (the structural pivots of Faugere-Lachartre, PASCO 2010).
-       Rank modulo any prime is at most the rank over Q, so a block whose
-       rank mod 2039 is min(rows, cols) has that rank over Q.
+       _PROOF_PRIME = 2039, always from its last column: a vector of the
+       shorter side whose last nonzero position no earlier one holds
+       becomes a pivot at no cost (the structural pivots of
+       Faugere-Lachartre, PASCO 2010).  On the weight blocks of the
+       special fiber this order is the faster on nearly every block, and a
+       column permutation changes no rank.  Rank modulo
+       any prime is at most the rank over Q, so a block whose rank mod
+       2039 is min(rows, cols) has that rank over Q.
     3. A block of lower rank mod 2039 is ranked exactly by fraction-free
        (Bareiss) elimination, whatever its width.
 
-    A block's facts (shape, rank, route, column order) are kept under its
-    class's key, and a later class with that key reads them without
-    building its block: a weight block's key is top = min(w, B) in the
-    _block_facts table of (op, B), so it is ranked once per process, and a
-    component's is its index in a table local to the call.  The DEBUG field
-    shared counts the classes that read their facts, and columns_built the
-    columns of the blocks built in this call, so both depend on the calls
-    before; on the component route they are 0 and every column.
+    A block's facts (shape, rank, route) are kept under its class's key,
+    and a later class with that key reads them without building its block:
+    a weight block's key is top = min(w, B) in the _block_facts table of
+    (op, B), so it is ranked once per process, and a component's is its
+    index in a table local to the call.  The loop only sums the rank and
+    notes which class built each new key; the DEBUG statistics are read
+    from the table in a second pass over the classes, run only when DEBUG
+    is on.  Their field shared counts the classes whose key existed before
+    them, in this call or an earlier one, and columns_built the columns of
+    the blocks built in this call, so both depend on the calls before; on
+    the component route they are 0 and every column.
 
     seed and exact_limit are accepted for older callers and ignored.
     """
@@ -832,32 +855,36 @@ def exact_rank(
         blocks = _component_blocks(matrix)
         weight_classes = {}, [(i, 1, i) for i in range(len(blocks))], blocks.__getitem__
     table, classes, weight_block = weight_classes
-    rank = nblocks = shared = from_last = columns = 0
-    routes = {"echelon": 0, "modular": 0, "bareiss": 0}
-    largest = (0, 0)
-    for w_code, multiplicity, top in classes:
+    rank = 0
+    builder = {}  # the index of the class that built each new key
+    for i, (w_code, multiplicity, top) in enumerate(classes):
         facts = table.get(top)
-        hit = facts is not None
-        if not hit:
+        if facts is None:
             facts = table[top] = _rank_block(*weight_block(w_code))
-        shape, block_rank, route, reverse = facts
-        if shape[1]:  # a weight class may have no nonempty column
-            rank += multiplicity * block_rank
-            nblocks += 1
-            shared += hit
-            columns += 0 if hit else shape[1]
-            routes[route] += 1
-            from_last += reverse
-            largest = max(largest, shape, key=prod)
-    built = dim_source if matrix._weight_classes is None else columns
+            builder[top] = i
+        rank += multiplicity * facts[1]
     if logger.isEnabledFor(logging.DEBUG):
+        nblocks = shared = columns = 0
+        routes = {"echelon": 0, "modular": 0, "bareiss": 0}
+        largest = (0, 0)
+        for i, (_, _, top) in enumerate(classes):
+            shape, _, route = table[top]
+            if shape[1]:  # a weight class may have no nonempty column
+                nblocks += 1
+                if builder.get(top) == i:
+                    columns += shape[1]
+                else:
+                    shared += 1
+                routes[route] += 1
+                largest = max(largest, shape, key=prod)
+        built = dim_source if matrix._weight_classes is None else columns
         logger.debug(
             "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "
             "%d full rank modulo %d, %d by Bareiss, built %d of %d columns",
             rank, dim_target, dim_source, nblocks, *largest, routes["echelon"],
             routes["modular"], _PROOF_PRIME, routes["bareiss"], built, dim_source,
             extra={"blocks": nblocks, "largest_block": largest, "routes": routes,
-                   "columns_built": built, "from_last": from_last, "shared": shared},
+                   "columns_built": built, "shared": shared},
         )
     return RankResult(
         dim_source=dim_source,

@@ -65,13 +65,17 @@ def clear_tables() -> None:
 
 
 def reversed_columns(entries, ncols):
-    """The entries with column j moved to ncols - 1 - j, as _rank_block reverses a block."""
+    """The entries with column j moved to ncols - 1 - j.
+
+    _rank_mod_p packs column j into slot ncols - 1 - j, so it eliminates the
+    reversed entries in the order of the slots j = 0, 1, ...
+    """
     return [(i, ncols - 1 - j, val) for i, j, val in entries]
 
 
 def echelon_rank(entries, nrows, ncols):
     """The block's rank if _rank_block proves it by the echelon route, else None."""
-    _, rank, route, _ = oracle._rank_block(entries, (nrows, ncols))
+    _, rank, route = oracle._rank_block(entries, (nrows, ncols))
     return rank if route == "echelon" else None
 
 
@@ -300,9 +304,9 @@ class TestExactRank:
         calls = []
         rank_mod_p = oracle._rank_mod_p
 
-        def counted(entries, nrows, ncols, p):
+        def counted(entries, nrows, ncols, p, transpose=False):
             calls.append(p)
-            return rank_mod_p(entries, nrows, ncols, p)
+            return rank_mod_p(entries, nrows, ncols, p, transpose)
 
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
         result = exact_rank(matrix)
@@ -370,31 +374,36 @@ class TestExactRank:
         assert record.routes == {"echelon": 121, "modular": 33, "bareiss": 0}
 
     def test_debug_record_counts_blocks_eliminated_from_the_last_position(self, caplog, monkeypatch):
-        # the 33 blocks without a certificate all end apart more than they lead
-        # apart, so each is eliminated from its last nonzero positions: the
-        # column order of each elimination is read from _rank_block's facts
-        orders, eliminations = [], []
-        rank_mod_p, rank_block = oracle._rank_mod_p, oracle._rank_block
+        # the 33 blocks without a certificate are each eliminated once, from
+        # the last column, in the entries as _weight_block built them (none is
+        # tall, so no flag is set); the record counts them as its modular route
+        built, eliminations = {}, []
+        weight_block, rank_mod_p = oracle._weight_block, oracle._rank_mod_p
 
-        def counted(entries, nrows, ncols, p):
-            eliminations.append(p)
-            return rank_mod_p(entries, nrows, ncols, p)
+        def building(*args):
+            entries, shape = block = weight_block(*args)
+            built[id(entries)] = shape
+            return block
 
-        def ranked(entries, shape):
-            facts = rank_block(entries, shape)
-            if facts[2] != "echelon":
-                orders.append(facts[3])
-            return facts
+        def counted(entries, nrows, ncols, p, transpose=False):
+            eliminations.append((entries, (nrows, ncols), p, transpose))
+            return rank_mod_p(entries, nrows, ncols, p, transpose)
 
+        monkeypatch.setattr(oracle, "_weight_block", building)
         monkeypatch.setattr(oracle, "_rank_mod_p", counted)
-        monkeypatch.setattr(oracle, "_rank_block", ranked)
         clear_tables()  # so that no block's facts are read from an earlier rank
         with caplog.at_level("DEBUG", logger="asympure.oracle"):
             exact_rank(build_matrix(special_fiber_operator(2, 1), 20, 20))
         (record,) = caplog.records
-        assert record.routes["modular"] == record.from_last == 33
-        assert orders == [True] * 33
-        assert eliminations == [oracle._PROOF_PRIME] * 33
+        assert record.routes["modular"] == len(eliminations) == 33
+        for entries, (nrows, ncols), p, transpose in eliminations:
+            shape = built[id(entries)]  # the entries as built, not a copy
+            assert (p, transpose) == (oracle._PROOF_PRIME, shape[0] > shape[1])
+            assert (nrows, ncols) == (min(shape), max(shape))
+            oriented = [(j, i, v) for i, j, v in entries] if transpose else entries
+            last_first = reversed_columns(oriented, ncols)
+            assert rank_mod_p(last_first, nrows, ncols, p) == nrows
+            assert oracle._rank_bareiss(last_first, nrows, ncols) == nrows
 
     def test_debug_record_counts_classes_read_from_the_facts_table(self, caplog, monkeypatch):
         # ranked again, every class reads its block's facts from the table: no
@@ -403,7 +412,7 @@ class TestExactRank:
             raise AssertionError("a block was built")
 
         clear_tables()
-        fields = ("blocks", "largest_block", "routes", "from_last")
+        fields = ("blocks", "largest_block", "routes")
         records = []
         for rank in ("cold", "warm"):
             if rank == "warm":
@@ -418,6 +427,25 @@ class TestExactRank:
         assert (cold_counts, warm_counts) == ((0, 9724), (154, 0))
         assert cold == warm and cold_fields == warm_fields
         assert cold_fields[:2] == [154, (153, 154)]
+
+    def test_debug_record_counts_a_key_built_earlier_in_the_call_as_shared(self, caplog):
+        # Sym^4 (x) Sym^2 on P^2: the representative weights (4, 2, 0) and
+        # (3, 3, 0) share the key min(w, 2) = (2, 2, 0).  From cold tables the
+        # first builds its 2x3 block and the second reads its facts in the
+        # same call: 1 of the 7 classes is shared, and those 3 columns are
+        # built once.  Warm, every class is shared and nothing is built
+        clear_tables()
+        matrix = build_matrix(special_fiber_operator(2, 1), 4, 2)
+        tops = [top for _, _, top in matrix._weight_classes[1]]
+        assert len(tops) == 7 and tops.count((2, 2, 0)) == 2
+        counts = []
+        for _ in range(2):
+            with caplog.at_level("DEBUG", logger="asympure.oracle"):
+                exact_rank(matrix)
+            (record,) = caplog.records
+            caplog.clear()
+            counts.append((record.blocks, record.shared, record.columns_built))
+        assert counts == [(7, 1, 21), (7, 7, 0)]
 
     def test_debug_record_counts_the_representative_blocks(self, caplog):
         # cold and warm, the record's counts are those of the nonempty
@@ -471,7 +499,7 @@ class TestExactRank:
             caplog.clear()
             assert calls == shapes and len(shapes) == 90
             assert (record.shared, record.columns_built, record.blocks) == (0, 2970, 90)
-            assert (result.rank, record.routes["modular"], record.from_last) == (2805, 72, 72)
+            assert (result.rank, record.routes["modular"]) == (2805, 72)
 
     @pytest.mark.parametrize("columns", [
         (((0, 2039), (1, 1)), ((0, 2039), (1, 2))),  # [[2039, 2039], [1, 2]], entries 2039
@@ -626,24 +654,28 @@ class TestModularElimination:
         # row 1 meets row 0's pivot, which adds 1 to each of its slots: its
         # lead p - 1 becomes p, zero mod p and not a pivot, and the next slot
         # decides.  [[1, 1], [p - 1, 1]] has determinant 2 - p, nonzero mod p;
-        # [[1, 1], [p - 1, 2p - 1]] has determinant p, so rank 2 over Q only
+        # [[1, 1], [p - 1, 2p - 1]] has determinant p, so rank 2 over Q only.
+        # Each is passed with its columns reversed, so column j is in slot j
         independent = [(0, 0, 1), (0, 1, 1), (1, 0, p - 1), (1, 1, 1)]
         deficient = [(0, 0, 1), (0, 1, 1), (1, 0, p - 1), (1, 1, 2 * p - 1)]
-        assert oracle._rank_mod_p(independent, 2, 2, p) == oracle._rank_bareiss(independent, 2, 2) == 2
-        assert oracle._rank_mod_p(deficient, 2, 2, p) == 1
+        assert oracle._rank_mod_p(reversed_columns(independent, 2), 2, 2, p) == 2
+        assert oracle._rank_bareiss(independent, 2, 2) == 2
+        assert oracle._rank_mod_p(reversed_columns(deficient, 2), 2, 2, p) == 1
         assert oracle._rank_bareiss(deficient, 2, 2) == 2
 
     def test_lowest_set_bit_at_the_top_of_its_slot(self):
         # 6 rows of p = 2039 take 25-bit slots.  Rows e_i + q_i e_6 (i < 5) and
         # (p - c_0, ..., p - c_4, 0, s) leave s + sum c_i q_i = 2**24 in the
         # last row's last slot, after an empty one: the run of zero slots
-        # ends at a bit that is its slot's top bit
+        # ends at a bit that is its slot's top bit.  The columns are passed
+        # reversed, so column j is in slot j
         p = oracle._PROOF_PRIME
         c, q, s = (2038, 2038, 2038, 2038, 80), (2038,) * 5, 400
         assert (6 * p * p).bit_length() == 25 and s + sum(ci * qi for ci, qi in zip(c, q)) == 2**24
         entries = [(i, i, 1) for i in range(5)] + [(i, 6, q[i]) for i in range(5)]
         entries += [(5, i, p - c[i]) for i in range(5)] + [(5, 6, s)]
-        assert oracle._rank_mod_p(entries, 6, 7, p) == oracle._rank_bareiss(entries, 6, 7) == 6
+        assert oracle._rank_mod_p(reversed_columns(entries, 7), 6, 7, p) == 6
+        assert oracle._rank_bareiss(entries, 6, 7) == 6
 
     @pytest.mark.parametrize("p", [2, 7, oracle._PROOF_PRIME])
     def test_single_row_and_column(self, p):
@@ -670,13 +702,14 @@ class TestModularElimination:
         # pivot with the factor p - 1 against the entry p - 1, so its last slot
         # reaches s + (nrows - 1)(p - 1)**2, the most the slot bound allows,
         # and above 2**32 at 1036 rows.  Over Q the rank is full; modulo p
-        # the last slot is s + nrows - 1.
+        # the last slot is s + nrows - 1.  The columns are passed reversed,
+        # so column j is in slot j.
         p = oracle._PROOF_PRIME
         last = nrows - 1
         base = [(i, i, 1) for i in range(last)] + [(i, last, p - 1) for i in range(last)]
         base += [(last, j, 1) for j in range(last)]
         for s, want in ((1, nrows), (p - last % p, nrows - 1)):
-            entries = base + [(last, last, s)]
+            entries = reversed_columns(base + [(last, last, s)], nrows)
             assert oracle._rank_mod_p(entries, nrows, nrows, p) == want
             # one more, empty row: the tall input is ranked as given, nrows + 1 rows
             assert oracle._rank_mod_p(entries, nrows + 1, nrows, p) == want
@@ -712,6 +745,28 @@ class TestModularElimination:
         for oriented in (entries, reversed_columns(entries, width)):
             assert oracle._rank_mod_p(oriented, width, width, self.P) == width - 1
         assert oracle._rank_bareiss(entries, width, width) == width
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_elimination_runs_from_the_last_column(self, monkeypatch, transpose):
+        # each pivot's -1/lead is read from the table at its lead.  From the
+        # last column, [[2, 3, 5], [7, 0, 0]] takes 5 as the first row's lead
+        # and 7 as the second's, which meets no pivot there; from the first
+        # column the leads would be 2 and -21/2.  A tall block read in place
+        # with the flag is eliminated the same way
+        table = oracle._minus_inverses()
+        leads = []
+
+        class Recorded(tuple):
+            def __getitem__(self, lead):
+                leads.append(lead)
+                return table[lead]
+
+        monkeypatch.setattr(oracle, "_minus_inverses", lambda: Recorded(table))
+        entries = [(0, 0, 2), (0, 1, 3), (0, 2, 5), (1, 0, 7)]
+        if transpose:
+            entries = [(j, i, v) for i, j, v in entries]
+        assert oracle._rank_mod_p(entries, 2, 3, oracle._PROOF_PRIME, transpose) == 2
+        assert leads == [5, 7]
 
     def test_minus_inverse_table(self):
         p = oracle._PROOF_PRIME
@@ -773,8 +828,7 @@ class TestModularElimination:
             assert exact_rank(block).rank == want
             seen["tall" if nrows > ncols else "wide" if nrows < ncols else "square"] += 1
             seen["deficient mod p"] += modular < want
-            _, _, route, from_last = oracle._rank_block(entries, (nrows, ncols))
-            seen["eliminated from the last position"] += route != "echelon" and from_last
+            seen["eliminated"] += oracle._rank_block(entries, (nrows, ncols))[2] != "echelon"
         assert min(seen.values()) >= 20, seen
 
 
@@ -840,13 +894,15 @@ class TestEchelonCertificate:
     def test_square_blocks_are_read_by_rows(self):
         # [[1, 0], [1, 1]]: the rows lead alike and end apart, the columns the
         # other way round; a square block is read by its rows, the vectors
-        # _rank_mod_p eliminates, so its column order follows their ends.
-        # _rank_block reads a tall block by its columns, as the wide one by rows
+        # _rank_mod_p eliminates.  _rank_block reads a tall block by its
+        # columns, in place, as the wide one by rows
         entries = [(0, 0, 1), (1, 0, 1), (1, 1, 1)]
+        transposed = [(j, i, v) for i, j, v in entries]
         assert oracle._distinct_ends(entries, 2, 2) == (1, 2)
         assert oracle._distinct_ends(entries, 2, 3) == (1, 2)
-        tall = oracle._rank_block([(j, i, v) for i, j, v in entries], (3, 2))
-        assert tall[1:] == oracle._rank_block(entries, (2, 3))[1:] == (2, "echelon", False)
+        assert oracle._distinct_ends(transposed, 2, 3, True) == (1, 2)
+        tall = oracle._rank_block(transposed, (3, 2))
+        assert tall[1:] == oracle._rank_block(entries, (2, 3))[1:] == (2, "echelon")
 
     def test_grid_certificates(self):
         # the 598 maps of the engine grid: 8,267 of their 8,897 representative
@@ -859,7 +915,7 @@ class TestEchelonCertificate:
 
 
 class TestOrientation:
-    """_rank_block transposes a tall block once; every route reads rows of the shorter side."""
+    """Every route reads rows of the shorter side: a tall block's columns, in place but for Bareiss."""
 
     ROUTES = ("_distinct_ends", "_rank_mod_p", "_rank_bareiss")
 
@@ -894,16 +950,17 @@ class TestOrientation:
             assert shapes[name] and all(r <= c for r, c in shapes[name]), name
 
     def test_every_route_reads_the_oriented_entries(self, monkeypatch):
-        # _rank_block transposes a tall block and reverses the columns when the
-        # facts say from_last: the elimination and Bareiss receive exactly
-        # those entries, and the rank and route are theirs on them
+        # the elimination receives the entries as built, with the transpose
+        # flag set exactly on a tall block, and eliminates from the last
+        # column: its rank is that of the transposed, reversed copy, as is
+        # Bareiss's, which alone receives a transposed copy
         rank_mod_p, rank_bareiss = oracle._rank_mod_p, oracle._rank_bareiss
         seen = []
 
         def spy(name, inner):
-            def counted(entries, nrows, ncols, *p):
-                seen.append((name, entries, (nrows, ncols)))
-                return inner(entries, nrows, ncols, *p)
+            def counted(entries, nrows, ncols, *args):
+                seen.append((name, entries, (nrows, ncols), *args))
+                return inner(entries, nrows, ncols, *args)
             return counted
 
         monkeypatch.setattr(oracle, "_rank_mod_p", spy("modular", rank_mod_p))
@@ -913,27 +970,52 @@ class TestOrientation:
         for _ in range(3000):
             entries, nrows, ncols = TestEchelonCertificate.random_block(rng)
             seen.clear()
-            _, rank, route, from_last = oracle._rank_block(entries, (nrows, ncols))
-            if nrows > ncols:
-                entries = [(j, i, v) for i, j, v in entries]
+            _, rank, route = oracle._rank_block(entries, (nrows, ncols))
+            transpose = nrows > ncols
+            oriented = entries
+            if transpose:
+                oriented = [(j, i, v) for i, j, v in entries]
                 nrows, ncols = ncols, nrows
-            if from_last:
-                entries = reversed_columns(entries, ncols)
             if route == "echelon":
-                assert seen == [] and not from_last
+                assert seen == []
                 continue
-            modular = rank_mod_p(entries, nrows, ncols, oracle._PROOF_PRIME)
+            modular = ("modular", entries, (nrows, ncols), oracle._PROOF_PRIME, transpose)
+            assert seen[0] == modular and seen[0][1] is entries
+            last_first = reversed_columns(oriented, ncols)
+            eliminated = rank_mod_p(last_first, nrows, ncols, oracle._PROOF_PRIME)
             if route == "modular":
-                assert seen == [("modular", entries, (nrows, ncols))] and rank == modular == nrows
+                assert seen == [modular] and rank == eliminated == nrows
             else:
-                assert seen == [(name, entries, (nrows, ncols)) for name in ("modular", "bareiss")]
-                assert modular < nrows and rank == rank_bareiss(entries, nrows, ncols)
-            counts[route, "from last" if from_last else "from first"] += 1
+                assert seen == [modular, ("bareiss", oriented, (nrows, ncols))]
+                assert transpose or seen[1][1] is entries
+                assert eliminated < nrows and rank == rank_bareiss(last_first, nrows, ncols)
+            counts[route, "tall" if transpose else "as built"] += 1
         assert len(counts) == 4 and min(counts.values()) >= 20, counts
 
+    def test_tall_blocks_read_in_place_match_the_transposed_copy(self):
+        # a tall block read in place with the flag gives the certificate's
+        # counts and the rank modulo each prime of its transposed copy read
+        # as given, leads and ends apart, deficient or not
+        rng = random.Random(4243)
+        seen = Counter()
+        for _ in range(3000):
+            entries, nrows, ncols = TestEchelonCertificate.random_block(rng)
+            if nrows <= ncols:
+                continue
+            copy = [(j, i, v) for i, j, v in entries]
+            ends = oracle._distinct_ends(copy, ncols, nrows)
+            assert oracle._distinct_ends(entries, ncols, nrows, True) == ends
+            for p in (2, 7, oracle._PROOF_PRIME):
+                modular = oracle._rank_mod_p(copy, ncols, nrows, p)
+                assert oracle._rank_mod_p(entries, ncols, nrows, p, True) == modular
+                seen["deficient" if modular < ncols else "full"] += 1
+            seen["leads apart" if ends[0] == ncols else "ends apart" if ends[1] == ncols else
+                 "neither"] += 1
+        assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
     def test_transpose_invariance(self):
-        # a non-square block and its transpose have the same rank, route and
-        # column order; a square one, read by rows either way, the same rank.
+        # a non-square block and its transpose have the same rank and route;
+        # a square one, read by rows either way, the same rank.
         # The facts keep the shape given
         rng = random.Random(3073)
         seen = Counter()
@@ -948,7 +1030,6 @@ class TestOrientation:
             else:
                 assert facts[1:] == flipped[1:]
                 seen[facts[2]] += 1
-                seen["from last"] += facts[3]
         assert min(seen.values()) >= 20, seen
 
 
@@ -1298,7 +1379,7 @@ class TestSharedTables:
         # aside; a cold pass reads 5,824 of its 8,897 blocks' facts from the
         # table and builds each key's block once, whatever the order: 44,139
         # columns in all
-        fields = ("blocks", "largest_block", "routes", "from_last")
+        fields = ("blocks", "largest_block", "routes")
 
         def ranked(order):
             out, shared, built = {}, 0, 0

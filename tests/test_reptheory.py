@@ -228,7 +228,7 @@ class TestPredictionIsThePieriDifference:
                                               for c in labels), (n, k, A, B)
 
 
-class TestLabelFreePath:
+class TestKernelSeriesAndWeylNumerator:
     def test_kernel_series_equals_predict_map_analysis(self):
         # the series rows against the maps at their series_exponents
         for n in range(1, 7):

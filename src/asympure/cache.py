@@ -2,8 +2,8 @@
 
 One JSON record per line, keys sorted: {"key": <name:field=value,...>,
 "value": <payload>, "version": <tag>}, each appended by one O_APPEND write.
-A line is malformed if it is not JSON, its key not a string or its value not
-an object.  A call checks the final line: a malformed one, which only a killed
+A line is malformed if it is not JSON, is nested too deeply to decode, or has
+a key that is not a string or a value that is not an object.  A call checks the final line: a malformed one, which only a killed
 writer leaves, is skipped with a warning naming file:line and cut by the next
 put, which also ends an unterminated final line.  get decodes only the last
 line starting `{"key": <key>, ` (another first field is a miss) and raises
@@ -58,7 +58,7 @@ class ResultCache:
             found, value = record["key"], record["value"]
             if not isinstance(found, str) or not isinstance(value, dict):
                 raise ValueError("key is not a string or value is not an object")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             number = self._data.count(b"\n", 0, start) + 1
             raise ValueError(f"{self.path}:{number}: corrupt cache record ({exc})") from exc
         return found, value

@@ -62,6 +62,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from math import factorial, perm, prod
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable
@@ -217,7 +218,7 @@ def load_operator(path: str | Path) -> ContractionOperator:
     try:
         with open(path, encoding="utf-8") as handle:
             return ContractionOperator.from_json_dict(json.load(handle))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"operator file {path}: {exc}") from exc
 
 
@@ -555,8 +556,9 @@ def _weight_block(u_codes: tuple[int, ...], hits: HitTable, w_code: int) -> Bloc
 def _block_facts(op: ContractionOperator, B: int) -> dict[Monomial, BlockFacts]:
     """The facts of each weight block of op at source degree B ranked so far, by min(w, B).
 
-    exact_rank fills it.  The key determines the block whatever A and the
-    code base (see the module docstring), and no entries are kept.
+    exact_rank fills it, and its DEBUG record relies on insertion order.  The
+    key determines the block whatever A and the code base (see the module
+    docstring), and no entries are kept.
     """
     return {}
 
@@ -839,13 +841,12 @@ def exact_rank(
     and a later class with that key reads them without building its block:
     a weight block's key is top = min(w, B) in the _block_facts table of
     (op, B), so it is ranked once per process, and a component's is its
-    index in a table local to the call.  The loop only sums the rank and
-    notes which class built each new key; the DEBUG statistics are read
-    from the table in a second pass over the classes, run only when DEBUG
-    is on.  Their field shared counts the classes whose key existed before
-    them, in this call or an earlier one, and columns_built the columns of
-    the blocks built in this call, so both depend on the calls before; on
-    the component route they are 0 and every column.
+    index in a table local to the call.  The loop only sums the rank.  The
+    table keeps insertion order, so the keys this call built are its entries
+    after the first known, its size before the loop.  With DEBUG on, the
+    record's columns_built counts their nonempty blocks' columns and shared
+    the other nonempty classes, so both depend on the calls before; on the
+    component route they are every column and 0.
 
     seed and exact_limit are accepted for older callers and ignored.
     """
@@ -855,36 +856,32 @@ def exact_rank(
         blocks = _component_blocks(matrix)
         weight_classes = {}, [(i, 1, i) for i in range(len(blocks))], blocks.__getitem__
     table, classes, weight_block = weight_classes
+    known = len(table)  # the keys this call builds are the entries after the first known
     rank = 0
-    builder = {}  # the index of the class that built each new key
-    for i, (w_code, multiplicity, top) in enumerate(classes):
+    for w_code, multiplicity, top in classes:
         facts = table.get(top)
         if facts is None:
             facts = table[top] = _rank_block(*weight_block(w_code))
-            builder[top] = i
         rank += multiplicity * facts[1]
     if logger.isEnabledFor(logging.DEBUG):
-        nblocks = shared = columns = 0
+        nblocks = 0
         routes = {"echelon": 0, "modular": 0, "bareiss": 0}
         largest = (0, 0)
-        for i, (_, _, top) in enumerate(classes):
+        for _, _, top in classes:
             shape, _, route = table[top]
             if shape[1]:  # a weight class may have no nonempty column
                 nblocks += 1
-                if builder.get(top) == i:
-                    columns += shape[1]
-                else:
-                    shared += 1
                 routes[route] += 1
                 largest = max(largest, shape, key=prod)
-        built = dim_source if matrix._weight_classes is None else columns
+        new = [shape[1] for shape, _, _ in islice(table.values(), known, None) if shape[1]]
+        built = dim_source if matrix._weight_classes is None else sum(new)
         logger.debug(
             "rank %d of %dx%d matrix: %d blocks, largest %dx%d, %d in echelon form, "
             "%d full rank modulo %d, %d by Bareiss, built %d of %d columns",
             rank, dim_target, dim_source, nblocks, *largest, routes["echelon"],
             routes["modular"], _PROOF_PRIME, routes["bareiss"], built, dim_source,
             extra={"blocks": nblocks, "largest_block": largest, "routes": routes,
-                   "columns_built": built, "shared": shared},
+                   "columns_built": built, "shared": nblocks - len(new)},
         )
     return RankResult(
         dim_source=dim_source,

@@ -21,6 +21,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A JSON document nested more deeply than any recursion limit lets json decode
+DEEP = "[" * 100_000 + "]" * 100_000
+# The two commands that read an operator file
+OPERATOR_COMMANDS = [
+    ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "2"],
+    ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "2..4",
+     "--engine", "oracle"],
+]
+
+
 class TestBasicCommands:
     def test_bott_table(self, capsys):
         code, out, _ = run(capsys, "bott", "--n", "2", "--d", "-4")
@@ -589,11 +599,7 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: operator file {path}: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["oracle", "--n", "2", "--k", "1", "--A", "3", "--B", "2"],
-        ["series", "--n", "2", "--k", "1", "--a1", "2", "--a2", "1", "--m", "2..4",
-         "--engine", "oracle"],
-    ], ids=["oracle", "series"])
+    @pytest.mark.parametrize("argv", OPERATOR_COMMANDS, ids=["oracle", "series"])
     def test_operator_file_without_terms_exits_2(self, capsys, tmp_path, argv):
         # the zero operator has no canonical key, so every command refuses it
         path = tmp_path / "zero.json"
@@ -601,6 +607,15 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, "--operator-file", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: operator file {path}: an operator needs at least one term\n"
+
+    @pytest.mark.parametrize("argv", OPERATOR_COMMANDS, ids=["oracle", "series"])
+    def test_operator_file_too_deep_to_decode_exits_2(self, capsys, tmp_path, argv):
+        # a usage error naming the file, not exit 1, the code of a mismatch
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        code, out, err = run(capsys, *argv, "--operator-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: operator file {path}: ")
 
 
 class TestDeterminism:
@@ -622,6 +637,8 @@ class TestDeterminism:
 KEY = "bott:n=2,d=-4"
 FRESH = {"n_ambient": "2", "support": ["2"], "values": ["0", "0", "3"]}  # its true value
 STALE = {"n_ambient": "2", "support": ["2"], "values": ["0", "0", "4"]}
+# A record of bott:n=2,d=1 whose value is nested too deeply to decode
+DEEP_RECORD = '{"key": "bott:n=2,d=1", "value": ' + DEEP + ', "version": "1"}\n'
 
 
 class TestCache:
@@ -723,6 +740,35 @@ class TestCache:
         code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
         assert code == 1
         assert f"FAIL - cache file {str(cache)!r}" in out and f"{cache}:1" in out
+
+    def test_deep_final_record_is_skipped_and_cut(self, capsys, caplog, tmp_path):
+        # a line nested too deeply to decode is malformed, as a torn one is
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(DEEP_RECORD)
+        argv = ["bott", "--n", "2", "--d", "-4", "--format", "json"]
+        _, cold, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (0, cold)
+        assert f"{cache}:1: skipping torn final cache record" in caplog.text
+        assert cache_keys(cache) == ["bott:n=2,d=-4"]
+
+    def test_deep_record_of_the_key_names_line(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        run(capsys, "bott", "--n", "2", "--d", "-4", "--cache", str(cache))
+        cache.write_text(DEEP_RECORD + cache.read_text())
+        code, out, err = run(capsys, "bott", "--n", "2", "--d", "1", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cache}:1: corrupt cache record (")
+
+    def test_verify_fails_on_a_deep_middle_record(self, capsys, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        for d in ("-4", "-3"):
+            run(capsys, "bott", "--n", "2", "--d", d, "--cache", str(cache))
+        first, last = cache.read_text().splitlines(keepends=True)
+        cache.write_text(first + DEEP_RECORD + last)
+        code, out, _ = run(capsys, "verify", "--suite", "small", "--cache", str(cache))
+        assert code == 1
+        assert f"FAIL - cache file {str(cache)!r}: unreadable ({cache}:2: corrupt cache record (" in out
 
     @pytest.mark.parametrize("record", [
         {"key": "bott:n=2,d=1", "version": "1", "value": 5},

@@ -1402,3 +1402,31 @@ class TestSharedTables:
         assert cold == other == warm
         assert cold_counts == other_counts == (5824, 44139)
         assert warm_counts == (8897, 0)
+
+    def test_debug_counts_match_a_snapshot_of_the_facts_table(self, caplog):
+        # every grid map in the benchmark's order (seed 1), then the maps with
+        # B < k, whose classes all have empty blocks, ranked in one process
+        # from cold tables: each record's shared and columns_built are read
+        # off a snapshot of the facts table taken before the call and the
+        # keys of the call's earlier classes
+        grid = GRID.copy()
+        random.Random(1).shuffle(grid)
+        below = [(n, k, A, B) for n in (1, 2) for k in (1, 2) for A in range(13) for B in range(k)]
+        clear_tables()
+        for n, k, A, B in grid + below:
+            matrix = build_matrix(GRID_OPS[n, k], A, B)
+            table, classes, weight_block = matrix._weight_classes
+            seen, shared, built = set(table), 0, 0
+            for w_code, _, top in classes:
+                cols = weight_block(w_code)[1][1]
+                if cols:
+                    if top in seen:
+                        shared += 1
+                    else:
+                        built += cols
+                seen.add(top)
+            with caplog.at_level("DEBUG", logger="asympure.oracle"):
+                exact_rank(matrix)
+            (record,) = caplog.records
+            caplog.clear()
+            assert (record.shared, record.columns_built) == (shared, built), (n, k, A, B)
